@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 from .grid import (
     Grid,
     SampledField,
-    Spectrum,
     convolve,
     forward_transform,
     integrate,

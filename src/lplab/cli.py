@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import os
 import re
 import sys
@@ -31,7 +30,7 @@ from .kernels import (
     stable_exponent,
 )
 from .littlewood_paley import build_resolution, bump_profile
-from .norms import INF, SpaceParams, space_norm
+from .norms import INF, SpaceParams, _jsonable, space_norm
 from .subordination import (
     laplace_residuals,
     stable_half_density,
@@ -55,11 +54,9 @@ EXIT_FAIL = 4
 
 
 def _enc(x):
-    if isinstance(x, np.generic):
-        x = x.item()
-    if isinstance(x, float) and not math.isfinite(x):
-        return "inf" if x > 0 else "-inf"
-    return x
+    # json.dumps calls this only for what it cannot encode itself, such as
+    # np.int64; np.float64 is a float subclass and never gets here
+    return _jsonable(x.item()) if isinstance(x, np.generic) else x
 
 
 def _canonical(obj) -> str:

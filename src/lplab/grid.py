@@ -28,7 +28,6 @@ import numpy as np
 __all__ = [
     "Grid",
     "SampledField",
-    "Spectrum",
     "make_grid",
     "sample",
     "forward_transform",
@@ -121,7 +120,8 @@ class SampledField:
 
     ``domain_tag`` is ``"space"`` for samples f(x_j) or ``"frequency"`` for
     Fourier coefficients indexed by the FFT-ordered lattice xi_j = pi j / L.
-    Values are validated finite and frozen (read-only) at construction.
+    Values must have the grid's shape or be flat in its order; they are
+    validated finite and frozen (read-only) at construction.
     """
 
     grid: Grid
@@ -133,6 +133,11 @@ class SampledField:
             raise ValueError(f"unknown domain_tag {self.domain_tag!r}")
         v = np.asarray(self.values, dtype=np.complex128)
         if v.shape != self.grid.shape:
+            # reshaping any other shape of the right size would scramble it
+            if v.ndim != 1 or v.size != np.prod(self.grid.shape):
+                raise ValueError(
+                    f"values of shape {v.shape} do not fit grid shape {self.grid.shape}"
+                )
             v = v.reshape(self.grid.shape)
         if not np.all(np.isfinite(v.view(np.float64))):
             raise ValueError("field contains non-finite values")
@@ -156,11 +161,6 @@ class SampledField:
 
     def with_values(self, values, domain_tag=None) -> "SampledField":
         return SampledField(self.grid, values, domain_tag or self.domain_tag)
-
-
-# A spectrum is a SampledField tagged "frequency"; the alias documents intent
-# in signatures.
-Spectrum = SampledField
 
 
 def make_grid(dim: int, samples_per_axis: int, half_width: float) -> Grid:
@@ -191,7 +191,7 @@ def _fwd_scale(grid: Grid) -> float:
     return (2.0 * np.pi) ** (-grid.dim / 2.0) * grid.cell_volume
 
 
-def forward_transform(f: SampledField) -> Spectrum:
+def forward_transform(f: SampledField) -> SampledField:
     """Discrete unitary Fourier transform of a space-domain field.
 
     The coefficient at lattice frequency xi_j equals
@@ -203,12 +203,26 @@ def forward_transform(f: SampledField) -> Spectrum:
     return SampledField(f.grid, spec, "frequency")
 
 
-def inverse_transform(F: Spectrum) -> SampledField:
+def _synthesize(grid: Grid, spec: np.ndarray) -> np.ndarray:
+    """Space samples of the lattice spectrum ``spec``: the package's only
+    inverse FFT, exactly inverting :func:`forward_transform`."""
+    return np.fft.fftshift(np.fft.ifftn(spec)) / _fwd_scale(grid)
+
+
+def _multiplied(f: SampledField, multipliers):
+    """Yield the space samples of F^-1(m * Ff) for each multiplier m in turn,
+    sharing one forward transform of ``f``.  Multipliers are lattice arrays
+    in FFT order (or broadcastable to one)."""
+    F = forward_transform(f).values
+    for m in multipliers:
+        yield _synthesize(f.grid, m * F)
+
+
+def inverse_transform(F: SampledField) -> SampledField:
     """Exact discrete inverse of :func:`forward_transform`."""
     if F.is_space:
         raise ValueError("inverse_transform expects a frequency-domain field")
-    vals = np.fft.fftshift(np.fft.ifftn(F.values)) / _fwd_scale(F.grid)
-    return SampledField(F.grid, vals, "space")
+    return SampledField(F.grid, _synthesize(F.grid, F.values), "space")
 
 
 def integrate(f: SampledField) -> float:
@@ -243,7 +257,7 @@ def convolve(f: SampledField, g: SampledField) -> SampledField:
     Ff = forward_transform(f)
     Fg = forward_transform(g)
     prod = (2.0 * np.pi) ** (f.grid.dim / 2.0) * Ff.values * Fg.values
-    return inverse_transform(SampledField(f.grid, prod, "frequency"))
+    return SampledField(f.grid, _synthesize(f.grid, prod))
 
 
 def spectral_derivative(f: SampledField, alpha) -> SampledField:
@@ -259,12 +273,16 @@ def spectral_derivative(f: SampledField, alpha) -> SampledField:
     alpha = tuple(int(a) for a in alpha)
     if len(alpha) != f.grid.dim or any(a < 0 for a in alpha):
         raise ValueError(f"alpha must be {f.grid.dim} nonnegative orders, got {alpha}")
-    F = forward_transform(f)
-    mult = np.ones(f.grid.shape, dtype=np.complex128)
-    for ax_mesh, a in zip(f.grid.freq_mesh(), alpha):
+    return SampledField(f.grid, next(_multiplied(f, [_derivative_symbol(f.grid, alpha)])))
+
+
+def _derivative_symbol(grid: Grid, alpha: tuple) -> np.ndarray:
+    """The multiplier (i xi)^alpha of the partial derivative d^alpha."""
+    mult = np.ones(grid.shape, dtype=np.complex128)
+    for ax_mesh, a in zip(grid.freq_mesh(), alpha):
         if a:
             mult = mult * (1j * ax_mesh) ** a
-    return inverse_transform(SampledField(f.grid, mult * F.values, "frequency"))
+    return mult
 
 
 # ---------------------------------------------------------------------------
@@ -292,10 +310,10 @@ def save_field(fld: SampledField, basepath: str, fmt: str = "binary") -> None:
     else:
         data_path = basepath + ".csv"
         flat = fld.values.ravel()
+        rows = enumerate(zip(flat.real.tolist(), flat.imag.tolist()))
         with open(data_path, "w") as fh:
             fh.write("index,re,im\n")
-            for i in range(flat.size):
-                fh.write(f"{i},{flat[i].real:.17g},{flat[i].imag:.17g}\n")
+            fh.write("".join(f"{i},{re:.17g},{im:.17g}\n" for i, (re, im) in rows))
     with open(basepath + ".json", "w") as fh:
         json.dump(sidecar, fh, sort_keys=True)
         fh.write("\n")

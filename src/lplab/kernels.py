@@ -8,9 +8,9 @@ Cauchy-Poisson families are provided separately as cross-validation oracles;
 note a heavy-tailed closed form sampled on the box carries its tail-mass
 truncation, while the spectral kernel is the exact periodization.
 
-Under-resolution is a hard error: if e^(-t Re psi(nyquist)) > 1e-12 the
-kernel is wider than the frequency lattice and every downstream quantity
-would be silently aliased.
+Under-resolution is a hard error: if e^(-t Re psi) > 1e-12 anywhere on the
+lattice's Nyquist faces the kernel is wider than the frequency lattice and
+every downstream quantity would be silently aliased.
 """
 
 from __future__ import annotations
@@ -20,14 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (
-    Grid,
-    SampledField,
-    convolve,
-    integrate,
-    inverse_transform,
-    spectral_derivative,
-)
+from .grid import Grid, SampledField, _multiplied, _synthesize, convolve, integrate
 from .norms import lp_norm
 
 __all__ = [
@@ -133,18 +126,6 @@ def symbol_values(spec: SemigroupSpec, grid: Grid) -> np.ndarray:
     return (rho ** (2.0 * spec.m)).astype(np.complex128)
 
 
-def _symbol_at_nyquist(spec: SemigroupSpec, grid: Grid) -> float:
-    if spec.kind == "gauss_weierstrass":
-        return grid.nyquist**2
-    if spec.kind == "cauchy_poisson":
-        return grid.nyquist
-    if spec.kind == "generalized_gw":
-        return grid.nyquist ** (2.0 * spec.m)
-    point = [np.zeros(1)] * spec.dim
-    point[0] = np.array([-grid.nyquist])
-    return float(np.real(np.asarray(spec.psi(*point)).ravel()[0]))
-
-
 def closed_form_kernel(spec: SemigroupSpec, t: float, grid: Grid) -> SampledField:
     """Sampled closed-form kernel for the two classical families.
 
@@ -171,9 +152,9 @@ def closed_form_kernel(spec: SemigroupSpec, t: float, grid: Grid) -> SampledFiel
 def spectral_kernel(spec: SemigroupSpec, t: float, grid: Grid) -> SampledField:
     """Kernel p_t = F^-1((2 pi)^(-n/2) e^(-t psi)) sampled on the lattice.
 
-    Raises :class:`UnderResolvedError` when the spectral tail at the Nyquist
-    frequency exceeds 1e-12, and ValueError when Re psi < 0 somewhere on the
-    lattice.
+    Raises :class:`UnderResolvedError` when the spectral tail e^(-t Re psi)
+    exceeds 1e-12 anywhere on the lattice's Nyquist faces (index N/2 on any
+    axis), and ValueError when Re psi < 0 somewhere on the lattice.
     """
     if not t > 0:
         raise ValueError(f"time t must be positive, got {t}")
@@ -183,26 +164,27 @@ def spectral_kernel(spec: SemigroupSpec, t: float, grid: Grid) -> SampledField:
             f"Re psi < 0 on the lattice (min {psi.real.min():.3e}); "
             "not a valid characteristic exponent"
         )
-    psi_nyq = _symbol_at_nyquist(spec, grid)
+    face = grid.samples_per_axis // 2
+    psi_nyq = min(psi.real.take(face, axis=a).min() for a in range(grid.dim))
     with np.errstate(under="ignore"):
         tail = np.exp(-t * psi_nyq)
     if tail > _TAIL_TOL:
         raise UnderResolvedError(
-            f"kernel under-resolved at t={t:g}: exp(-t Re psi(nyquist)) = "
-            f"{tail:.3e} > {_TAIL_TOL:g} "
+            f"kernel under-resolved at t={t:g}: exp(-t Re psi) on the Nyquist "
+            f"faces reaches {tail:.3e} > {_TAIL_TOL:g} "
             f"(nyquist {grid.nyquist:.4g}); increase N or choose larger t"
         )
     with np.errstate(under="ignore"):
         spectrum = (2.0 * np.pi) ** (-grid.dim / 2.0) * np.exp(-t * psi)
-    field = inverse_transform(SampledField(grid, spectrum, "frequency"))
-    scale = np.abs(field.values.real).max()
-    resid = np.abs(field.values.imag).max()
+    vals = _synthesize(grid, spectrum)
+    scale = np.abs(vals.real).max()
+    resid = np.abs(vals.imag).max()
     if scale > 0 and resid > 1e-8 * scale:
         raise ValueError(
             f"kernel has imaginary residual {resid:.3e} (scale {scale:.3e}); "
             "psi is not Hermitian-symmetric on the lattice"
         )
-    return SampledField(grid, field.values.real, "space")
+    return SampledField(grid, vals.real, "space")
 
 
 class KernelFamily:
@@ -255,11 +237,8 @@ def gradient_l1(p: SampledField) -> float:
     if not p.is_space:
         raise ValueError("gradient_l1 expects a space-domain field")
     sq = np.zeros(p.grid.shape)
-    for axis in range(p.grid.dim):
-        alpha = [0] * p.grid.dim
-        alpha[axis] = 1
-        d = spectral_derivative(p, tuple(alpha))
-        sq = sq + d.values.real**2
+    for d in _multiplied(p, (1j * xi for xi in p.grid.freq_mesh())):
+        sq = sq + d.real**2
     return float(p.grid.cell_volume * np.sqrt(sq).sum())
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, SampledField, Spectrum, forward_transform, inverse_transform
+from .grid import Grid, SampledField, _multiplied, _synthesize
 
 __all__ = [
     "TransitionProfile",
@@ -214,31 +214,28 @@ def apply_block(res: DyadicResolution, k: int, f: SampledField) -> SampledField:
         raise ValueError(f"block index {k} outside 0..{res.k_max}")
     if f.grid != res.grid:
         raise ValueError("field grid does not match resolution grid")
-    F = forward_transform(f)
-    return inverse_transform(SampledField(res.grid, res.blocks[k] * F.values, "frequency"))
+    return SampledField(res.grid, next(_multiplied(f, [res.blocks[k]])))
 
 
-def block_spectra(res: DyadicResolution, F: Spectrum):
-    """Yield the space-domain block values phi_k(D)f for a precomputed Ff.
+def block_spectra(res: DyadicResolution, F: SampledField):
+    """Yield the space-domain block values phi_k(D)f for a precomputed
+    frequency-domain Ff.
 
     Shares one forward transform across all blocks; used by the norm code.
     """
     if F.grid != res.grid:
         raise ValueError("spectrum grid does not match resolution grid")
-    scale = (2.0 * np.pi) ** (-res.grid.dim / 2.0) * res.grid.cell_volume
     for b in res.blocks:
-        yield np.fft.fftshift(np.fft.ifftn(b * F.values)) / scale
+        yield _synthesize(res.grid, b * F.values)
 
 
 def export_resolution(res: DyadicResolution, directory: str) -> None:
     """Write per-block CSVs (xi index, value) plus JSON metadata."""
     os.makedirs(directory, exist_ok=True)
     for k, b in enumerate(res.blocks):
-        flat = b.ravel()
         with open(os.path.join(directory, f"block_{k}.csv"), "w") as fh:
             fh.write("index,value\n")
-            for i in range(flat.size):
-                fh.write(f"{i},{flat[i]:.17g}\n")
+            fh.write("".join(f"{i},{v:.17g}\n" for i, v in enumerate(b.ravel().tolist())))
     meta = {
         "profile": res.profile.name,
         "K_max": res.k_max,

@@ -21,7 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, SampledField, forward_transform, inverse_transform, spectral_derivative
+from .grid import (
+    Grid,
+    SampledField,
+    _derivative_symbol,
+    _multiplied,
+    _synthesize,
+    forward_transform,
+)
 from .littlewood_paley import DyadicResolution, block_spectra
 
 __all__ = [
@@ -39,6 +46,14 @@ __all__ = [
 ]
 
 INF = math.inf
+
+
+def _jsonable(x):
+    """``x`` as written to JSON: a non-finite float becomes "inf" or "-inf",
+    since JSON has no infinity."""
+    if isinstance(x, float) and not math.isfinite(x):
+        return "inf" if x > 0 else "-inf"
+    return x
 
 
 @dataclass(frozen=True)
@@ -88,7 +103,6 @@ class NormResult:
     reduction: str
 
     def to_json_dict(self) -> dict:
-        enc = lambda x: x if math.isfinite(x) else "inf"
         return {
             "value": self.value,
             "block_terms": list(self.block_terms),
@@ -97,8 +111,8 @@ class NormResult:
             "space": {
                 "A": self.space.scale,
                 "s": self.space.s,
-                "p": enc(self.space.p),
-                "q": enc(self.space.q),
+                "p": _jsonable(self.space.p),
+                "q": _jsonable(self.space.q),
             },
             "reduction": self.reduction,
         }
@@ -250,23 +264,16 @@ def space_norm(f: SampledField, res: DyadicResolution, sp: SpaceParams) -> NormR
 def resolution_l1_bound(res: DyadicResolution) -> float:
     """max_k || F^-1 phi_k ||_L1, an explicit computable constant dominating
     ||f | B^0_{1,inf}|| / ||f||_L1 (block convolutions obey Young's bound)."""
-    worst = 0.0
-    for b in res.blocks:
-        field = inverse_transform(SampledField(res.grid, b, "frequency"))
-        worst = max(worst, lp_norm(field, 1))
-    return worst
+    return max(_lp_values(_synthesize(res.grid, b), 1, res.grid) for b in res.blocks)
 
 
 def bessel_norm(f: SampledField, s: float) -> float:
     """Bessel-potential norm || F^-1((1+|xi|^2)^(s/2) Ff) ||_L1, s >= 0."""
     if s < 0:
         raise ValueError(f"smoothness s must be >= 0, got {s}")
-    F = forward_transform(f)
     rho2 = f.grid.radial_freq() ** 2
-    out = inverse_transform(
-        SampledField(f.grid, (1.0 + rho2) ** (s / 2.0) * F.values, "frequency")
-    )
-    return lp_norm(out, 1)
+    out = next(_multiplied(f, [(1.0 + rho2) ** (s / 2.0)]))
+    return _lp_values(out, 1, f.grid)
 
 
 def sobolev_w1m_norm(f: SampledField, m: int) -> float:
@@ -274,11 +281,11 @@ def sobolev_w1m_norm(f: SampledField, m: int) -> float:
     derivatives."""
     if m < 0:
         raise ValueError(f"order m must be >= 0, got {m}")
+    alphas = itertools.product(range(m + 1), repeat=f.grid.dim)
+    symbols = (_derivative_symbol(f.grid, a) for a in alphas if sum(a) <= m)
     total = np.zeros(f.grid.shape)
-    for alpha in itertools.product(range(m + 1), repeat=f.grid.dim):
-        if sum(alpha) > m:
-            continue
-        total = total + np.abs(spectral_derivative(f, alpha).values)
+    for d in _multiplied(f, symbols):
+        total = total + np.abs(d)
     return float(f.grid.cell_volume * total.sum())
 
 
@@ -300,12 +307,8 @@ def hardy_norm(f: SampledField, t_nodes=None) -> float:
         raise ValueError("t_nodes must be nonempty")
     if np.any(nodes <= 0) or np.any(nodes >= 1) or np.any(np.diff(nodes) < 0):
         raise ValueError("t_nodes must be sorted within (0, 1)")
-    F = forward_transform(f)
     rho2 = f.grid.radial_freq() ** 2
     peak = np.zeros(f.grid.shape)
-    for t in nodes:
-        out = inverse_transform(
-            SampledField(f.grid, np.exp(-(t * t) * rho2) * F.values, "frequency")
-        )
-        peak = np.maximum(peak, np.abs(out.values))
+    for out in _multiplied(f, (np.exp(-(t * t) * rho2) for t in nodes)):
+        peak = np.maximum(peak, np.abs(out))
     return float(f.grid.cell_volume * peak.sum())

@@ -26,10 +26,10 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .grid import Grid, SampledField, convolve, forward_transform, inverse_transform
+from .grid import Grid, SampledField, _multiplied, _synthesize, convolve
 from .kernels import KernelFamily, gradient_l1
 from .littlewood_paley import DyadicResolution, TransitionProfile, build_resolution
-from .norms import INF, SpaceParams, lp_norm, space_norm, besov_norm
+from .norms import INF, SpaceParams, _jsonable, lp_norm, space_norm, besov_norm
 
 __all__ = [
     "CorpusSpec",
@@ -85,11 +85,8 @@ class CorpusSpec:
 
 def _band_project(vals: np.ndarray, grid: Grid, band: float) -> np.ndarray:
     """Zero every spectral coefficient with |xi| > band; return real samples."""
-    f = SampledField(grid, vals, "space")
-    F = forward_transform(f)
     mask = grid.radial_freq() <= band
-    out = inverse_transform(SampledField(grid, F.values * mask, "frequency"))
-    return out.values.real
+    return next(_multiplied(SampledField(grid, vals, "space"), [mask])).real
 
 
 def _gaussian_mix(rng, grid: Grid) -> np.ndarray:
@@ -122,8 +119,7 @@ def _band_limited_random(rng, grid: Grid, band: float) -> np.ndarray:
     spec = np.zeros(grid.shape, dtype=np.complex128)
     idx = np.ix_(*([offs % grid.samples_per_axis] * grid.dim))
     spec[idx] = coeffs
-    out = inverse_transform(SampledField(grid, spec, "frequency"))
-    return out.values.real
+    return _synthesize(grid, spec).real
 
 
 def _mollified_step(rng, grid: Grid, band: float) -> np.ndarray:
@@ -283,17 +279,15 @@ class VerificationReport:
     details: dict
 
     def to_json_dict(self) -> dict:
-        enc = lambda x: (x if (isinstance(x, (int, str, bool, type(None)))
-                               or math.isfinite(x)) else "inf")
         case = asdict(self.case) if hasattr(self.case, "__dataclass_fields__") else dict(self.case)
         return {
-            "case": {k: enc(v) for k, v in case.items()},
+            "case": {k: _jsonable(v) for k, v in case.items()},
             "n_pairs": len(self.ratios) + self.skipped,
             "skipped": self.skipped,
             "max_ratio": self.max_ratio,
             "empirical_C": self.empirical_C,
             "tolerance": self.tolerance,
-            "constant_claim": enc(self.constant_claim),
+            "constant_claim": _jsonable(self.constant_claim),
             "refinement_delta": self.refinement_delta,
             "verdict": "pass" if self.verdict else "fail",
             "details": self.details,

@@ -214,6 +214,18 @@ def test_field_rejects_nonfinite(grid_1d):
         SampledField(grid_1d, vals)
 
 
+def test_field_accepts_grid_shape_or_flat_only():
+    g = make_grid(2, 64, 5.0)
+    vals = np.arange(64 * 64, dtype=float)
+    assert np.array_equal(SampledField(g, vals).values, vals.reshape(64, 64))
+    assert np.array_equal(SampledField(g, vals.reshape(64, 64)).values.ravel(), vals)
+    for shape in [(32, 128), (64, 64, 1), (4096, 1)]:
+        with pytest.raises(ValueError, match="do not fit grid shape"):
+            SampledField(g, vals.reshape(shape))
+    with pytest.raises(ValueError, match="do not fit grid shape"):
+        SampledField(g, vals[:-1])
+
+
 def test_field_values_immutable(grid_1d):
     f = gaussian_density(grid_1d)
     with pytest.raises(ValueError):
@@ -233,6 +245,20 @@ def test_field_serialization_round_trip(tmp_path, fmt):
     assert np.array_equal(back.values, f.values)  # exact, both formats
     sidecar = json.loads((tmp_path / "field.json").read_text())
     assert sidecar["N"] == g.samples_per_axis and sidecar["dim"] == 1
+
+
+def test_csv_bytes_keep_row_format(tmp_path):
+    g = make_grid(2, 64, 5.0)
+    rng = np.random.default_rng(4)
+    vals = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+    vals[0, 0] = complex(-0.0, 1e-300)
+    f = SampledField(g, vals)
+    save_field(f, str(tmp_path / "field"), fmt="csv")
+    flat = f.values.ravel()
+    expected = "index,re,im\n" + "".join(
+        f"{i},{flat[i].real:.17g},{flat[i].imag:.17g}\n" for i in range(flat.size)
+    )
+    assert (tmp_path / "field.csv").read_bytes() == expected.encode()
 
 
 def test_frequency_field_serialization(tmp_path):

@@ -149,6 +149,18 @@ def test_under_resolved_kernel_rejected(grid_1d):
         spectral_kernel(gauss_weierstrass(1), 1e-4, grid_1d)
 
 
+def test_anisotropic_under_resolution_rejected():
+    # the slow direction is xi_2: its Nyquist face has tail exp(-0.05 nyq^2) = 0.28,
+    # while the point (-nyquist, 0) alone would pass
+    g = make_grid(2, 64, 20.0)
+    aniso = char_exponent(lambda x, y: 10.0 * x**2 + 0.05 * y**2, 2)
+    with pytest.raises(UnderResolvedError, match="2.8"):
+        spectral_kernel(aniso, 1.0, g)
+    swapped = char_exponent(lambda x, y: 0.05 * x**2 + 10.0 * y**2, 2)
+    with pytest.raises(UnderResolvedError):
+        spectral_kernel(swapped, 1.0, g)
+
+
 def test_negative_symbol_rejected(grid_1d):
     bad = char_exponent(lambda x: -(x**2), 1)
     with pytest.raises(ValueError, match="Re psi"):

@@ -204,3 +204,6 @@ def test_export_resolution(tmp_path):
     assert meta["c"] == 1.0 and meta["C"] == 1.0
     data = np.loadtxt(tmp_path / "block_0.csv", delimiter=",", skiprows=1)
     assert np.array_equal(data[:, 1], res.blocks[0])
+    flat = res.blocks[1].ravel()
+    expected = "index,value\n" + "".join(f"{i},{flat[i]:.17g}\n" for i in range(flat.size))
+    assert (tmp_path / "block_1.csv").read_bytes() == expected.encode()

@@ -1,0 +1,95 @@
+"""Property-based checks of the spectral path: every Fourier multiplier goes
+through forward_transform and one synthesis, so these invariants cover them
+all.  Examples are derandomized and bounded so the suite stays deterministic.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lplab import (
+    SampledField,
+    build_resolution,
+    bump_profile,
+    convolve,
+    forward_transform,
+    gradient_l1,
+    inverse_transform,
+    lp_norm,
+    make_grid,
+    spectral_derivative,
+)
+
+PROPERTY = settings(derandomize=True, max_examples=25, deadline=None, database=None)
+
+grids = st.builds(
+    make_grid,
+    dim=st.sampled_from([1, 2]),
+    samples_per_axis=st.sampled_from([64, 128]),
+    half_width=st.floats(1.0, 40.0),
+)
+seeds = st.integers(0, 2**32 - 1)
+
+
+def random_field(grid, seed, complex_valued=False):
+    rng = np.random.default_rng(seed)
+    vals = rng.standard_normal(grid.shape)
+    if complex_valued:
+        vals = vals + 1j * rng.standard_normal(grid.shape)
+    return SampledField(grid, vals)
+
+
+@PROPERTY
+@given(grids, seeds)
+def test_transform_round_trip_and_parseval(grid, seed):
+    f = random_field(grid, seed, complex_valued=True)
+    F = forward_transform(f)
+    back = inverse_transform(F)
+    assert np.abs(back.values - f.values).max() <= 1e-12 * np.abs(f.values).max()
+    # unitary: h^n sum |f|^2 = (pi/L)^n sum |Ff|^2
+    space = grid.cell_volume * np.sum(np.abs(f.values) ** 2)
+    freq = (np.pi / grid.half_width) ** grid.dim * np.sum(np.abs(F.values) ** 2)
+    assert freq == pytest.approx(space, rel=1e-12)
+
+
+@PROPERTY
+@given(grids, seeds, seeds, seeds)
+def test_convolution_commutes_and_associates(grid, s1, s2, s3):
+    f, g, h = (random_field(grid, s) for s in (s1, s2, s3))
+    fg = convolve(f, g)
+    scale = lp_norm(f, 1) * lp_norm(g, 1) * lp_norm(h, np.inf)
+    assert np.abs(fg.values - convolve(g, f).values).max() <= (
+        1e-12 * lp_norm(f, 1) * lp_norm(g, np.inf))
+    left = convolve(fg, h).values
+    right = convolve(f, convolve(g, h)).values
+    assert np.abs(left - right).max() <= 1e-12 * scale
+
+
+@PROPERTY
+@given(grids, seeds, seeds)
+def test_young_l1(grid, s1, s2):
+    f, g = random_field(grid, s1), random_field(grid, s2)
+    assert lp_norm(convolve(f, g), 1) <= lp_norm(f, 1) * lp_norm(g, 1) * (1 + 1e-12)
+
+
+@PROPERTY
+@given(st.floats(0.05, 50.0), st.sampled_from([1, 2]))
+def test_partition_of_unity_any_sharpness(sharpness, dim):
+    grid = make_grid(dim, 256 if dim == 1 else 64, 20.0)
+    res = build_resolution(grid, bump_profile(sharpness))
+    band = grid.radial_freq() <= res.band_radius()
+    assert np.abs(sum(res.blocks)[band] - 1.0).max() < 1e-14
+    assert all(b.min() >= 0.0 for b in res.blocks)
+
+
+@PROPERTY
+@given(grids, seeds)
+def test_gradient_l1_matches_per_axis_derivatives(grid, seed):
+    f = random_field(grid, seed)
+    sq = np.zeros(grid.shape)
+    for axis in range(grid.dim):
+        alpha = tuple(int(a == axis) for a in range(grid.dim))
+        sq = sq + spectral_derivative(f, alpha).values.real ** 2
+    reference = grid.cell_volume * np.sqrt(sq).sum()
+    assert gradient_l1(f) == pytest.approx(reference, rel=1e-12)
