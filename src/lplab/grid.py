@@ -20,8 +20,7 @@ domain-truncation error; see :func:`integrate`'s tests.
 from __future__ import annotations
 
 import json
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -116,21 +115,18 @@ class Grid:
 
 @dataclass
 class SampledField:
-    """A complex-valued function sampled on a periodic grid.
+    """A complex-valued function sampled on a periodic grid: the values
+    f(x_j) at the lattice points x_j = -L + j h.
 
-    ``domain_tag`` is ``"space"`` for samples f(x_j) or ``"frequency"`` for
-    Fourier coefficients indexed by the FFT-ordered lattice xi_j = pi j / L.
     Values must have the grid's shape or be flat in its order; they are
-    validated finite and frozen (read-only) at construction.
+    validated finite and frozen (read-only) at construction.  Spectra never
+    take this form: :func:`forward_transform` returns a plain lattice array.
     """
 
     grid: Grid
     values: np.ndarray
-    domain_tag: str = "space"
 
     def __post_init__(self):
-        if self.domain_tag not in ("space", "frequency"):
-            raise ValueError(f"unknown domain_tag {self.domain_tag!r}")
         v = np.asarray(self.values, dtype=np.complex128)
         if v.shape != self.grid.shape:
             # reshaping any other shape of the right size would scramble it
@@ -144,23 +140,6 @@ class SampledField:
         v = np.ascontiguousarray(v)
         v.setflags(write=False)
         self.values = v
-
-    @property
-    def is_space(self) -> bool:
-        return self.domain_tag == "space"
-
-    def real_values(self, rel_tol: float = 1e-10) -> np.ndarray:
-        """Real part, after checking the imaginary part is negligible."""
-        scale = np.abs(self.values).max()
-        if scale > 0 and np.abs(self.values.imag).max() > rel_tol * scale:
-            raise ValueError(
-                "imaginary part is not negligible "
-                f"({np.abs(self.values.imag).max():.3e} vs scale {scale:.3e})"
-            )
-        return self.values.real
-
-    def with_values(self, values, domain_tag=None) -> "SampledField":
-        return SampledField(self.grid, values, domain_tag or self.domain_tag)
 
 
 def make_grid(dim: int, samples_per_axis: int, half_width: float) -> Grid:
@@ -184,23 +163,21 @@ def sample(expr, grid: Grid) -> SampledField:
         idx = tuple(np.argwhere(bad)[0])
         point = tuple(float(m[idx]) for m in mesh)
         raise ValueError(f"expression evaluated non-finite at lattice point x={point}")
-    return SampledField(grid, vals, "space")
+    return SampledField(grid, vals)
 
 
 def _fwd_scale(grid: Grid) -> float:
     return (2.0 * np.pi) ** (-grid.dim / 2.0) * grid.cell_volume
 
 
-def forward_transform(f: SampledField) -> SampledField:
-    """Discrete unitary Fourier transform of a space-domain field.
+def forward_transform(f: SampledField) -> np.ndarray:
+    """Discrete unitary Fourier transform of a field, as a lattice array in
+    FFT order.
 
     The coefficient at lattice frequency xi_j equals
     (2 pi)^(-n/2) h^n sum_x e^(-i x.xi_j) f(x).
     """
-    if not f.is_space:
-        raise ValueError("forward_transform expects a space-domain field")
-    spec = _fwd_scale(f.grid) * np.fft.fftn(np.fft.ifftshift(f.values))
-    return SampledField(f.grid, spec, "frequency")
+    return _fwd_scale(f.grid) * np.fft.fftn(np.fft.ifftshift(f.values))
 
 
 def _synthesize(grid: Grid, spec: np.ndarray) -> np.ndarray:
@@ -213,16 +190,15 @@ def _multiplied(f: SampledField, multipliers):
     """Yield the space samples of F^-1(m * Ff) for each multiplier m in turn,
     sharing one forward transform of ``f``.  Multipliers are lattice arrays
     in FFT order (or broadcastable to one)."""
-    F = forward_transform(f).values
+    F = forward_transform(f)
     for m in multipliers:
         yield _synthesize(f.grid, m * F)
 
 
-def inverse_transform(F: SampledField) -> SampledField:
-    """Exact discrete inverse of :func:`forward_transform`."""
-    if F.is_space:
-        raise ValueError("inverse_transform expects a frequency-domain field")
-    return SampledField(F.grid, _synthesize(F.grid, F.values), "space")
+def inverse_transform(grid: Grid, F: np.ndarray) -> SampledField:
+    """The field whose :func:`forward_transform` is the lattice array ``F``
+    (exact discrete inverse)."""
+    return SampledField(grid, _synthesize(grid, F))
 
 
 def integrate(f: SampledField) -> float:
@@ -231,8 +207,6 @@ def integrate(f: SampledField) -> float:
     An imaginary residual above 1e-8 of the field scale signals a Fourier
     convention bug and raises.
     """
-    if not f.is_space:
-        raise ValueError("integrate expects a space-domain field")
     total = f.grid.cell_volume * np.sum(f.values)
     # Scale guard keeps legitimate near-zero integrals (odd fields) passing.
     scale = max(abs(total.real), 1e-6 * f.grid.cell_volume * np.abs(f.values).sum())
@@ -252,11 +226,7 @@ def convolve(f: SampledField, g: SampledField) -> SampledField:
     """
     if f.grid != g.grid:
         raise ValueError("convolve requires matching grids (dim, N, L)")
-    if not (f.is_space and g.is_space):
-        raise ValueError("convolve expects space-domain fields")
-    Ff = forward_transform(f)
-    Fg = forward_transform(g)
-    prod = (2.0 * np.pi) ** (f.grid.dim / 2.0) * Ff.values * Fg.values
+    prod = (2.0 * np.pi) ** (f.grid.dim / 2.0) * forward_transform(f) * forward_transform(g)
     return SampledField(f.grid, _synthesize(f.grid, prod))
 
 
@@ -266,8 +236,6 @@ def spectral_derivative(f: SampledField, alpha) -> SampledField:
     ``alpha`` is a multi-index (one integer order per axis); a bare integer is
     accepted in one dimension.
     """
-    if not f.is_space:
-        raise ValueError("spectral_derivative expects a space-domain field")
     if np.isscalar(alpha):
         alpha = (int(alpha),)
     alpha = tuple(int(a) for a in alpha)
@@ -301,7 +269,7 @@ def save_field(fld: SampledField, basepath: str, fmt: str = "binary") -> None:
         "dim": fld.grid.dim,
         "N": fld.grid.samples_per_axis,
         "L": fld.grid.half_width,
-        "domain_tag": fld.domain_tag,
+        "domain_tag": "space",
         "format": fmt,
     }
     if fmt == "binary":
@@ -320,9 +288,13 @@ def save_field(fld: SampledField, basepath: str, fmt: str = "binary") -> None:
 
 
 def load_field(basepath: str) -> SampledField:
-    """Read a field written by :func:`save_field`."""
+    """Read a field written by :func:`save_field`; a sidecar that declares
+    anything but space samples is refused."""
     with open(basepath + ".json") as fh:
         meta = json.load(fh)
+    tag = meta.get("domain_tag")
+    if tag != "space":
+        raise ValueError(f"field sidecar declares domain_tag {tag!r}, not 'space' samples")
     grid = make_grid(meta["dim"], meta["N"], meta["L"])
     if meta["format"] == "binary":
         vals = np.fromfile(basepath + ".bin", dtype="<c16")
@@ -332,10 +304,4 @@ def load_field(basepath: str) -> SampledField:
         vals = raw[:, 1] + 1j * raw[:, 2]
     if vals.size != np.prod(grid.shape):
         raise ValueError(f"data size {vals.size} does not match grid {grid.shape}")
-    return SampledField(grid, vals.reshape(grid.shape), meta["domain_tag"])
-
-
-def field_basepath(path: str) -> str:
-    """Strip a known data suffix so save/load pairs can share paths."""
-    root, ext = os.path.splitext(path)
-    return root if ext in (".bin", ".csv", ".json") else path
+    return SampledField(grid, vals.reshape(grid.shape))

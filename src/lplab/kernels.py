@@ -101,14 +101,11 @@ def char_exponent(psi, dim: int, symbol_name: str = "psi",
 
 
 def stable_exponent(alpha: float, dim: int = 1) -> SemigroupSpec:
-    """The isotropic stable exponent psi = |xi|^alpha, alpha in (0, 2]."""
+    """The isotropic stable exponent psi = |xi|^alpha, alpha in (0, 2]: the
+    generalized Gauss-Weierstrass semigroup of order m = alpha/2."""
     if not 0 < alpha <= 2:
         raise ValueError(f"alpha must be in (0, 2], got {alpha}")
-
-    def psi(*mesh):
-        return np.sqrt(sum(m.astype(float) ** 2 for m in mesh)) ** alpha
-
-    return char_exponent(psi, dim, symbol_name=f"|xi|^{alpha:g}")
+    return generalized_gauss_weierstrass(alpha / 2.0, dim)
 
 
 def symbol_values(spec: SemigroupSpec, grid: Grid) -> np.ndarray:
@@ -118,12 +115,9 @@ def symbol_values(spec: SemigroupSpec, grid: Grid) -> np.ndarray:
     if spec.kind == "char_exponent":
         vals = np.asarray(spec.psi(*grid.freq_mesh()), dtype=np.complex128)
         return np.broadcast_to(vals, grid.shape)
-    rho = grid.radial_freq()
-    if spec.kind == "gauss_weierstrass":
-        return (rho**2).astype(np.complex128)
-    if spec.kind == "cauchy_poisson":
-        return rho.astype(np.complex128)
-    return (rho ** (2.0 * spec.m)).astype(np.complex128)
+    # every other kind is isotropic: psi = |xi|^(2m)
+    m = {"gauss_weierstrass": 1.0, "cauchy_poisson": 0.5}.get(spec.kind, spec.m)
+    return (grid.radial_freq() ** (2.0 * m)).astype(np.complex128)
 
 
 def closed_form_kernel(spec: SemigroupSpec, t: float, grid: Grid) -> SampledField:
@@ -146,7 +140,7 @@ def closed_form_kernel(spec: SemigroupSpec, t: float, grid: Grid) -> SampledFiel
         vals = (1.0 / np.pi) * t / (x**2 + t**2)
     else:
         raise ValueError(f"no closed form for kind {spec.kind!r}")
-    return SampledField(grid, vals, "space")
+    return SampledField(grid, vals)
 
 
 def spectral_kernel(spec: SemigroupSpec, t: float, grid: Grid) -> SampledField:
@@ -184,7 +178,7 @@ def spectral_kernel(spec: SemigroupSpec, t: float, grid: Grid) -> SampledField:
             f"kernel has imaginary residual {resid:.3e} (scale {scale:.3e}); "
             "psi is not Hermitian-symmetric on the lattice"
         )
-    return SampledField(grid, vals.real, "space")
+    return SampledField(grid, vals.real)
 
 
 class KernelFamily:
@@ -234,8 +228,6 @@ class KernelFamily:
 
 def gradient_l1(p: SampledField) -> float:
     """Integral of the Euclidean norm of the spectral gradient of p."""
-    if not p.is_space:
-        raise ValueError("gradient_l1 expects a space-domain field")
     sq = np.zeros(p.grid.shape)
     for d in _multiplied(p, (1j * xi for xi in p.grid.freq_mesh())):
         sq = sq + d.real**2

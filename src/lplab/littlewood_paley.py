@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, SampledField, _multiplied, _synthesize
+from .grid import Grid, SampledField, _multiplied
 
 __all__ = [
     "TransitionProfile",
@@ -217,16 +217,15 @@ def apply_block(res: DyadicResolution, k: int, f: SampledField) -> SampledField:
     return SampledField(res.grid, next(_multiplied(f, [res.blocks[k]])))
 
 
-def block_spectra(res: DyadicResolution, F: SampledField):
-    """Yield the space-domain block values phi_k(D)f for a precomputed
-    frequency-domain Ff.
+def block_spectra(res: DyadicResolution, f: SampledField):
+    """Yield the blocks phi_k(D) f, k = 0..k_max, as space samples.
 
-    Shares one forward transform across all blocks; used by the norm code.
+    Shares one forward transform of ``f`` across all blocks; every
+    function-space norm reads its blocks from here.
     """
-    if F.grid != res.grid:
-        raise ValueError("spectrum grid does not match resolution grid")
-    for b in res.blocks:
-        yield _synthesize(res.grid, b * F.values)
+    if f.grid != res.grid:
+        raise ValueError("field grid does not match resolution grid")
+    yield from _multiplied(f, res.blocks)
 
 
 def export_resolution(res: DyadicResolution, directory: str) -> None:

@@ -17,18 +17,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grid import (
-    Grid,
-    SampledField,
-    _derivative_symbol,
-    _multiplied,
-    _synthesize,
-    forward_transform,
-)
+from .grid import Grid, SampledField, _derivative_symbol, _multiplied, _synthesize
 from .littlewood_paley import DyadicResolution, block_spectra
 
 __all__ = [
@@ -131,8 +124,6 @@ def _lp_values(values: np.ndarray, p: float, grid: Grid) -> float:
 
 def lp_norm(f: SampledField, p: float) -> float:
     """(h^n sum |f|^p)^(1/p); the lattice max for p = infinity."""
-    if not f.is_space:
-        raise ValueError("lp_norm expects a space-domain field")
     if not p >= 1:
         raise ValueError(f"p must be >= 1, got {p}")
     return _lp_values(f.values, p, f.grid)
@@ -158,10 +149,9 @@ def besov_norm(f: SampledField, res: DyadicResolution, sp: SpaceParams) -> NormR
     """
     if sp.scale != "B":
         raise ValueError("besov_norm requires scale 'B'")
-    F = forward_transform(f)
     terms = np.array(
         [2.0 ** (k * sp.s) * _lp_values(b, sp.p, res.grid)
-         for k, b in enumerate(block_spectra(res, F))]
+         for k, b in enumerate(block_spectra(res, f))]
     )
     return _result(_lq_reduce(terms, sp.q), terms, res, sp, "lq_of_block_lp")
 
@@ -173,10 +163,9 @@ def triebel_norm(f: SampledField, res: DyadicResolution, sp: SpaceParams) -> Nor
         raise ValueError("triebel_norm requires scale 'F'")
     if sp.p == INF:
         return triebel_infty_norm(f, res, sp.s, sp.q)
-    F = forward_transform(f)
     acc = None
     terms = []
-    for k, b in enumerate(block_spectra(res, F)):
+    for k, b in enumerate(block_spectra(res, f)):
         w = 2.0 ** (k * sp.s) * np.abs(b)
         terms.append(_lp_values(w, sp.p, res.grid))
         if sp.q == INF:
@@ -229,23 +218,18 @@ def triebel_infty_norm(f: SampledField, res: DyadicResolution, s: float, q: floa
     sp = SpaceParams("F", s, INF, q)
     if q == INF:
         inner = besov_norm(f, res, SpaceParams("B", s, INF, INF))
-        return NormResult(inner.value, inner.block_terms, inner.truncation_k,
-                          inner.tail_ratio, sp, "besov_inf_inf")
+        return replace(inner, space=sp, reduction="besov_inf_inf")
     grid = res.grid
     if grid.spacing > 1.0:
         raise ValueError("grid spacing exceeds the unit cube: no admissible J >= 0")
     j_cap = min(int(np.floor(np.log2(1.0 / grid.spacing))), res.k_max)
-    F = forward_transform(f)
-    weighted = [
-        (2.0 ** (k * s) * np.abs(b)) ** q for k, b in enumerate(block_spectra(res, F))
+    tails = [
+        (2.0 ** (k * s) * np.abs(b)) ** q for k, b in enumerate(block_spectra(res, f))
     ]
-    terms = [float(w.max()) ** (1.0 / q) for w in weighted]
-    # suffix sums over k = J..k_max
-    tails = [None] * (res.k_max + 1)
-    run = np.zeros(grid.shape)
-    for k in range(res.k_max, -1, -1):
-        run = run + weighted[k]
-        tails[k] = run.copy()
+    terms = [float(w.max()) ** (1.0 / q) for w in tails]
+    # suffix sums in place: tails[J] becomes the sum over k = J..k_max
+    for k in range(res.k_max - 1, -1, -1):
+        tails[k] += tails[k + 1]
     best = 0.0
     for J in range(0, j_cap + 1):
         means = _cube_means(tails[J], grid, J)

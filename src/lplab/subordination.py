@@ -36,6 +36,7 @@ __all__ = [
     "laplace_residuals",
     "subordinate_kernel",
     "subordinator_moment",
+    "user_density",
 ]
 
 _LAPLACE_NODES = (0.1, 1.0, 10.0)
@@ -265,7 +266,7 @@ def subordinate_kernel(dens: SubordinatorDensity, grid: Grid) -> SampledField:
             r = dens.nodes[i:i + step, None]
             c = (coeff[i:i + step, None] * (4.0 * np.pi * r) ** (-n / 2.0))
             out += np.einsum("ij->j", c * np.exp(-r2[None, :] / (4.0 * r)))
-    return SampledField(grid, out.reshape(grid.shape), "space")
+    return SampledField(grid, out.reshape(grid.shape))
 
 
 def subordinator_moment(dens: SubordinatorDensity, u: float) -> float:

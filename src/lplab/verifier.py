@@ -86,7 +86,7 @@ class CorpusSpec:
 def _band_project(vals: np.ndarray, grid: Grid, band: float) -> np.ndarray:
     """Zero every spectral coefficient with |xi| > band; return real samples."""
     mask = grid.radial_freq() <= band
-    return next(_multiplied(SampledField(grid, vals, "space"), [mask])).real
+    return next(_multiplied(SampledField(grid, vals), [mask])).real
 
 
 def _gaussian_mix(rng, grid: Grid) -> np.ndarray:
@@ -176,9 +176,9 @@ def generate_corpus(spec: CorpusSpec, grid: Grid) -> list:
         else:
             raw = _oscillatory_packet(rng, grid, spec.band_limit)
         vals = _band_project(raw, grid, spec.band_limit)
-        f = SampledField(grid, vals, "space")
+        f = SampledField(grid, vals)
         mass = lp_norm(f, 1)
-        fields.append(SampledField(grid, vals / mass, "space"))
+        fields.append(SampledField(grid, vals / mass))
     return fields
 
 
@@ -230,9 +230,7 @@ class InequalityCase:
                     f"q={self.q}, q1={self.q1}, q2={self.q2}"
                 )
         if self.scale == "F":
-            used = [self.q] if self.name in ("young", "conv1") else [self.q, self.q1, self.q2]
-            if self.name == "young":
-                used = []
+            used = {"young": (), "conv1": (self.q,)}.get(self.name, (self.q, self.q1, self.q2))
             if any(qq < 1 for qq in used):
                 raise ValueError("F-scale checks require summability exponents >= 1")
 

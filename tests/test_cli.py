@@ -53,6 +53,32 @@ def test_norm_command_round_trips_field(tmp_path):
     assert result["value"] > 0
 
 
+def test_norm_refuses_wrong_data_size(tmp_path):
+    kout = str(tmp_path / "k")
+    assert run_cli(["kernel", "--family", "gw", "--t", 1, "--N", 1024,
+                    "--L", 40, "--out", kout]) == 0
+    data = tmp_path / "k.field.bin"
+    data.write_bytes(data.read_bytes()[:-16])  # one complex sample short
+    assert run_cli(["norm", "--input", kout + ".field", "--out", tmp_path / "n"]) == 2
+    assert not (tmp_path / "n.json").exists()
+
+
+def test_norm_refuses_frequency_sidecar(tmp_path):
+    kout = str(tmp_path / "k")
+    assert run_cli(["kernel", "--family", "gw", "--t", 1, "--N", 1024,
+                    "--L", 40, "--out", kout]) == 0
+    sidecar = tmp_path / "k.field.json"
+    meta = json.loads(sidecar.read_text())
+    assert meta["domain_tag"] == "space"
+    meta["domain_tag"] = "frequency"
+    sidecar.write_text(json.dumps(meta))
+    assert run_cli(["norm", "--input", kout + ".field", "--out", tmp_path / "n"]) == 2
+    del meta["domain_tag"]
+    sidecar.write_text(json.dumps(meta))
+    assert run_cli(["norm", "--input", kout + ".field", "--out", tmp_path / "n"]) == 2
+    assert not (tmp_path / "n.json").exists()
+
+
 def test_verify_young_deterministic(tmp_path):
     args = ["verify", "young", "--seed", 7, "--count", 8, "--N", 1024]
     assert run_cli(args + ["--out", tmp_path / "a"]) == 0

@@ -94,27 +94,27 @@ def test_gaussian_is_transform_fixed_point(grid_1d):
     f = sample(lambda x: np.exp(-(x**2) / 2.0), grid_1d)
     F = forward_transform(f)
     xi = grid_1d.freq_axis()
-    assert np.abs(F.values - np.exp(-(xi**2) / 2.0)).max() < 1e-10
+    assert np.abs(F - np.exp(-(xi**2) / 2.0)).max() < 1e-10
 
 
 def test_discrete_delta_has_flat_spectrum(grid_1d):
     vals = np.zeros(grid_1d.shape)
     vals[grid_1d.samples_per_axis // 2] = 1.0 / grid_1d.spacing  # x = 0
     F = forward_transform(SampledField(grid_1d, vals))
-    assert np.abs(F.values - (2 * np.pi) ** -0.5).max() < 1e-10
+    assert np.abs(F - (2 * np.pi) ** -0.5).max() < 1e-10
 
 
 def test_transform_round_trip(grid_1d):
     for seed in range(5):
         f = random_band_limited(grid_1d, seed)
-        back = inverse_transform(forward_transform(f))
+        back = inverse_transform(grid_1d, forward_transform(f))
         scale = np.abs(f.values).max()
         assert np.abs(back.values - f.values).max() < 1e-12 * scale
 
 
 def test_hermitian_symmetry_of_real_fields(grid_1d):
     f = random_band_limited(grid_1d, 11)
-    F = forward_transform(f).values
+    F = forward_transform(f)
     flipped = np.conj(F[(-np.arange(F.size)) % F.size])
     assert np.abs(F - flipped).max() < 1e-12 * np.abs(F).max()
 
@@ -180,7 +180,7 @@ def test_plancherel(grid_1d):
         f = random_band_limited(grid_1d, seed)
         F = forward_transform(f)
         space = lp_norm(f, 2)
-        freq = np.sqrt((np.pi / grid_1d.half_width) * np.sum(np.abs(F.values) ** 2))
+        freq = np.sqrt((np.pi / grid_1d.half_width) * np.sum(np.abs(F) ** 2))
         assert abs(space - freq) < 1e-12 * space
 
 
@@ -241,10 +241,17 @@ def test_field_serialization_round_trip(tmp_path, fmt):
     save_field(f, base, fmt=fmt)
     back = load_field(base)
     assert back.grid == g
-    assert back.domain_tag == f.domain_tag
     assert np.array_equal(back.values, f.values)  # exact, both formats
     sidecar = json.loads((tmp_path / "field.json").read_text())
     assert sidecar["N"] == g.samples_per_axis and sidecar["dim"] == 1
+    assert sidecar["domain_tag"] == "space"
+
+
+def test_save_field_rejects_unknown_format(tmp_path):
+    f = gaussian_density(make_grid(1, 64, 5.0))
+    with pytest.raises(ValueError, match="unknown format"):
+        save_field(f, str(tmp_path / "field"), fmt="npy")
+    assert not list(tmp_path.iterdir())
 
 
 def test_csv_bytes_keep_row_format(tmp_path):
@@ -261,19 +268,9 @@ def test_csv_bytes_keep_row_format(tmp_path):
     assert (tmp_path / "field.csv").read_bytes() == expected.encode()
 
 
-def test_frequency_field_serialization(tmp_path):
-    g = make_grid(1, 1024, 20.0)
-    F = forward_transform(gaussian_density(g))
-    base = str(tmp_path / "spec")
-    save_field(F, base)
-    back = load_field(base)
-    assert back.domain_tag == "frequency"
-    assert np.array_equal(back.values, F.values)
-
-
 def test_three_dimensional_smoke():
     g = make_grid(3, 64, 10.0)
     f = sample(lambda x, y, z: np.exp(-(x**2 + y**2 + z**2) / 2.0) * (2 * np.pi) ** -1.5, g)
     assert abs(integrate(f) - 1.0) < 1e-12
-    back = inverse_transform(forward_transform(f))
+    back = inverse_transform(g, forward_transform(f))
     assert np.abs(back.values - f.values).max() < 1e-12

@@ -26,6 +26,7 @@ from lplab import (
     spectral_kernel,
     stable_exponent,
 )
+from lplab.kernels import symbol_values
 
 INV_SQRT_PI = 0.5641895835477563  # integral of |d/dx p_1| for the heat kernel
 
@@ -320,6 +321,19 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         stable_exponent(2.5)
     with pytest.raises(ValueError):
+        stable_exponent(5e-324)  # its order alpha/2 underflows to 0
+    with pytest.raises(ValueError):
         char_exponent(None, 1)
     with pytest.raises(ValueError):
         KernelFamily(gauss_weierstrass(2), make_grid(1, 256, 10.0))
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 1.0, 1.5, 2.0])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_isotropic_symbols_share_one_path(dim, alpha):
+    g = make_grid(dim, 64, 5.0)
+    rho = np.sqrt(sum(m.astype(float) ** 2 for m in g.freq_mesh()))
+    assert np.array_equal(symbol_values(stable_exponent(alpha, dim), g), rho**alpha)
+    assert np.array_equal(symbol_values(gauss_weierstrass(dim), g), rho**2)
+    if dim == 1:
+        assert np.array_equal(symbol_values(cauchy_poisson(), g), rho)

@@ -14,7 +14,7 @@ from lplab import (
     squared_resolution,
     validate_resolution,
 )
-from lplab.littlewood_paley import DyadicResolution, TransitionProfile
+from lplab.littlewood_paley import DyadicResolution, TransitionProfile, block_spectra
 
 
 def band_limited(grid, seed, band):
@@ -133,6 +133,14 @@ def test_apply_block_real_output(grid_1d, res_1d):
     f = band_limited(grid_1d, 5, band=16.0)
     out = apply_block(res_1d, 3, f)
     assert np.abs(out.values.imag).max() < 1e-10 * np.abs(out.values.real).max()
+
+
+def test_blocks_refuse_mismatched_grid(res_1d):
+    f = band_limited(make_grid(1, 2048, 40.0), 6, band=4.0)
+    with pytest.raises(ValueError, match="does not match"):
+        apply_block(res_1d, 0, f)
+    with pytest.raises(ValueError, match="does not match"):
+        next(block_spectra(res_1d, f))
 
 
 def test_apply_block_range_check(grid_1d, res_1d):

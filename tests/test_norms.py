@@ -181,11 +181,9 @@ def test_triebel_infty_zero_field(grid_1d, res_1d):
 
 def _tail_sums(f, res, s, q):
     from lplab.littlewood_paley import block_spectra
-    from lplab import forward_transform
 
-    F = forward_transform(f)
     weighted = [(2.0 ** (k * s) * np.abs(b)) ** q
-                for k, b in enumerate(block_spectra(res, F))]
+                for k, b in enumerate(block_spectra(res, f))]
     tails = {}
     run = np.zeros(f.grid.shape)
     for k in range(res.k_max, -1, -1):
@@ -266,9 +264,7 @@ def test_hardy_dominates_largest_node():
     F = forward_transform(f)
     rho2 = g.radial_freq() ** 2
     t = nodes[-1]
-    single = inverse_transform(
-        SampledField(g, np.exp(-(t * t) * rho2) * F.values, "frequency")
-    )
+    single = inverse_transform(g, np.exp(-(t * t) * rho2) * F)
     assert hardy_norm(f, nodes) >= lp_norm(single, 1) - 1e-12
 
 

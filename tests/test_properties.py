@@ -9,16 +9,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lplab import (
+    INF,
+    KernelFamily,
     SampledField,
+    SpaceParams,
+    besov_norm,
     build_resolution,
     bump_profile,
+    chapman_kolmogorov_residual,
     convolve,
     forward_transform,
+    generalized_gauss_weierstrass,
     gradient_l1,
     inverse_transform,
     lp_norm,
     make_grid,
     spectral_derivative,
+    stable_exponent,
 )
 
 PROPERTY = settings(derandomize=True, max_examples=25, deadline=None, database=None)
@@ -28,6 +35,13 @@ grids = st.builds(
     dim=st.sampled_from([1, 2]),
     samples_per_axis=st.sampled_from([64, 128]),
     half_width=st.floats(1.0, 40.0),
+)
+# half-widths up to 20 keep nyquist = pi N / 2L >= 4, which a resolution needs
+resolved_grids = st.builds(
+    make_grid,
+    dim=st.sampled_from([1, 2]),
+    samples_per_axis=st.sampled_from([64, 128]),
+    half_width=st.floats(1.0, 20.0),
 )
 seeds = st.integers(0, 2**32 - 1)
 
@@ -45,11 +59,11 @@ def random_field(grid, seed, complex_valued=False):
 def test_transform_round_trip_and_parseval(grid, seed):
     f = random_field(grid, seed, complex_valued=True)
     F = forward_transform(f)
-    back = inverse_transform(F)
+    back = inverse_transform(grid, F)
     assert np.abs(back.values - f.values).max() <= 1e-12 * np.abs(f.values).max()
     # unitary: h^n sum |f|^2 = (pi/L)^n sum |Ff|^2
     space = grid.cell_volume * np.sum(np.abs(f.values) ** 2)
-    freq = (np.pi / grid.half_width) ** grid.dim * np.sum(np.abs(F.values) ** 2)
+    freq = (np.pi / grid.half_width) ** grid.dim * np.sum(np.abs(F) ** 2)
     assert freq == pytest.approx(space, rel=1e-12)
 
 
@@ -93,3 +107,40 @@ def test_gradient_l1_matches_per_axis_derivatives(grid, seed):
         sq = sq + spectral_derivative(f, alpha).values.real ** 2
     reference = grid.cell_volume * np.sqrt(sq).sum()
     assert gradient_l1(f) == pytest.approx(reference, rel=1e-12)
+
+
+@PROPERTY
+@given(resolved_grids, seeds, st.floats(-1.0, 1.0), st.sampled_from([1.0, 2.0, 3.0, INF]))
+def test_besov_norm_does_not_increase_with_q(grid, seed, s, p):
+    res = build_resolution(grid)
+    f = random_field(grid, seed)
+    values = [besov_norm(f, res, SpaceParams("B", s, p, q)).value
+              for q in (0.5, 1.0, 2.0, 4.0, INF)]
+    for smaller_q, larger_q in zip(values, values[1:]):
+        assert larger_q <= smaller_q * (1 + 1e-12)
+
+
+# psi = |xi|^power: (stable, alpha) has power alpha, (gen-gw, m) has power 2m
+exponents = st.one_of(
+    # a subnormal alpha is excluded: 5e-324 is refused, its order alpha/2 being 0
+    st.tuples(st.just("stable"),
+              st.floats(0.0, 2.0, exclude_min=True, allow_subnormal=False)),
+    st.tuples(st.just("gen-gw"), st.floats(0.5, 3.0)),
+)
+
+
+@PROPERTY
+@given(exponents, st.sampled_from([1, 2]), st.floats(2.0, 20.0),
+       st.floats(1.0, 8.0), st.floats(1.0, 8.0))
+def test_chapman_kolmogorov_random_exponents(exponent, dim, half_width, a, b):
+    kind, order = exponent
+    grid = make_grid(dim, 64, half_width)
+    if kind == "stable":
+        spec, power = stable_exponent(order, dim), order
+    else:
+        spec, power = generalized_gauss_weierstrass(order, dim), 2.0 * order
+    # smallest time whose spectral tail exp(-t psi) on the Nyquist faces is
+    # 1e-12, the most spectral_kernel accepts; the margin absorbs roundoff
+    t_min = 12.0 * np.log(10.0) / grid.nyquist**power * (1.0 + 1e-9)
+    fam = KernelFamily(spec, grid)
+    assert chapman_kolmogorov_residual(fam, a * t_min, b * t_min) <= 1e-8

@@ -212,8 +212,11 @@ def test_case_validation():
         InequalityCase("conv3", p=1.0, p1=1.0, p2=1.0, q=0.5, q1=2.0, q2=2.0)
     with pytest.raises(ValueError, match="F-scale"):
         InequalityCase("conv1", p=1.0, p1=1.0, p2=1.0, scale="F", q=0.5)
-    # B-scale quasi-norm q < 1 is allowed
+    with pytest.raises(ValueError, match="F-scale"):
+        InequalityCase("conv3", p=1.0, p1=1.0, p2=1.0, scale="F", q=1.0, q1=0.5, q2=2.0)
+    # B-scale quasi-norm q < 1 is allowed, and Young's inequality uses no q
     InequalityCase("conv1", p=1.0, p1=1.0, p2=1.0, scale="B", q=0.5)
+    InequalityCase("young", p=1.0, p1=1.0, p2=1.0, scale="F", q=0.5)
 
 
 def test_report_serialization(res_v, corpora):
