@@ -71,6 +71,12 @@ def _write_json(path: str, obj) -> None:
     os.replace(tmp, path)
 
 
+def _json_object(obj, what: str) -> dict:
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} is not a JSON object")
+    return obj
+
+
 def _write_manifest(out: str, command: str, config: dict, tolerances: dict) -> None:
     payload = _canonical({"command": command, "config": config})
     manifest = {
@@ -183,20 +189,18 @@ def _build_case(name: str, params: dict) -> InequalityCase:
 
 def _cmd_verify(args) -> int:
     name = args.case.replace("-", "_")
-    if name not in _VERIFY_DEFAULTS:
-        raise ValueError(f"unknown verify case {args.case!r}")
     cfg = {}
     if args.config:
         with open(args.config) as fh:
-            cfg = json.load(fh)
-    grid_cfg = cfg.get("grid", {})
+            cfg = _json_object(json.load(fh), f"config {args.config}")
+    grid_cfg = _json_object(cfg.get("grid", {}), "config 'grid'")
     grid = make_grid(grid_cfg.get("dim", args.dim), grid_cfg.get("N", args.N),
                      grid_cfg.get("L", args.L))
     seed_f = cfg.get("seed_f", args.seed)
     seed_g = cfg.get("seed_g", args.seed + 4)
     count = cfg.get("count", args.count)
     band = cfg.get("band_limit", args.band)
-    case = _build_case(name, cfg.get("case", {}))
+    case = _build_case(name, _json_object(cfg.get("case", {}), "config 'case'"))
     spec_f = CorpusSpec(seed=seed_f, count=count, band_limit=band)
     spec_g = CorpusSpec(seed=seed_g, count=count, band_limit=band)
     if cfg.get("refine", args.refine):
@@ -219,8 +223,6 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    if args.kind != "smoothing":
-        raise ValueError(f"unknown sweep kind {args.kind!r}")
     spec = _family_spec(args)
     grid = make_grid(args.dim, args.N, args.L)
     ts = _parse_t_list(args.t)
@@ -278,7 +280,7 @@ def _cmd_report(args) -> int:
     rows, all_pass = [], True
     for path in args.artifacts:
         with open(path) as fh:
-            data = json.load(fh)
+            data = _json_object(json.load(fh), f"artifact {path}")
         verdict = data.get("verdict")
         if verdict is not None:
             all_pass = all_pass and verdict == "pass"
@@ -376,7 +378,7 @@ def main(argv=None) -> int:
         print(_canonical({"error": str(exc), "kind": "under_resolution"}),
               file=sys.stderr)
         return EXIT_UNDER_RESOLVED
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(_canonical({"error": str(exc), "kind": "validation"}), file=sys.stderr)
         return EXIT_VALIDATION
 

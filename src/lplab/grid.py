@@ -292,9 +292,14 @@ def load_field(basepath: str) -> SampledField:
     anything but space samples is refused."""
     with open(basepath + ".json") as fh:
         meta = json.load(fh)
-    tag = meta.get("domain_tag")
+    tag = meta.get("domain_tag") if isinstance(meta, dict) else None
     if tag != "space":
         raise ValueError(f"field sidecar declares domain_tag {tag!r}, not 'space' samples")
+    for key in ("dim", "N", "L", "format"):
+        if meta.get(key) is None:
+            raise ValueError(f"field sidecar lacks {key!r}")
+    if meta["format"] not in ("binary", "csv"):
+        raise ValueError(f"field sidecar format {meta['format']!r} is not 'binary' or 'csv'")
     grid = make_grid(meta["dim"], meta["N"], meta["L"])
     if meta["format"] == "binary":
         vals = np.fromfile(basepath + ".bin", dtype="<c16")

@@ -53,20 +53,18 @@ class SemigroupSpec:
     """A convolution semigroup, either a named closed-form variant or a
     caller-supplied characteristic exponent psi.
 
-    ``kind`` is one of ``gauss_weierstrass`` (psi = |xi|^2), ``generalized_gw``
-    (psi = |xi|^(2m), signed kernels for m > 1), ``cauchy_poisson``
-    (psi = |xi|, dim 1), or ``char_exponent`` with a vectorized callable
-    ``psi(*xi_meshes)``.  Re psi >= 0 is checked on the lattice at kernel
-    build; continuous negative definiteness cannot be checked numerically and
-    remains the caller's responsibility.
+    ``kind`` is one of ``gauss_weierstrass`` (psi = |xi|^2, m = 1),
+    ``generalized_gw`` (psi = |xi|^(2m), signed kernels for m > 1),
+    ``cauchy_poisson`` (psi = |xi|, m = 1/2, dim 1), or ``char_exponent``
+    with a vectorized callable ``psi(*xi_meshes)``.  Re psi >= 0 is checked
+    on the lattice at kernel build; continuous negative definiteness cannot
+    be checked numerically and remains the caller's responsibility.
     """
 
     kind: str
     dim: int
     m: float = 1.0
     psi: object = None
-    symbol_name: str = ""
-    re_nonneg: bool = True
 
     def __post_init__(self):
         if self.kind not in ("gauss_weierstrass", "generalized_gw",
@@ -74,6 +72,9 @@ class SemigroupSpec:
             raise ValueError(f"unknown semigroup kind {self.kind!r}")
         if self.kind == "generalized_gw" and not self.m > 0:
             raise ValueError(f"generalized order m must be > 0, got {self.m}")
+        order = {"gauss_weierstrass": 1.0, "cauchy_poisson": 0.5}.get(self.kind, self.m)
+        if self.m != order:
+            raise ValueError(f"{self.kind} has order m = {order:g}, got {self.m}")
         if self.kind == "cauchy_poisson" and self.dim != 1:
             raise ValueError("cauchy_poisson is defined here for dim = 1 only")
         if self.kind == "char_exponent" and self.psi is None:
@@ -81,23 +82,20 @@ class SemigroupSpec:
 
 
 def gauss_weierstrass(dim: int = 1) -> SemigroupSpec:
-    return SemigroupSpec("gauss_weierstrass", dim, symbol_name="|xi|^2")
+    return SemigroupSpec("gauss_weierstrass", dim)
 
 
 def generalized_gauss_weierstrass(m: float, dim: int = 1) -> SemigroupSpec:
     """psi = |xi|^(2m); any real m > 0 (need not be an integer)."""
-    return SemigroupSpec("generalized_gw", dim, m=float(m),
-                         symbol_name=f"|xi|^{2 * m:g}")
+    return SemigroupSpec("generalized_gw", dim, m=float(m))
 
 
 def cauchy_poisson() -> SemigroupSpec:
-    return SemigroupSpec("cauchy_poisson", 1, symbol_name="|xi|")
+    return SemigroupSpec("cauchy_poisson", 1, m=0.5)
 
 
-def char_exponent(psi, dim: int, symbol_name: str = "psi",
-                  re_nonneg: bool = True) -> SemigroupSpec:
-    return SemigroupSpec("char_exponent", dim, psi=psi,
-                         symbol_name=symbol_name, re_nonneg=re_nonneg)
+def char_exponent(psi, dim: int) -> SemigroupSpec:
+    return SemigroupSpec("char_exponent", dim, psi=psi)
 
 
 def stable_exponent(alpha: float, dim: int = 1) -> SemigroupSpec:
@@ -116,8 +114,7 @@ def symbol_values(spec: SemigroupSpec, grid: Grid) -> np.ndarray:
         vals = np.asarray(spec.psi(*grid.freq_mesh()), dtype=np.complex128)
         return np.broadcast_to(vals, grid.shape)
     # every other kind is isotropic: psi = |xi|^(2m)
-    m = {"gauss_weierstrass": 1.0, "cauchy_poisson": 0.5}.get(spec.kind, spec.m)
-    return (grid.radial_freq() ** (2.0 * m)).astype(np.complex128)
+    return (grid.radial_freq() ** (2.0 * spec.m)).astype(np.complex128)
 
 
 def closed_form_kernel(spec: SemigroupSpec, t: float, grid: Grid) -> SampledField:
@@ -184,11 +181,8 @@ def spectral_kernel(spec: SemigroupSpec, t: float, grid: Grid) -> SampledField:
 class KernelFamily:
     """Kernels of one semigroup on one grid, cached per time point.
 
-    ``mass_record`` maps each built t to the total-variation mass
-    ||p_t||_L1, which is the right-hand factor of the semigroup contraction
-    bound (for signed kernels it exceeds the integral).  The cache supports
-    concurrent readers with single-writer insertion; numeric results do not
-    depend on cache hits.
+    The cache supports concurrent readers with single-writer insertion;
+    numeric results do not depend on cache hits.
     """
 
     def __init__(self, spec: SemigroupSpec, grid: Grid):
@@ -196,7 +190,6 @@ class KernelFamily:
             raise ValueError(f"grid dim {grid.dim} != semigroup dim {spec.dim}")
         self.spec = spec
         self.grid = grid
-        self.mass_record: dict = {}
         self._cache: dict = {}
         self._lock = threading.Lock()
 
@@ -207,20 +200,20 @@ class KernelFamily:
             return hit
         p = spectral_kernel(self.spec, key, self.grid)
         with self._lock:
-            self._cache.setdefault(key, p)
-            self.mass_record.setdefault(key, lp_norm(p, 1))
-        return self._cache[key]
+            return self._cache.setdefault(key, p)
 
     def l1_norm(self, t: float) -> float:
-        self.kernel(t)
-        return self.mass_record[float(t)]
+        """The total-variation mass ||p_t||_L1, the right-hand factor of the
+        semigroup contraction bound (for signed kernels it exceeds the
+        integral)."""
+        return lp_norm(self.kernel(t), 1)
 
     def diagnostics(self, t: float) -> dict:
         p = self.kernel(t)
         return {
             "t": float(t),
             "mass": integrate(p),
-            "l1_norm": self.mass_record[float(t)],
+            "l1_norm": lp_norm(p, 1),
             "gradient_l1": gradient_l1(p),
             "min_value": float(p.values.real.min()),
         }

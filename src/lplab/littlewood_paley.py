@@ -49,9 +49,9 @@ class TransitionProfile:
     name: str
     ramp: object  # vectorized callable [0,1] -> [0,1]
 
-    def check(self, sweep: int = 1001) -> None:
+    def check(self) -> None:
         """Validate endpoints exactly and monotonicity on a 1e-3 sweep."""
-        t = np.linspace(0.0, 1.0, sweep)
+        t = np.linspace(0.0, 1.0, 1001)
         v = np.asarray(self.ramp(t), dtype=float)
         if v[0] != 0.0 or v[-1] != 1.0:
             raise ValueError(f"profile {self.name!r}: endpoint values not exact")

@@ -18,7 +18,7 @@ edge-term diagnostics, never adaptive, so results are reproducible.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,58 +46,45 @@ _LAPLACE_TOL = 1e-5
 
 @dataclass(frozen=True)
 class BernsteinSpec:
-    """A Bernstein function g with g(0) = 0.
+    """A Bernstein function g with g(0) = 0, given by a vectorized callable g
+    and optionally its inverse g_inverse.
 
-    Variants: ``power`` g(l) = l^alpha with alpha in (0, 1], ``log``
-    g(l) = log(1 + l), or ``user`` with callables g and optionally g_inverse.
     Construction checks g(0) = 0 and that g is nondecreasing and concave on a
-    log-spaced sweep.
+    log-spaced sweep, however the spec is built.
     """
 
-    kind: str
-    alpha: float = 1.0
-    g: object = None
+    g: object
     g_inverse: object = None
 
     def __post_init__(self):
-        if self.kind not in ("power", "log", "user"):
-            raise ValueError(f"unknown Bernstein kind {self.kind!r}")
-        if self.kind == "power" and not 0 < self.alpha <= 1:
-            raise ValueError(f"power exponent must be in (0, 1], got {self.alpha}")
-        if self.kind == "user" and self.g is None:
-            raise ValueError("user Bernstein spec requires a callable g")
-
-
-def _sweep_check(spec: BernsteinSpec) -> None:
-    lam = np.geomspace(1e-3, 1e6, 6001)
-    v = bernstein_eval(spec, lam)
-    g0 = bernstein_eval(spec, np.array([0.0]))[0]
-    if abs(g0) > 1e-12:
-        raise ValueError(f"Bernstein function must satisfy g(0) = 0, got {g0:.3e}")
-    scale = max(abs(v[-1]), 1.0)
-    if np.any(np.diff(v) < -1e-9 * scale):
-        raise ValueError("Bernstein function is not nondecreasing on the sweep")
-    slopes = np.diff(v) / np.diff(lam)
-    if np.any(np.diff(slopes) > 1e-9 * max(slopes.max(), 1.0)):
-        raise ValueError("Bernstein function is not concave on the sweep")
+        lam = np.geomspace(1e-3, 1e6, 6001)
+        v = bernstein_eval(self, lam)
+        g0 = bernstein_eval(self, np.array([0.0]))[0]
+        if abs(g0) > 1e-12:
+            raise ValueError(f"Bernstein function must satisfy g(0) = 0, got {g0:.3e}")
+        scale = max(abs(v[-1]), 1.0)
+        if np.any(np.diff(v) < -1e-9 * scale):
+            raise ValueError("Bernstein function is not nondecreasing on the sweep")
+        slopes = np.diff(v) / np.diff(lam)
+        if np.any(np.diff(slopes) > 1e-9 * max(slopes.max(), 1.0)):
+            raise ValueError("Bernstein function is not concave on the sweep")
 
 
 def power_bernstein(alpha: float) -> BernsteinSpec:
-    spec = BernsteinSpec("power", alpha=float(alpha))
-    _sweep_check(spec)
-    return spec
+    """g(lambda) = lambda^alpha, alpha in (0, 1]."""
+    alpha = float(alpha)
+    if not 0 < alpha <= 1:
+        raise ValueError(f"power exponent must be in (0, 1], got {alpha}")
+    return BernsteinSpec(lambda lam: lam**alpha, lambda y: y ** (1.0 / alpha))
 
 
 def log_bernstein() -> BernsteinSpec:
-    spec = BernsteinSpec("log")
-    _sweep_check(spec)
-    return spec
+    """g(lambda) = log(1 + lambda)."""
+    return BernsteinSpec(np.log1p, np.expm1)
 
 
 def user_bernstein(g, g_inverse=None) -> BernsteinSpec:
-    spec = BernsteinSpec("user", g=g, g_inverse=g_inverse)
-    _sweep_check(spec)
-    return spec
+    return BernsteinSpec(g, g_inverse)
 
 
 def bernstein_eval(spec: BernsteinSpec, lam):
@@ -105,24 +92,16 @@ def bernstein_eval(spec: BernsteinSpec, lam):
     lam = np.asarray(lam, dtype=float)
     if np.any(lam < 0):
         raise ValueError("lambda must be >= 0")
-    if spec.kind == "power":
-        return lam**spec.alpha
-    if spec.kind == "log":
-        return np.log1p(lam)
     return np.asarray(spec.g(lam), dtype=float)
 
 
 def bernstein_inverse(spec: BernsteinSpec, y: float) -> float:
-    """g^-1(y) for strictly increasing g; bisection fallback for user specs.
+    """g^-1(y) for strictly increasing g; bisection when no g_inverse is given.
 
     Raises when g saturates below y (inverse of a constant segment).
     """
     if y < 0:
         raise ValueError("y must be >= 0")
-    if spec.kind == "power":
-        return float(y ** (1.0 / spec.alpha))
-    if spec.kind == "log":
-        return float(np.expm1(y))
     if spec.g_inverse is not None:
         return float(spec.g_inverse(y))
     if y == 0:
@@ -149,37 +128,48 @@ class SubordinatorDensity:
     """A subordinator law rho_t discretized on log-spaced radial nodes.
 
     Quadratures use sum w_i f(r_i) rho_t(r_i); the weights implement the
-    trapezoidal rule in log r.  Valid densities carry unit mass to 1e-6 and
-    reproduce e^(-t g(lambda)) through the Laplace identity to 1e-5.
+    trapezoidal rule in log r and are derived from the nodes.  Construction
+    accepts only laws that carry unit mass to 1e-6 and reproduce
+    e^(-t g(lambda)) through the Laplace identity to 1e-5.
     """
 
     t: float
     nodes: np.ndarray
-    weights: np.ndarray
     density: np.ndarray
     bernstein: BernsteinSpec
+    weights: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        for name in ("nodes", "weights", "density"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        for name in ("nodes", "density"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         if not (self.t > 0):
             raise ValueError("t must be positive")
-        if self.nodes.size < 2 or np.any(self.nodes <= 0) or np.any(np.diff(self.nodes) <= 0):
+        r = self.nodes
+        if r.size < 2 or np.any(r <= 0) or np.any(np.diff(r) <= 0):
             raise ValueError("nodes must be positive and strictly increasing")
+        y = np.log(r)
+        dy = np.empty_like(y)
+        dy[1:-1] = 0.5 * (y[2:] - y[:-2])
+        dy[0] = 0.5 * (y[1] - y[0])
+        dy[-1] = 0.5 * (y[-1] - y[-2])
+        object.__setattr__(self, "weights", dy * r)
+        for arr in (self.nodes, self.density, self.weights):
+            arr.setflags(write=False)
+        mass_err = abs(self.mass() - 1.0)
+        if mass_err > _MASS_TOL:
+            raise ValueError(
+                f"subordinator mass off by {mass_err:.3e} (> {_MASS_TOL:g}); "
+                "node range does not cover the law"
+            )
+        worst = max(laplace_residuals(self).values())
+        if worst > _LAPLACE_TOL:
+            raise ValueError(
+                f"Laplace identity residual {worst:.3e} (> {_LAPLACE_TOL:g}); "
+                "bad node range or density"
+            )
 
     def mass(self) -> float:
         return float(np.sum(self.weights * self.density))
-
-
-def _log_trapezoid_weights(nodes: np.ndarray) -> np.ndarray:
-    y = np.log(nodes)
-    dy = np.empty_like(y)
-    dy[1:-1] = 0.5 * (y[2:] - y[:-2])
-    dy[0] = 0.5 * (y[1] - y[0])
-    dy[-1] = 0.5 * (y[-1] - y[-2])
-    return dy * nodes
 
 
 def laplace_residuals(dens: SubordinatorDensity, lambdas=_LAPLACE_NODES) -> dict:
@@ -190,22 +180,6 @@ def laplace_residuals(dens: SubordinatorDensity, lambdas=_LAPLACE_NODES) -> dict
         exact = float(np.exp(-dens.t * bernstein_eval(dens.bernstein, np.array([lam]))[0]))
         out[float(lam)] = abs(approx - exact)
     return out
-
-
-def _validate_density(dens: SubordinatorDensity) -> None:
-    mass_err = abs(dens.mass() - 1.0)
-    if mass_err > _MASS_TOL:
-        raise ValueError(
-            f"subordinator mass off by {mass_err:.3e} (> {_MASS_TOL:g}); "
-            "node range does not cover the law"
-        )
-    resid = laplace_residuals(dens)
-    worst = max(resid.values())
-    if worst > _LAPLACE_TOL:
-        raise ValueError(
-            f"Laplace identity residual {worst:.3e} (> {_LAPLACE_TOL:g}); "
-            "bad node range or density"
-        )
 
 
 def stable_half_density(t: float, num_nodes: int = 4096,
@@ -227,20 +201,13 @@ def stable_half_density(t: float, num_nodes: int = 4096,
     nodes = np.geomspace(r_min, r_max, num_nodes)
     with np.errstate(under="ignore"):
         density = t / (2.0 * np.sqrt(np.pi)) * nodes**-1.5 * np.exp(-t * t / (4.0 * nodes))
-    dens = SubordinatorDensity(t, nodes, _log_trapezoid_weights(nodes), density,
-                               power_bernstein(0.5))
-    _validate_density(dens)
-    return dens
+    return SubordinatorDensity(t, nodes, density, power_bernstein(0.5))
 
 
 def user_density(t: float, nodes, density, bernstein: BernsteinSpec) -> SubordinatorDensity:
     """Wrap a caller-supplied density; accepted only if the Laplace and mass
     checks pass."""
-    nodes = np.asarray(nodes, dtype=float)
-    dens = SubordinatorDensity(t, nodes, _log_trapezoid_weights(nodes),
-                               np.asarray(density, dtype=float), bernstein)
-    _validate_density(dens)
-    return dens
+    return SubordinatorDensity(t, nodes, density, bernstein)
 
 
 def subordinate_kernel(dens: SubordinatorDensity, grid: Grid) -> SampledField:

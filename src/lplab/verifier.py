@@ -49,6 +49,7 @@ __all__ = [
 
 _FAMILIES = ("gaussian_mix", "band_limited_random", "mollified_step", "oscillatory_packet")
 _RHS_FLOOR = 1e-12
+_STABILITY_TOL = 0.05
 
 
 def _pmap(fn, items):
@@ -197,8 +198,9 @@ class InequalityCase:
     ``name`` selects the shape: ``young`` (plain Lp), ``conv1``
     (||f*g|A^s_{p,q}|| vs ||f|A^s_{p1,q}|| * ||g|L_{p2}||), ``conv3`` and its
     specialization ``conv_eq23`` (two function-space norms on the right).
-    The integrability exponents must satisfy 1 + 1/p = 1/p1 + 1/p2 exactly
-    and, for conv3, 1/q <= 1/q1 + 1/q2 (1/inf = 0).  F-scale checks require
+    Exponents need p, p1, p2 >= 1 and q, q1, q2 > 0; the integrability ones
+    must satisfy 1 + 1/p = 1/p1 + 1/p2 exactly and, for conv3,
+    1/q <= 1/q1 + 1/q2 (1/inf = 0).  F-scale checks require
     the summability exponents involved to be >= 1 (theorem hypotheses).
     """
 
@@ -218,6 +220,8 @@ class InequalityCase:
     def __post_init__(self):
         if self.name not in ("young", "conv1", "conv3", "conv_eq23"):
             raise ValueError(f"unknown case name {self.name!r}")
+        if min(self.p, self.p1, self.p2) < 1 or min(self.q, self.q1, self.q2) <= 0:
+            raise ValueError(f"exponents need p, p1, p2 >= 1 and q, q1, q2 > 0: {self}")
         if abs(1.0 + _inv(self.p) - _inv(self.p1) - _inv(self.p2)) > 1e-12:
             raise ValueError(
                 f"integrability relation 1 + 1/p = 1/p1 + 1/p2 violated: "
@@ -355,14 +359,14 @@ def check_inequality(case: InequalityCase, corpus_f, corpus_g,
 
 
 def check_with_refinement(case: InequalityCase, spec_f: CorpusSpec, spec_g: CorpusSpec,
-                          grid: Grid, profile: TransitionProfile | None = None,
-                          stability_tol: float = 0.05) -> VerificationReport:
+                          grid: Grid) -> VerificationReport:
     """Run a check at N and 2N with corpora representing the same continuum
-    fields, and attach the relative change of the empirical constant."""
+    fields, and attach the relative change of the empirical constant; without
+    a claimed constant the verdict requires that change to be at most 5%."""
     fine = Grid(grid.dim, 2 * grid.samples_per_axis, grid.half_width)
     reports = []
     for g in (grid, fine):
-        res = build_resolution(g, profile)
+        res = build_resolution(g)
         reports.append(
             check_inequality(case, generate_corpus(spec_f, g), generate_corpus(spec_g, g), res)
         )
@@ -371,9 +375,9 @@ def check_with_refinement(case: InequalityCase, spec_f: CorpusSpec, spec_g: Corp
     refined.refinement_delta = delta
     claim = case.effective_claim(grid.dim)
     if claim is None:
-        refined.verdict = math.isfinite(refined.empirical_C) and delta <= stability_tol
+        refined.verdict = math.isfinite(refined.empirical_C) and delta <= _STABILITY_TOL
     refined.details["coarse_empirical_C"] = coarse.empirical_C
-    refined.details["stability_tol"] = stability_tol
+    refined.details["stability_tol"] = _STABILITY_TOL
     return refined
 
 

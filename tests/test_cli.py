@@ -217,3 +217,68 @@ def test_threads_env_does_not_change_results(tmp_path, monkeypatch):
     a = (tmp_path / "serial.report.json").read_bytes()
     b = (tmp_path / "parallel.report.json").read_bytes()
     assert a == b
+
+
+def _validation_error(capsys) -> str:
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["kind"] == "validation"
+    return err["error"]
+
+
+_DROP = object()
+
+
+@pytest.mark.parametrize("key,value,named", [
+    ("dim", _DROP, "'dim'"), ("N", _DROP, "'N'"), ("L", _DROP, "'L'"),
+    ("format", _DROP, "'format'"), ("L", None, "'L'"), ("format", "npy", "'npy'"),
+    (None, [], "domain_tag"),
+], ids=["no-dim", "no-N", "no-L", "no-format", "null-L", "format-npy", "not-object"])
+def test_norm_refuses_broken_sidecar(tmp_path, capsys, key, value, named):
+    kout = str(tmp_path / "k")
+    assert run_cli(["kernel", "--family", "gw", "--t", 1, "--N", 64,
+                    "--L", 8, "--out", kout]) == 0
+    sidecar = tmp_path / "k.field.json"
+    meta = json.loads(sidecar.read_text())
+    if key is None:
+        meta = value
+    elif value is _DROP:
+        del meta[key]
+    else:
+        meta[key] = value
+    sidecar.write_text(json.dumps(meta))
+    capsys.readouterr()
+    assert run_cli(["norm", "--input", kout + ".field", "--out", tmp_path / "n"]) == 2
+    message = _validation_error(capsys)
+    assert "sidecar" in message and named in message
+    assert not (tmp_path / "n.json").exists()
+
+
+@pytest.mark.parametrize("config", [
+    [1, 2],
+    {"grid": [1, 1024, 40.0]},
+    {"case": "young"},
+], ids=["top-level", "grid", "case"])
+def test_verify_refuses_config_that_is_not_an_object(tmp_path, capsys, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert run_cli(["verify", "young", "--config", cfg, "--N", 1024,
+                    "--out", tmp_path / "x"]) == 2
+    assert "not a JSON object" in _validation_error(capsys)
+    assert not (tmp_path / "x.report.json").exists()
+
+
+def test_report_refuses_artifact_that_is_not_an_object(tmp_path, capsys):
+    artifact = tmp_path / "a.report.json"
+    artifact.write_text("[]\n")
+    assert run_cli(["report", artifact, "--out", tmp_path / "sum"]) == 2
+    assert "not a JSON object" in _validation_error(capsys)
+    assert not (tmp_path / "sum.json").exists()
+
+
+@pytest.mark.parametrize("case,params", [("young", {"p": 0}), ("conv3", {"q": 0})])
+def test_verify_refuses_out_of_range_exponents(tmp_path, capsys, case, params):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"case": params}))
+    assert run_cli(["verify", case, "--config", cfg, "--N", 1024,
+                    "--out", tmp_path / "x"]) == 2
+    assert "exponents need" in _validation_error(capsys)

@@ -26,7 +26,7 @@ from lplab import (
     spectral_kernel,
     stable_exponent,
 )
-from lplab.kernels import symbol_values
+from lplab.kernels import SemigroupSpec, symbol_values
 
 INV_SQRT_PI = 0.5641895835477563  # integral of |d/dx p_1| for the heat kernel
 
@@ -168,6 +168,22 @@ def test_negative_symbol_rejected(grid_1d):
         spectral_kernel(bad, 1.0, grid_1d)
 
 
+def test_non_hermitian_symbol_rejected():
+    # i|xi| is even, so psi(-xi) != conj(psi(xi)) and the kernel is complex
+    g = make_grid(1, 256, 20.0)
+    skew = char_exponent(lambda x: x**2 + 1j * np.abs(x), 1)
+    with pytest.raises(ValueError, match="Hermitian"):
+        spectral_kernel(skew, 1.0, g)
+
+
+def test_fixed_order_kinds_refuse_other_orders():
+    assert cauchy_poisson().m == 0.5 and gauss_weierstrass(1).m == 1.0
+    with pytest.raises(ValueError, match="order m = 0.5"):
+        SemigroupSpec("cauchy_poisson", 1)
+    with pytest.raises(ValueError, match="order m = 1"):
+        SemigroupSpec("gauss_weierstrass", 1, m=2.0)
+
+
 def test_hartman_wintner_quadratic(grid_1d):
     prof = hartman_wintner_profile(gauss_weierstrass(1), [100.0], grid_1d)
     r, ratio = prof[0]
@@ -175,7 +191,7 @@ def test_hartman_wintner_quadratic(grid_1d):
 
 
 def test_hartman_wintner_gamma_flat(grid_1d):
-    gamma = char_exponent(lambda x: np.log1p(np.abs(x)), 1, symbol_name="log(1+|xi|)")
+    gamma = char_exponent(lambda x: np.log1p(np.abs(x)), 1)
     prof = hartman_wintner_profile(gamma, [10.0, 40.0, 150.0], grid_1d)
     ratios = [r for _, r in prof]
     assert ratios[-1] < 2.0  # ratio tends to 1: the growth condition fails

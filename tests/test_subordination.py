@@ -6,6 +6,8 @@ from scipy.integrate import quad
 
 from lplab import (
     INF,
+    BernsteinSpec,
+    SubordinatorDensity,
     SpaceParams,
     bernstein_eval,
     bernstein_inverse,
@@ -86,6 +88,13 @@ def test_convex_function_rejected():
         user_bernstein(lambda lam: lam**2)
 
 
+def test_directly_built_spec_is_checked():
+    with pytest.raises(ValueError, match="concave"):
+        BernsteinSpec(lambda lam: lam**2)
+    with pytest.raises(ValueError, match="g\\(0\\) = 0"):
+        BernsteinSpec(lambda lam: lam + 1.0)
+
+
 def test_power_exponent_validated():
     with pytest.raises(ValueError):
         power_bernstein(1.5)
@@ -118,6 +127,29 @@ def test_stable_half_density_bad_range_aborts():
 def test_density_node_count_floor():
     with pytest.raises(ValueError):
         stable_half_density(1.0, num_nodes=64)
+
+
+def test_user_density_refuses_bad_nodes():
+    g = power_bernstein(0.5)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        user_density(1.0, [1.0], [1.0], g)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        user_density(1.0, [1.0, 3.0, 2.0], [1.0, 1.0, 1.0], g)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        user_density(1.0, [-1.0, 1.0, 2.0], [1.0, 1.0, 1.0], g)
+
+
+def test_density_weights_are_derived_and_read_only():
+    dens = stable_half_density(1.0, num_nodes=512)
+    again = user_density(1.0, dens.nodes, dens.density, power_bernstein(0.5))
+    assert np.array_equal(again.weights, dens.weights)
+    with pytest.raises(ValueError):
+        dens.weights[0] = 0.0
+    with pytest.raises(TypeError):
+        SubordinatorDensity(1.0, dens.nodes, dens.density, power_bernstein(0.5),
+                            weights=dens.weights)
+    with pytest.raises(ValueError, match="mass"):
+        SubordinatorDensity(1.0, dens.nodes, 2.0 * dens.density, power_bernstein(0.5))
 
 
 # ---------------------------------------------------------------------------

@@ -219,6 +219,21 @@ def test_case_validation():
     InequalityCase("young", p=1.0, p1=1.0, p2=1.0, scale="F", q=0.5)
 
 
+@pytest.mark.parametrize("exponents", [
+    {"p": 0.5, "p1": 1.0, "p2": 2.0},
+    {"p": 1.0, "p1": 0.0, "p2": 1.0},
+    {"p": 1.0, "p1": 1.0, "p2": -1.0},
+    {"p": 1.0, "p1": 1.0, "p2": 1.0, "q": 0.0},
+    {"p": 1.0, "p1": 1.0, "p2": 1.0, "q1": -2.0},
+    {"p": 1.0, "p1": 1.0, "p2": 1.0, "q2": 0.0},
+])
+def test_case_refuses_out_of_range_exponents(exponents):
+    # checked before the relations, which would divide by a zero exponent
+    for name in ("young", "conv3"):
+        with pytest.raises(ValueError, match="exponents need"):
+            InequalityCase(name, **exponents)
+
+
 def test_report_serialization(res_v, corpora):
     case = InequalityCase("conv1", p=1.0, p1=1.0, p2=1.0, scale="B", s=0.0, q=1.0)
     report = check_inequality(case, corpora[0][:4], corpora[1][:4], res_v)
