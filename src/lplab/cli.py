@@ -77,6 +77,25 @@ def _json_object(obj, what: str) -> dict:
     return obj
 
 
+# the JSON type each verify config value must have; bool counts as neither an
+# integer nor a number
+_CONFIG_TYPES = {"count": int, "seed_f": int, "seed_g": int, "dim": int, "N": int,
+                 "band_limit": float, "L": float, "refine": bool}
+_TYPE_NAMES = {int: "an integer", float: "a number", bool: "true or false"}
+
+
+def _config_value(cfg: dict, key: str, default):
+    value = cfg.get(key, default)
+    want = _CONFIG_TYPES[key]
+    if want is bool:
+        ok = isinstance(value, bool)
+    else:
+        ok = isinstance(value, (int, want)) and not isinstance(value, bool)
+    if not ok:
+        raise ValueError(f"config {key!r} must be {_TYPE_NAMES[want]}, got {value!r}")
+    return value
+
+
 def _write_manifest(out: str, command: str, config: dict, tolerances: dict) -> None:
     payload = _canonical({"command": command, "config": config})
     manifest = {
@@ -194,16 +213,17 @@ def _cmd_verify(args) -> int:
         with open(args.config) as fh:
             cfg = _json_object(json.load(fh), f"config {args.config}")
     grid_cfg = _json_object(cfg.get("grid", {}), "config 'grid'")
-    grid = make_grid(grid_cfg.get("dim", args.dim), grid_cfg.get("N", args.N),
-                     grid_cfg.get("L", args.L))
-    seed_f = cfg.get("seed_f", args.seed)
-    seed_g = cfg.get("seed_g", args.seed + 4)
-    count = cfg.get("count", args.count)
-    band = cfg.get("band_limit", args.band)
+    grid = make_grid(_config_value(grid_cfg, "dim", args.dim),
+                     _config_value(grid_cfg, "N", args.N),
+                     _config_value(grid_cfg, "L", args.L))
+    seed_f = _config_value(cfg, "seed_f", args.seed)
+    seed_g = _config_value(cfg, "seed_g", args.seed + 4)
+    count = _config_value(cfg, "count", args.count)
+    band = _config_value(cfg, "band_limit", args.band)
     case = _build_case(name, _json_object(cfg.get("case", {}), "config 'case'"))
     spec_f = CorpusSpec(seed=seed_f, count=count, band_limit=band)
     spec_g = CorpusSpec(seed=seed_g, count=count, band_limit=band)
-    if cfg.get("refine", args.refine):
+    if _config_value(cfg, "refine", args.refine):
         report = check_with_refinement(case, spec_f, spec_g, grid)
     else:
         res = build_resolution(grid)

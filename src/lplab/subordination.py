@@ -7,6 +7,8 @@ probability measures (rho_t) on [0, infinity) through the Laplace identity
 
 and averaging Gaussian heat kernels against rho_t produces the subordinate
 semigroup kernel p_t(x) = integral (4 pi r)^(-n/2) e^(-|x|^2/4r) rho_t(dr).
+The mixture is evaluated once per distinct lattice radius |x|^2 and scattered
+back to the grid.
 
 Only the alpha = 1/2 stable subordinator ships with a built-in density; any
 other density must be supplied by the caller and is accepted only after it
@@ -223,17 +225,18 @@ def subordinate_kernel(dens: SubordinatorDensity, grid: Grid) -> SampledField:
             f"cover [1e-4, 1e4] * t^2; kernel quadrature may be under-resolved",
             stacklevel=2,
         )
-    r2 = sum(m**2 for m in grid.coord_mesh()).ravel()
+    r2, inv = np.unique(sum(m**2 for m in grid.coord_mesh()).ravel(), return_inverse=True)
     out = np.zeros(r2.size)
     coeff = dens.weights * dens.density
     n = grid.dim
-    step = max(1, int(2**22 // max(r2.size, 1)))
+    # chunks sized by the whole lattice keep the dense summation order bit for bit
+    step = max(1, int(2**22 // max(inv.size, 1)))
     with np.errstate(under="ignore"):
         for i in range(0, dens.nodes.size, step):
             r = dens.nodes[i:i + step, None]
             c = (coeff[i:i + step, None] * (4.0 * np.pi * r) ** (-n / 2.0))
             out += np.einsum("ij->j", c * np.exp(-r2[None, :] / (4.0 * r)))
-    return SampledField(grid, out.reshape(grid.shape))
+    return SampledField(grid, out[inv].reshape(grid.shape))
 
 
 def subordinator_moment(dens: SubordinatorDensity, u: float) -> float:

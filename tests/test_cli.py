@@ -267,6 +267,25 @@ def test_verify_refuses_config_that_is_not_an_object(tmp_path, capsys, config):
     assert not (tmp_path / "x.report.json").exists()
 
 
+@pytest.mark.parametrize("config,key", [
+    ({"count": "6"}, "count"),
+    ({"seed_f": 1.5}, "seed_f"),
+    ({"seed_g": True}, "seed_g"),
+    ({"band_limit": None}, "band_limit"),
+    ({"refine": "no"}, "refine"),
+    ({"grid": {"dim": 1.0}}, "dim"),
+    ({"grid": {"N": "1024"}}, "N"),
+    ({"grid": {"L": False}}, "L"),
+], ids=["count", "seed_f", "seed_g", "band_limit", "refine", "dim", "N", "L"])
+def test_verify_refuses_config_value_of_wrong_type(tmp_path, capsys, config, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert run_cli(["verify", "young", "--config", cfg, "--N", 1024,
+                    "--out", tmp_path / "x"]) == 2
+    assert f"config '{key}' must be" in _validation_error(capsys)
+    assert not (tmp_path / "x.report.json").exists()
+
+
 def test_report_refuses_artifact_that_is_not_an_object(tmp_path, capsys):
     artifact = tmp_path / "a.report.json"
     artifact.write_text("[]\n")

@@ -198,6 +198,40 @@ def test_subordinate_kernel_2d_closed_form(grid_2d):
     assert np.abs(kern.values - closed.values).max() < 1e-12
 
 
+def test_subordinate_kernel_3d_closed_form():
+    # subordinating the 3-D heat kernel with g = sqrt gives the Poisson kernel
+    # t / (pi^2 (t^2 + |x|^2)^2); checked at t = 1
+    g = make_grid(3, 64, 8.0)
+    kern = subordinate_kernel(stable_half_density(1.0, num_nodes=4096), g)
+    closed = sample(lambda x, y, z: 1.0 / (np.pi**2 * (1 + x**2 + y**2 + z**2) ** 2), g)
+    assert np.abs(kern.values - closed.values).max() < 1e-12
+
+
+def _dense_subordinate_kernel(dens, grid):
+    # one exponential per (node, grid point) pair, in the same node chunks
+    r2 = sum(m**2 for m in grid.coord_mesh()).ravel()
+    out = np.zeros(r2.size)
+    coeff = dens.weights * dens.density
+    step = max(1, int(2**22 // r2.size))
+    with np.errstate(under="ignore"):
+        for i in range(0, dens.nodes.size, step):
+            r = dens.nodes[i:i + step, None]
+            c = coeff[i:i + step, None] * (4.0 * np.pi * r) ** (-grid.dim / 2.0)
+            out += np.einsum("ij->j", c * np.exp(-r2[None, :] / (4.0 * r)))
+    return out.reshape(grid.shape)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_subordinate_kernel_radial_route_is_bitwise_dense(dim):
+    # 512 nodes in 32 chunks of 16 on 64^3 keep the dense reference affordable
+    g = make_grid(dim, 64, 10.0)
+    nodes = np.geomspace(1e-8, 1e4, 512)
+    gamma = user_density(1.0, nodes, np.exp(-nodes), log_bernstein())
+    for dens in (stable_half_density(1.0, num_nodes=512), gamma):
+        assert np.array_equal(subordinate_kernel(dens, g).values,
+                              _dense_subordinate_kernel(dens, g))
+
+
 # ---------------------------------------------------------------------------
 # Moment functional
 
