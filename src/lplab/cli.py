@@ -16,6 +16,7 @@ import json
 import os
 import re
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -111,8 +112,6 @@ def _write_manifest(out: str, command: str, config: dict, tolerances: dict) -> N
 
 def _parse_ext(value: str) -> float:
     """Parse a float that may be 'inf' or '2^k'."""
-    if isinstance(value, (int, float)):
-        return float(value)
     v = value.strip().lower()
     if v in ("inf", "infinity", "oo"):
         return INF
@@ -143,9 +142,7 @@ def _family_spec(args):
         return generalized_gauss_weierstrass(args.m, args.dim)
     if fam == "cauchy":
         return cauchy_poisson()
-    if fam == "stable":
-        return stable_exponent(args.alpha, args.dim)
-    raise ValueError(f"unknown family {fam!r}")
+    return stable_exponent(args.alpha, args.dim)
 
 
 def _add_grid_args(p, n_default=4096, l_default=40.0, dim_default=1):
@@ -254,7 +251,7 @@ def _cmd_sweep(args) -> int:
                    band_limit=args.band), grid)
     base = SpaceParams(args.space, args.s, _parse_ext(args.p), _parse_ext(args.q))
     sweep = smoothing_sweep(fam, corpus[0], base, args.u, ts, res)
-    payload = sweep.to_json_dict()
+    payload = asdict(sweep)
     with open(args.out + ".curve.csv", "w") as fh:
         fh.write("t,applied_norm,kernel_norm\n")
         for t, a, k in zip(sweep.ts, sweep.applied_norms, sweep.kernel_norms):

@@ -50,52 +50,46 @@ class UnderResolvedError(RuntimeError):
 
 @dataclass(frozen=True)
 class SemigroupSpec:
-    """A convolution semigroup, either a named closed-form variant or a
-    caller-supplied characteristic exponent psi.
+    """A convolution semigroup on R^dim, given by exactly one of its order m
+    or a caller-supplied characteristic exponent psi.
 
-    ``kind`` is one of ``gauss_weierstrass`` (psi = |xi|^2, m = 1),
-    ``generalized_gw`` (psi = |xi|^(2m), signed kernels for m > 1),
-    ``cauchy_poisson`` (psi = |xi|, m = 1/2, dim 1), or ``char_exponent``
-    with a vectorized callable ``psi(*xi_meshes)``.  Re psi >= 0 is checked
-    on the lattice at kernel build; continuous negative definiteness cannot
-    be checked numerically and remains the caller's responsibility.
+    An order m > 0 stands for the isotropic exponent psi = |xi|^(2m):
+    Gauss-Weierstrass is m = 1, the stable semigroup of index alpha is
+    m = alpha/2 (Cauchy-Poisson at m = 1/2), and m > 1 gives signed kernels.
+    A ``psi`` is a vectorized callable ``psi(*xi_meshes)``; Re psi >= 0 is
+    checked on the lattice at kernel build, while continuous negative
+    definiteness cannot be checked numerically and remains the caller's
+    responsibility.
     """
 
-    kind: str
     dim: int
-    m: float = 1.0
+    m: float | None = None
     psi: object = None
 
     def __post_init__(self):
-        if self.kind not in ("gauss_weierstrass", "generalized_gw",
-                             "cauchy_poisson", "char_exponent"):
-            raise ValueError(f"unknown semigroup kind {self.kind!r}")
-        if self.kind == "generalized_gw" and not self.m > 0:
-            raise ValueError(f"generalized order m must be > 0, got {self.m}")
-        order = {"gauss_weierstrass": 1.0, "cauchy_poisson": 0.5}.get(self.kind, self.m)
-        if self.m != order:
-            raise ValueError(f"{self.kind} has order m = {order:g}, got {self.m}")
-        if self.kind == "cauchy_poisson" and self.dim != 1:
-            raise ValueError("cauchy_poisson is defined here for dim = 1 only")
-        if self.kind == "char_exponent" and self.psi is None:
-            raise ValueError("char_exponent requires a psi callable")
+        if self.dim not in (1, 2, 3):
+            raise ValueError(f"semigroup dim must be 1, 2 or 3, got {self.dim!r}")
+        if (self.m is None) == (self.psi is None):
+            raise ValueError("a semigroup needs exactly one of the order m and psi")
+        if self.m is not None and not self.m > 0:
+            raise ValueError(f"order m must be > 0, got {self.m}")
 
 
 def gauss_weierstrass(dim: int = 1) -> SemigroupSpec:
-    return SemigroupSpec("gauss_weierstrass", dim)
+    return SemigroupSpec(dim, m=1.0)
 
 
 def generalized_gauss_weierstrass(m: float, dim: int = 1) -> SemigroupSpec:
     """psi = |xi|^(2m); any real m > 0 (need not be an integer)."""
-    return SemigroupSpec("generalized_gw", dim, m=float(m))
+    return SemigroupSpec(dim, m=float(m))
 
 
 def cauchy_poisson() -> SemigroupSpec:
-    return SemigroupSpec("cauchy_poisson", 1, m=0.5)
+    return SemigroupSpec(1, m=0.5)
 
 
 def char_exponent(psi, dim: int) -> SemigroupSpec:
-    return SemigroupSpec("char_exponent", dim, psi=psi)
+    return SemigroupSpec(dim, psi=psi)
 
 
 def stable_exponent(alpha: float, dim: int = 1) -> SemigroupSpec:
@@ -110,18 +104,17 @@ def symbol_values(spec: SemigroupSpec, grid: Grid) -> np.ndarray:
     """Evaluate the characteristic exponent on the grid's frequency lattice."""
     if grid.dim != spec.dim:
         raise ValueError(f"grid dim {grid.dim} != semigroup dim {spec.dim}")
-    if spec.kind == "char_exponent":
+    if spec.psi is not None:
         vals = np.asarray(spec.psi(*grid.freq_mesh()), dtype=np.complex128)
         return np.broadcast_to(vals, grid.shape)
-    # every other kind is isotropic: psi = |xi|^(2m)
     return (grid.radial_freq() ** (2.0 * spec.m)).astype(np.complex128)
 
 
 def closed_form_kernel(spec: SemigroupSpec, t: float, grid: Grid) -> SampledField:
-    """Sampled closed-form kernel for the two classical families.
+    """Sampled closed-form kernel for the two classical orders.
 
-    Gauss-Weierstrass: (4 pi t)^(-n/2) exp(-|x|^2 / 4t).
-    Cauchy-Poisson (dim 1): (1/pi) t / (x^2 + t^2).
+    m = 1, Gauss-Weierstrass: (4 pi t)^(-n/2) exp(-|x|^2 / 4t).
+    m = 1/2 in dim 1, Cauchy-Poisson: (1/pi) t / (x^2 + t^2).
     The samples are the whole-space closed form restricted to the box (no
     periodization), so heavy tails show up as box-mass deficit.
     """
@@ -129,14 +122,14 @@ def closed_form_kernel(spec: SemigroupSpec, t: float, grid: Grid) -> SampledFiel
         raise ValueError(f"time t must be positive, got {t}")
     if grid.dim != spec.dim:
         raise ValueError(f"grid dim {grid.dim} != semigroup dim {spec.dim}")
-    if spec.kind == "gauss_weierstrass":
+    if spec.m == 1.0:
         r2 = sum(m**2 for m in grid.coord_mesh())
         vals = (4.0 * np.pi * t) ** (-grid.dim / 2.0) * np.exp(-r2 / (4.0 * t))
-    elif spec.kind == "cauchy_poisson":
+    elif spec.m == 0.5 and spec.dim == 1:
         x = grid.coord_mesh()[0]
         vals = (1.0 / np.pi) * t / (x**2 + t**2)
     else:
-        raise ValueError(f"no closed form for kind {spec.kind!r}")
+        raise ValueError(f"no closed form for {spec}: only m = 1, and m = 1/2 in dim 1")
     return SampledField(grid, vals)
 
 

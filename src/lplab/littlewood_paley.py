@@ -43,14 +43,14 @@ class TransitionProfile:
 
     Must satisfy ramp(0) = 0 and ramp(1) = 1 exactly, with all one-sided
     derivatives vanishing at the endpoints (so the assembled cutoffs are
-    C-infinity).
+    C-infinity).  Construction checks the endpoints exactly and monotonicity
+    on a 1e-3 sweep.
     """
 
     name: str
     ramp: object  # vectorized callable [0,1] -> [0,1]
 
-    def check(self) -> None:
-        """Validate endpoints exactly and monotonicity on a 1e-3 sweep."""
+    def __post_init__(self):
         t = np.linspace(0.0, 1.0, 1001)
         v = np.asarray(self.ramp(t), dtype=float)
         if v[0] != 0.0 or v[-1] != 1.0:
@@ -84,23 +84,29 @@ def bump_profile(sharpness: float = 1.0, name: str | None = None) -> TransitionP
     return TransitionProfile(name or f"bump{a:g}", ramp)
 
 
+def _top_block_index(grid: Grid) -> int:
+    """The largest k whose block support {2^(k-1) <= |xi| < 2^(k+1)} fits
+    inside the grid's lattice: floor(log2(nyquist)) - 1."""
+    return int(np.floor(np.log2(grid.nyquist))) - 1
+
+
 @dataclass(frozen=True)
 class DyadicResolution:
     """Sampled multiplier family (phi_k), k = 0..k_max, on a grid's lattice.
 
-    ``k_max`` is the largest k whose block support {2^(k-1) <= |xi| < 2^(k+1)}
-    fits inside the lattice: k_max = floor(log2(nyquist)) - 1.  For derived
-    families that only satisfy c <= sum phi_k <= C (instead of = 1) the
-    ``admissible_general`` flag is set and (c, C) recorded.
+    ``k_max`` is ``len(blocks) - 1``; :func:`build_resolution` takes it as
+    large as the lattice allows.  Derived families such as (phi_k^2) only
+    satisfy c <= sum phi_k <= C instead of = 1; :func:`validate_resolution`
+    reports (c, C).
     """
 
     grid: Grid
     blocks: tuple
-    k_max: int
     profile: TransitionProfile
-    admissible_general: bool = False
-    partition_lo: float = 1.0
-    partition_hi: float = 1.0
+
+    @property
+    def k_max(self) -> int:
+        return len(self.blocks) - 1
 
     def band_radius(self) -> float:
         """Radius 2^k_max below which the partition of unity is complete."""
@@ -123,22 +129,20 @@ def build_resolution(grid: Grid, profile: TransitionProfile | None = None) -> Dy
     (below that there are no blocks beyond k = 1).
     """
     profile = profile or bump_profile()
-    profile.check()
     if grid.nyquist < 4.0:
         raise ValueError(
             f"nyquist {grid.nyquist:.3g} < 4: grid too coarse for a dyadic resolution"
         )
-    k_max = int(np.floor(np.log2(grid.nyquist))) - 1
     rho = grid.radial_freq()
     blocks = [_phi0(rho, profile)]
     prev = blocks[0]
-    for k in range(1, k_max + 1):
+    for k in range(1, _top_block_index(grid) + 1):
         cur = _phi0(rho * 2.0**-k, profile)
         blocks.append(cur - prev)
         prev = cur
     for b in blocks:
         b.setflags(write=False)
-    return DyadicResolution(grid, tuple(blocks), k_max, profile)
+    return DyadicResolution(grid, tuple(blocks), profile)
 
 
 def squared_resolution(res: DyadicResolution) -> DyadicResolution:
@@ -146,17 +150,14 @@ def squared_resolution(res: DyadicResolution) -> DyadicResolution:
     blocks = tuple(b * b for b in res.blocks)
     for b in blocks:
         b.setflags(write=False)
-    total = sum(blocks)
-    band = res.grid.radial_freq() <= res.band_radius()
-    return DyadicResolution(
-        res.grid,
-        blocks,
-        res.k_max,
-        res.profile,
-        admissible_general=True,
-        partition_lo=float(total[band].min()),
-        partition_hi=float(total[band].max()),
-    )
+    return DyadicResolution(res.grid, blocks, res.profile)
+
+
+def _partition_bounds(res: DyadicResolution) -> tuple:
+    """(c, C): the extremes of sum_k phi_k over |xi| <= band_radius."""
+    total = sum(res.blocks)
+    band = total[res.grid.radial_freq() <= res.band_radius()]
+    return float(band.min()), float(band.max())
 
 
 @dataclass(frozen=True)
@@ -179,10 +180,7 @@ def validate_resolution(res: DyadicResolution) -> ResolutionReport:
     """Check partition bounds, block supports, and derivative proxies."""
     grid = res.grid
     rho = grid.radial_freq()
-    band = rho <= res.band_radius()
-    total = sum(res.blocks)
-    part_min = float(total[band].min())
-    part_max = float(total[band].max())
+    part_min, part_max = _partition_bounds(res)
 
     violations = 0
     for k, b in enumerate(res.blocks):
@@ -235,12 +233,13 @@ def export_resolution(res: DyadicResolution, directory: str) -> None:
         with open(os.path.join(directory, f"block_{k}.csv"), "w") as fh:
             fh.write("index,value\n")
             fh.write("".join(f"{i},{v:.17g}\n" for i, v in enumerate(b.ravel().tolist())))
+    c, C = _partition_bounds(res)
     meta = {
         "profile": res.profile.name,
         "K_max": res.k_max,
-        "c": res.partition_lo,
-        "C": res.partition_hi,
-        "admissible_general": res.admissible_general,
+        "c": c,
+        "C": C,
+        "admissible_general": (c, C) != (1.0, 1.0),
         "grid": {"dim": res.grid.dim, "N": res.grid.samples_per_axis, "L": res.grid.half_width},
     }
     with open(os.path.join(directory, "resolution.json"), "w") as fh:

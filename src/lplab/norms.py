@@ -85,15 +85,22 @@ class NormResult:
     the B-scale the value is exactly the declared lq reduction of the block
     terms; for the F-scale the lq is taken pointwise before Lp, so the block
     terms are per-block Lp diagnostics only (``reduction`` records which).
-    ``tail_ratio`` = block_terms[-1]/value flags truncation at k_max.
     """
 
     value: float
     block_terms: tuple
-    truncation_k: int
-    tail_ratio: float
     space: SpaceParams
     reduction: str
+
+    @property
+    def truncation_k(self) -> int:
+        """The top block index k_max the norm was truncated at."""
+        return len(self.block_terms) - 1
+
+    @property
+    def tail_ratio(self) -> float:
+        """block_terms[-1] / value: flags truncation at k_max."""
+        return self.block_terms[-1] / self.value if self.value > 0 else 0.0
 
     def to_json_dict(self) -> dict:
         return {
@@ -135,10 +142,8 @@ def _lq_reduce(terms: np.ndarray, q: float) -> float:
     return float(np.sum(terms**q) ** (1.0 / q))
 
 
-def _result(value, terms, res, sp, reduction) -> NormResult:
-    terms = tuple(float(t) for t in terms)
-    tail = terms[-1] / value if value > 0 else 0.0
-    return NormResult(float(value), terms, res.k_max, tail, sp, reduction)
+def _result(value, terms, sp, reduction) -> NormResult:
+    return NormResult(float(value), tuple(float(t) for t in terms), sp, reduction)
 
 
 def besov_norm(f: SampledField, res: DyadicResolution, sp: SpaceParams) -> NormResult:
@@ -153,7 +158,7 @@ def besov_norm(f: SampledField, res: DyadicResolution, sp: SpaceParams) -> NormR
         [2.0 ** (k * sp.s) * _lp_values(b, sp.p, res.grid)
          for k, b in enumerate(block_spectra(res, f))]
     )
-    return _result(_lq_reduce(terms, sp.q), terms, res, sp, "lq_of_block_lp")
+    return _result(_lq_reduce(terms, sp.q), terms, sp, "lq_of_block_lp")
 
 
 def triebel_norm(f: SampledField, res: DyadicResolution, sp: SpaceParams) -> NormResult:
@@ -175,7 +180,7 @@ def triebel_norm(f: SampledField, res: DyadicResolution, sp: SpaceParams) -> Nor
             acc = wq if acc is None else acc + wq
     if sp.q != INF:
         acc = acc ** (1.0 / sp.q)
-    return _result(_lp_values(acc, sp.p, res.grid), np.array(terms), res, sp,
+    return _result(_lp_values(acc, sp.p, res.grid), np.array(terms), sp,
                    "lp_of_pointwise_lq")
 
 
@@ -235,7 +240,7 @@ def triebel_infty_norm(f: SampledField, res: DyadicResolution, s: float, q: floa
         means = _cube_means(tails[J], grid, J)
         if means.size:
             best = max(best, float(means.max()))
-    return _result(best ** (1.0 / q), np.array(terms), res, sp, "cube_sup")
+    return _result(best ** (1.0 / q), np.array(terms), sp, "cube_sup")
 
 
 def space_norm(f: SampledField, res: DyadicResolution, sp: SpaceParams) -> NormResult:

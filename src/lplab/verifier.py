@@ -28,7 +28,12 @@ import numpy as np
 
 from .grid import Grid, SampledField, _multiplied, _synthesize, convolve
 from .kernels import KernelFamily, gradient_l1
-from .littlewood_paley import DyadicResolution, TransitionProfile, build_resolution
+from .littlewood_paley import (
+    DyadicResolution,
+    TransitionProfile,
+    _top_block_index,
+    build_resolution,
+)
 from .norms import INF, SpaceParams, _jsonable, lp_norm, space_norm, besov_norm
 
 __all__ = [
@@ -159,7 +164,7 @@ def generate_corpus(spec: CorpusSpec, grid: Grid) -> list:
     Requires band_limit <= 2^(k_max - 1) so every corpus field is fully
     resolved by the grid's dyadic blocks.
     """
-    k_max = int(np.floor(np.log2(grid.nyquist))) - 1
+    k_max = _top_block_index(grid)
     if spec.band_limit > 2.0 ** (k_max - 1):
         raise ValueError(
             f"band_limit {spec.band_limit:g} exceeds 2^(k_max-1) = {2.0 ** (k_max - 1):g}"
@@ -272,13 +277,30 @@ class VerificationReport:
     case: object
     ratios: tuple
     skipped: int
-    max_ratio: float
-    empirical_C: float
     tolerance: float
     constant_claim: float | None
     refinement_delta: float | None
-    verdict: bool
     details: dict
+
+    @property
+    def max_ratio(self) -> float:
+        """The largest pair ratio, 0.0 when every pair was skipped."""
+        return max(self.ratios, default=0.0)
+
+    @property
+    def empirical_C(self) -> float:
+        """The empirical constant: the same value as ``max_ratio``."""
+        return self.max_ratio
+
+    @property
+    def verdict(self) -> bool:
+        """max_ratio <= claim * (1 + tolerance) when a constant is claimed;
+        otherwise a finite max_ratio and, once a refinement delta is
+        attached, a delta of at most 5%."""
+        if self.constant_claim is not None:
+            return self.max_ratio <= self.constant_claim * (1.0 + self.tolerance)
+        stable = self.refinement_delta is None or self.refinement_delta <= _STABILITY_TOL
+        return math.isfinite(self.max_ratio) and stable
 
     def to_json_dict(self) -> dict:
         case = asdict(self.case) if hasattr(self.case, "__dataclass_fields__") else dict(self.case)
@@ -323,10 +345,8 @@ def check_inequality(case: InequalityCase, corpus_f, corpus_g,
                      res: DyadicResolution) -> VerificationReport:
     """Evaluate the inequality pairwise over zip(corpus_f, corpus_g).
 
-    Pairs whose right-hand side falls below 1e-12 are skipped and counted.
-    The verdict asserts max_ratio <= claim * (1 + tol) when a constant is
-    claimed; otherwise it requires a finite empirical constant (and, when a
-    refinement delta has been attached, stability within 5%).
+    Pairs whose right-hand side falls below 1e-12 are skipped and counted;
+    see :attr:`VerificationReport.verdict` for what the verdict asserts.
     """
     pairs = list(zip(corpus_f, corpus_g))
     sides = _pmap(lambda fg: _case_sides(case, fg[0], fg[1], res), pairs)
@@ -336,23 +356,13 @@ def check_inequality(case: InequalityCase, corpus_f, corpus_g,
             skipped += 1
         else:
             ratios.append(lhs / rhs)
-    max_ratio = max(ratios) if ratios else 0.0
-    claim = case.effective_claim(res.grid.dim)
-    tol = case.effective_tolerance()
-    if claim is not None:
-        verdict = max_ratio <= claim * (1.0 + tol)
-    else:
-        verdict = math.isfinite(max_ratio)
     return VerificationReport(
         case=case,
         ratios=tuple(ratios),
         skipped=skipped,
-        max_ratio=max_ratio,
-        empirical_C=max_ratio,
-        tolerance=tol,
-        constant_claim=claim,
+        tolerance=case.effective_tolerance(),
+        constant_claim=case.effective_claim(res.grid.dim),
         refinement_delta=None,
-        verdict=verdict,
         details={"dim": res.grid.dim, "N": res.grid.samples_per_axis,
                  "L": res.grid.half_width},
     )
@@ -373,9 +383,6 @@ def check_with_refinement(case: InequalityCase, spec_f: CorpusSpec, spec_g: Corp
     coarse, refined = reports
     delta = abs(refined.empirical_C / coarse.empirical_C - 1.0) if coarse.empirical_C else 0.0
     refined.refinement_delta = delta
-    claim = case.effective_claim(grid.dim)
-    if claim is None:
-        refined.verdict = math.isfinite(refined.empirical_C) and delta <= _STABILITY_TOL
     refined.details["coarse_empirical_C"] = coarse.empirical_C
     refined.details["stability_tol"] = _STABILITY_TOL
     return refined
@@ -393,10 +400,6 @@ class PowerLawFit:
     intercept: float
     r_squared: float
     t_range: tuple
-
-    def to_json_dict(self) -> dict:
-        return {"exponent": self.exponent, "intercept": self.intercept,
-                "r_squared": self.r_squared, "t_range": list(self.t_range)}
 
 
 def fit_power_law(ts, values) -> PowerLawFit:
@@ -425,15 +428,6 @@ class SmoothingSweep:
     applied_fit: PowerLawFit
     kernel_norms: tuple
     kernel_fit: PowerLawFit
-
-    def to_json_dict(self) -> dict:
-        return {
-            "ts": list(self.ts),
-            "applied_norms": list(self.applied_norms),
-            "applied_fit": self.applied_fit.to_json_dict(),
-            "kernel_norms": list(self.kernel_norms),
-            "kernel_fit": self.kernel_fit.to_json_dict(),
-        }
 
 
 def smoothing_sweep(fam: KernelFamily, f: SampledField, base: SpaceParams,
@@ -470,6 +464,8 @@ def theorem_semi11_bound_check(fam: KernelFamily, u: float, ts,
     if not u > 0:
         raise ValueError("u must be > 0")
     ts = sorted(float(t) for t in ts)
+    if not ts:
+        raise ValueError("ts must be nonempty")
     kernel_sp = SpaceParams("B", u, 1.0, INF)
     lo_div = math.floor(u) + 1
     hi_div = max(math.floor(u), 1)
@@ -487,17 +483,13 @@ def theorem_semi11_bound_check(fam: KernelFamily, u: float, ts,
         lhs = besov_norm(fam.kernel(t), res, kernel_sp).value
         ratios.append(lhs / rhs)
         rows.append({"t": t, "lhs": lhs, "rhs_sup": rhs})
-    c_emp = max(ratios)
     return VerificationReport(
-        case={"name": "semi11", "u": u, "family": fam.spec.kind, "m": fam.spec.m},
+        case={"name": "semi11", "u": u, "m": fam.spec.m},
         ratios=tuple(ratios),
         skipped=0,
-        max_ratio=c_emp,
-        empirical_C=c_emp,
         tolerance=0.05,
         constant_claim=None,
         refinement_delta=None,
-        verdict=math.isfinite(c_emp),
         details={"rows": rows, "window_monotone": monotone},
     )
 

@@ -176,12 +176,38 @@ def test_non_hermitian_symbol_rejected():
         spectral_kernel(skew, 1.0, g)
 
 
-def test_fixed_order_kinds_refuse_other_orders():
-    assert cauchy_poisson().m == 0.5 and gauss_weierstrass(1).m == 1.0
-    with pytest.raises(ValueError, match="order m = 0.5"):
+def test_semigroup_spec_refuses_invalid():
+    assert cauchy_poisson() == SemigroupSpec(1, m=0.5)
+    assert gauss_weierstrass(2) == SemigroupSpec(2, m=1.0)
+    with pytest.raises(ValueError, match="exactly one"):
+        SemigroupSpec(1)
+    with pytest.raises(ValueError, match="exactly one"):
+        SemigroupSpec(1, m=1.0, psi=lambda x: x**2)
+    for m in (0.0, -0.5):
+        with pytest.raises(ValueError, match="m must be > 0"):
+            SemigroupSpec(1, m=m)
+    for dim in (0, 4):
+        with pytest.raises(ValueError, match="dim must be 1, 2 or 3"):
+            SemigroupSpec(dim, m=1.0)
+    # the positional call of the old (kind, dim) signature
+    with pytest.raises(ValueError, match="dim must be 1, 2 or 3"):
         SemigroupSpec("cauchy_poisson", 1)
-    with pytest.raises(ValueError, match="order m = 1"):
-        SemigroupSpec("gauss_weierstrass", 1, m=2.0)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_closed_form_keys_on_order(dim):
+    g = make_grid(dim, 64, 8.0)
+    t = 0.5
+    gw = closed_form_kernel(stable_exponent(2.0, dim), t, g)
+    r2 = sum(m**2 for m in g.coord_mesh())
+    assert np.array_equal(gw.values, (4.0 * np.pi * t) ** (-dim / 2.0) * np.exp(-r2 / (4.0 * t)))
+    if dim == 1:
+        cp = closed_form_kernel(stable_exponent(1.0, 1), t, g)
+        x = g.coord_mesh()[0]
+        assert np.array_equal(cp.values, (1.0 / np.pi) * t / (x**2 + t**2))
+    else:
+        with pytest.raises(ValueError, match="no closed form"):
+            closed_form_kernel(stable_exponent(1.0, dim), t, g)
 
 
 def test_hartman_wintner_quadratic(grid_1d):

@@ -84,14 +84,16 @@ def test_validate_default_resolution(res_1d):
     assert np.isfinite(rep.derivative_proxy_1) and np.isfinite(rep.derivative_proxy_2)
 
 
-def test_validate_squared_resolution(res_1d):
+def test_validate_squared_resolution(res_1d, tmp_path):
     sq = squared_resolution(res_1d)
-    assert sq.admissible_general
-    assert 0.0 < sq.partition_lo <= 1.0
-    assert sq.partition_hi <= 1.0 + 1e-14
     rep = validate_resolution(sq)
+    assert 0.0 < rep.partition_min <= 1.0
+    assert rep.partition_max <= 1.0 + 1e-14
     assert rep.support_violations == 0
-    assert abs(rep.partition_min - sq.partition_lo) < 1e-14
+    export_resolution(sq, str(tmp_path))
+    meta = json.loads((tmp_path / "resolution.json").read_text())
+    assert (meta["c"], meta["C"]) == (rep.partition_min, rep.partition_max)
+    assert meta["admissible_general"] is True
 
 
 def test_validate_counts_corrupted_block(grid_1d, res_1d):
@@ -100,7 +102,7 @@ def test_validate_counts_corrupted_block(grid_1d, res_1d):
     bad = blocks[3].copy()
     bad[rho > 32.0] = 0.5  # mass far outside the k = 3 annulus
     blocks[3] = bad
-    corrupted = DyadicResolution(grid_1d, tuple(blocks), res_1d.k_max, res_1d.profile)
+    corrupted = DyadicResolution(grid_1d, tuple(blocks), res_1d.profile)
     assert validate_resolution(corrupted).support_violations > 0
 
 
@@ -180,9 +182,8 @@ def test_profile_contract():
     assert prof.ramp(np.array([1.0]))[0] == 1.0
     t = np.linspace(0, 1, 1001)
     assert np.all(np.diff(prof.ramp(t)) >= -1e-12)
-    bad = TransitionProfile("wiggle", lambda t: np.sin(6 * np.asarray(t)))
-    with pytest.raises(ValueError):
-        bad.check()
+    with pytest.raises(ValueError, match="wiggle"):
+        TransitionProfile("wiggle", lambda t: np.sin(6 * np.asarray(t)))
     with pytest.raises(ValueError):
         bump_profile(sharpness=-1.0)
 
@@ -210,6 +211,7 @@ def test_export_resolution(tmp_path):
     meta = json.loads((tmp_path / "resolution.json").read_text())
     assert meta["K_max"] == res.k_max
     assert meta["c"] == 1.0 and meta["C"] == 1.0
+    assert meta["admissible_general"] is False
     data = np.loadtxt(tmp_path / "block_0.csv", delimiter=",", skiprows=1)
     assert np.array_equal(data[:, 1], res.blocks[0])
     flat = res.blocks[1].ravel()

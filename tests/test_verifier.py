@@ -9,6 +9,7 @@ from lplab import (
     besov_norm,
     build_resolution,
     bump_profile,
+    char_exponent,
     check_inequality,
     check_with_refinement,
     conv_eq23_case,
@@ -24,7 +25,7 @@ from lplab import (
     stable_exponent,
     theorem_semi11_bound_check,
 )
-from lplab.verifier import CorpusSpec, InequalityCase, generate_corpus
+from lplab.verifier import CorpusSpec, InequalityCase, VerificationReport, generate_corpus
 
 
 @pytest.fixture(scope="module")
@@ -243,6 +244,27 @@ def test_report_serialization(res_v, corpora):
     assert len(report.ratios) + d["skipped"] == 4
 
 
+def test_report_derives_its_summaries():
+    case = InequalityCase("conv3", p=1.0, p1=1.0, p2=1.0)
+    rep = VerificationReport(case=case, ratios=(0.5, 2.0), skipped=1, tolerance=1e-6,
+                             constant_claim=None, refinement_delta=None, details={})
+    assert rep.max_ratio == rep.empirical_C == 2.0 and rep.verdict
+    d = rep.to_json_dict()
+    assert d["max_ratio"] == d["empirical_C"] == 2.0 and d["n_pairs"] == 3
+    # without a claim, an attached refinement delta must stay within 5%
+    rep.refinement_delta = 0.05
+    assert rep.verdict
+    rep.refinement_delta = 0.06
+    assert not rep.verdict
+    # with a claim, the delta is not read
+    rep.constant_claim = 2.0
+    assert rep.verdict
+    rep.constant_claim = 1.9
+    assert not rep.verdict
+    rep.ratios = ()
+    assert rep.max_ratio == rep.empirical_C == 0.0 and rep.verdict
+
+
 def test_degenerate_rhs_skipped(grid_v, res_v):
     zero = sample(lambda x: np.zeros_like(x), grid_v)
     f = sample(lambda x: (4 * np.pi) ** -0.5 * np.exp(-(x**2) / 4.0), grid_v)
@@ -342,6 +364,16 @@ def test_semi11_rates_match_at_u_half(grid_1d, res_1d):
     rhs_fit = fit_power_law(ts, [r["rhs_sup"] for r in rows])
     assert abs(rhs_fit.exponent + 0.25) < 0.05
     assert abs(lhs_fit.exponent - rhs_fit.exponent) < 0.05
+
+
+def test_semi11_case_reports_the_order(grid_1d, res_1d):
+    fam = KernelFamily(stable_exponent(1.0), grid_1d)
+    report = theorem_semi11_bound_check(fam, 1.0, [1.0], res_1d)
+    assert report.to_json_dict()["case"] == {"name": "semi11", "u": 1.0, "m": 0.5}
+    psi = KernelFamily(char_exponent(lambda x: x**2, 1), grid_1d)
+    assert theorem_semi11_bound_check(psi, 1.0, [1.0], res_1d).case["m"] is None
+    with pytest.raises(ValueError, match="nonempty"):
+        theorem_semi11_bound_check(fam, 1.0, [], res_1d)
 
 
 def test_semi11_signed_kernel(grid_1d, res_1d):
