@@ -2,8 +2,10 @@
 
 Every run writes machine-readable artifacts (JSON reports, CSV curves) plus
 a manifest with the config hash, package versions and the tolerances in
-force, so runs are reproducible and self-describing.  Identical configs
-produce byte-identical outputs.
+force, so runs are reproducible and self-describing.  The manifest's config
+is read off the parser: every parsed option except ``--out``, with verify's
+``--config`` path replaced by the file's content.  Identical configs produce
+byte-identical outputs.
 
 Exit codes: 0 pass, 2 validation error, 3 under-resolution, 4 verdict fail.
 """
@@ -61,53 +63,65 @@ def _enc(x):
 
 
 def _canonical(obj) -> str:
-    return json.dumps(obj, sort_keys=True, default=_enc)
+    # allow_nan=False: NaN and Infinity tokens are not JSON, so a non-finite
+    # value that reaches an artifact is a validation error
+    return json.dumps(obj, sort_keys=True, default=_enc, allow_nan=False)
 
 
 def _write_json(path: str, obj) -> None:
+    text = _canonical(obj)
     tmp = path + ".tmp"
     with open(tmp, "w") as fh:
-        fh.write(_canonical(obj))
+        fh.write(text)
         fh.write("\n")
     os.replace(tmp, path)
 
 
-def _json_object(obj, what: str) -> dict:
+def _json_object(obj, what: str, keys=None) -> dict:
+    """``obj`` if it is a JSON object whose keys all lie in ``keys``."""
     if not isinstance(obj, dict):
         raise ValueError(f"{what} is not a JSON object")
+    unknown = sorted(set(obj) - set(keys)) if keys is not None else []
+    if unknown:
+        raise ValueError(f"{what} has unknown keys {unknown}; allowed: {list(keys)}")
     return obj
 
 
-# the JSON type each verify config value must have; bool counts as neither an
-# integer nor a number
-_CONFIG_TYPES = {"count": int, "seed_f": int, "seed_g": int, "dim": int, "N": int,
-                 "band_limit": float, "L": float, "refine": bool}
-_TYPE_NAMES = {int: "an integer", float: "a number", bool: "true or false"}
+def _read_config(path) -> dict:
+    if path is None:
+        return {}
+    with open(path) as fh:
+        return _json_object(json.load(fh), f"config {path}")
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+_EXPONENTS = ("p", "p1", "p2", "q", "q1", "q2")
+_INTEGER = ("an integer", lambda v: _is_number(v) and isinstance(v, int))
+_NUMBER = ("a number", _is_number)
+# what each verify config value must be; a bool is neither a number nor a string
+_CONFIG_TYPES = {
+    **dict.fromkeys(("count", "seed_f", "seed_g", "dim", "N"), _INTEGER),
+    **dict.fromkeys(("band_limit", "L", "s", "u", "constant_claim", "tolerance"), _NUMBER),
+    **dict.fromkeys(_EXPONENTS, ("a number or an exponent string",
+                                 lambda v: _is_number(v) or isinstance(v, str))),
+    "refine": ("true or false", lambda v: isinstance(v, bool)),
+    "scale": ("a string", lambda v: isinstance(v, str)),
+}
+# null keeps the default only for the values whose default may itself be unset
+_NULL_KEEPS_DEFAULT = ("s", "u", "constant_claim", "tolerance")
 
 
 def _config_value(cfg: dict, key: str, default):
-    value = cfg.get(key, default)
-    want = _CONFIG_TYPES[key]
-    if want is bool:
-        ok = isinstance(value, bool)
-    else:
-        ok = isinstance(value, (int, want)) and not isinstance(value, bool)
-    if not ok:
-        raise ValueError(f"config {key!r} must be {_TYPE_NAMES[want]}, got {value!r}")
-    return value
-
-
-def _write_manifest(out: str, command: str, config: dict, tolerances: dict) -> None:
-    payload = _canonical({"command": command, "config": config})
-    manifest = {
-        "command": command,
-        "config": config,
-        "config_hash": hashlib.sha256(payload.encode()).hexdigest(),
-        "tolerances": tolerances,
-        "versions": {"lplab": __version__, "numpy": np.__version__,
-                     "python": ".".join(map(str, sys.version_info[:3]))},
-    }
-    _write_json(out + ".manifest.json", manifest)
+    if key not in cfg or (cfg[key] is None and key in _NULL_KEEPS_DEFAULT):
+        return default
+    value = cfg[key]
+    want, ok = _CONFIG_TYPES[key]
+    if not ok(value):
+        raise ValueError(f"config {key!r} must be {want}, got {value!r}")
+    return _parse_ext(value) if key in _EXPONENTS and isinstance(value, str) else value
 
 
 def _parse_ext(value: str) -> float:
@@ -151,32 +165,24 @@ def _add_grid_args(p, n_default=4096, l_default=40.0, dim_default=1):
     p.add_argument("--L", type=float, default=l_default)
 
 
-def _cmd_kernel(args) -> int:
+# Each command writes its own non-JSON artifacts and returns (payload,
+# tolerances, exit code); ``main`` writes the payload, the manifest and stdout.
+
+
+def _cmd_kernel(args):
     spec = _family_spec(args)
     grid = make_grid(args.dim, args.N, args.L)
     fam = KernelFamily(spec, grid)
     diag = fam.diagnostics(args.t)
     save_field(fam.kernel(args.t), args.out + ".field", fmt=args.format)
-    config = {"family": args.family, "m": args.m, "alpha": args.alpha, "t": args.t,
-              "grid": {"dim": args.dim, "N": args.N, "L": args.L}}
-    _write_json(args.out + ".json", diag)
-    _write_manifest(args.out, "kernel", config, {"spectral_tail": 1e-12})
-    print(_canonical(diag))
-    return EXIT_PASS
+    return diag, {"spectral_tail": 1e-12}, EXIT_PASS
 
 
-def _cmd_norm(args) -> int:
+def _cmd_norm(args):
     fld = load_field(args.input)
     res = build_resolution(fld.grid, bump_profile(args.profile_sharpness))
     sp = SpaceParams(args.space, args.s, _parse_ext(args.p), _parse_ext(args.q))
-    result = space_norm(fld, res, sp)
-    payload = result.to_json_dict()
-    _write_json(args.out + ".json", payload)
-    config = {"input": args.input, "space": args.space, "s": args.s,
-              "p": args.p, "q": args.q}
-    _write_manifest(args.out, "norm", config, {})
-    print(_canonical(payload))
-    return EXIT_PASS
+    return space_norm(fld, res, sp).to_json_dict(), {}, EXIT_PASS
 
 
 _VERIFY_DEFAULTS = {
@@ -188,28 +194,26 @@ _VERIFY_DEFAULTS = {
 }
 
 
-def _build_case(name: str, params: dict) -> InequalityCase:
-    merged = dict(_VERIFY_DEFAULTS[name])
-    merged.update({k: v for k, v in params.items() if v is not None})
-    for key in ("p", "p1", "p2", "q", "q1", "q2"):
-        if key in merged and isinstance(merged[key], str):
-            merged[key] = _parse_ext(merged[key])
+_CASE_KEYS = ("scale", "s", "u", *_EXPONENTS, "constant_claim", "tolerance")
+
+
+def _build_case(name: str, params) -> InequalityCase:
+    # conv_eq23 ties p1 = p, q1 = q, p2 = 1 and q2 = inf, so it reads none of them
+    keys = [k for k in _CASE_KEYS
+            if name != "conv_eq23" or k not in ("p1", "p2", "q1", "q2")]
+    params = _json_object(params, "config 'case'", keys)
+    defaults = _VERIFY_DEFAULTS[name]
+    given = {k: _config_value(params, k, defaults.get(k)) for k in keys}
+    given = {k: v for k, v in given.items() if v is not None}
     if name == "conv_eq23":
-        return conv_eq23_case(merged.get("scale", "B"), merged.get("s", 0.0),
-                              merged.get("u", 0.0), merged["p"], merged["q"],
-                              merged.get("constant_claim"), merged.get("tolerance"))
-    allowed = ("scale", "s", "u", "p", "p1", "p2", "q", "q1", "q2",
-               "constant_claim", "tolerance")
-    return InequalityCase(name, **{k: merged[k] for k in allowed if k in merged})
+        return conv_eq23_case(**given)
+    return InequalityCase(name, **given)
 
 
-def _cmd_verify(args) -> int:
-    name = args.case.replace("-", "_")
-    cfg = {}
-    if args.config:
-        with open(args.config) as fh:
-            cfg = _json_object(json.load(fh), f"config {args.config}")
-    grid_cfg = _json_object(cfg.get("grid", {}), "config 'grid'")
+def _cmd_verify(args):
+    cfg = _json_object(args.config, "config", ("grid", "count", "seed_f", "seed_g",
+                                               "band_limit", "refine", "case"))
+    grid_cfg = _json_object(cfg.get("grid", {}), "config 'grid'", ("dim", "N", "L"))
     grid = make_grid(_config_value(grid_cfg, "dim", args.dim),
                      _config_value(grid_cfg, "N", args.N),
                      _config_value(grid_cfg, "L", args.L))
@@ -217,7 +221,7 @@ def _cmd_verify(args) -> int:
     seed_g = _config_value(cfg, "seed_g", args.seed + 4)
     count = _config_value(cfg, "count", args.count)
     band = _config_value(cfg, "band_limit", args.band)
-    case = _build_case(name, _json_object(cfg.get("case", {}), "config 'case'"))
+    case = _build_case(args.case, cfg.get("case", {}))
     spec_f = CorpusSpec(seed=seed_f, count=count, band_limit=band)
     spec_g = CorpusSpec(seed=seed_g, count=count, band_limit=band)
     if _config_value(cfg, "refine", args.refine):
@@ -226,20 +230,12 @@ def _cmd_verify(args) -> int:
         res = build_resolution(grid)
         report = check_inequality(case, generate_corpus(spec_f, grid),
                                   generate_corpus(spec_g, grid), res)
-    payload = report.to_json_dict()
-    _write_json(args.out + ".report.json", payload)
     report.write_ratios_csv(args.out + ".ratios.csv")
-    config = {"case": name, "grid": {"dim": grid.dim, "N": grid.samples_per_axis,
-                                     "L": grid.half_width},
-              "seed_f": seed_f, "seed_g": seed_g, "count": count, "band_limit": band,
-              "exponents": payload["case"]}
-    _write_manifest(args.out, "verify", config,
-                    {"ratio_tolerance": report.tolerance, "rhs_floor": 1e-12})
-    print(_canonical(payload))
-    return EXIT_PASS if report.verdict else EXIT_FAIL
+    return (report.to_json_dict(), {"ratio_tolerance": report.tolerance, "rhs_floor": 1e-12},
+            EXIT_PASS if report.verdict else EXIT_FAIL)
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args):
     spec = _family_spec(args)
     grid = make_grid(args.dim, args.N, args.L)
     ts = _parse_t_list(args.t)
@@ -251,22 +247,14 @@ def _cmd_sweep(args) -> int:
                    band_limit=args.band), grid)
     base = SpaceParams(args.space, args.s, _parse_ext(args.p), _parse_ext(args.q))
     sweep = smoothing_sweep(fam, corpus[0], base, args.u, ts, res)
-    payload = asdict(sweep)
     with open(args.out + ".curve.csv", "w") as fh:
         fh.write("t,applied_norm,kernel_norm\n")
         for t, a, k in zip(sweep.ts, sweep.applied_norms, sweep.kernel_norms):
             fh.write(f"{t:.17g},{a:.17g},{k:.17g}\n")
-    _write_json(args.out + ".json", payload)
-    config = {"kind": args.kind, "family": args.family, "m": args.m,
-              "alpha": args.alpha, "u": args.u, "t": args.t, "seed": args.seed,
-              "grid": {"dim": args.dim, "N": args.N, "L": args.L},
-              "space": {"A": args.space, "s": args.s, "p": args.p, "q": args.q}}
-    _write_manifest(args.out, "sweep", config, {"spectral_tail": 1e-12})
-    print(_canonical(payload))
-    return EXIT_PASS
+    return asdict(sweep), {"spectral_tail": 1e-12}, EXIT_PASS
 
 
-def _cmd_subordinate(args) -> int:
+def _cmd_subordinate(args):
     if abs(args.alpha - 0.5) > 1e-12:
         raise ValueError(
             "only the alpha = 1/2 stable subordinator has a built-in density; "
@@ -284,16 +272,10 @@ def _cmd_subordinate(args) -> int:
         "u": args.u,
         "laplace_check_residuals": laplace_residuals(dens),
     }
-    _write_json(args.out + ".json", payload)
-    config = {"alpha": args.alpha, "t": args.t, "u": args.u, "nodes": args.nodes,
-              "grid": {"dim": args.dim, "N": args.N, "L": args.L}}
-    _write_manifest(args.out, "subordinate", config,
-                    {"mass": 1e-6, "laplace": 1e-5, "moment_edge": 1e-6})
-    print(_canonical(payload))
-    return EXIT_PASS
+    return payload, {"mass": 1e-6, "laplace": 1e-5, "moment_edge": 1e-6}, EXIT_PASS
 
 
-def _cmd_report(args) -> int:
+def _cmd_report(args):
     rows, all_pass = [], True
     for path in args.artifacts:
         with open(path) as fh:
@@ -305,9 +287,7 @@ def _cmd_report(args) -> int:
                      "case": data.get("case", {}).get("name") if isinstance(
                          data.get("case"), dict) else None})
     summary = {"reports": rows, "all_pass": all_pass, "count": len(rows)}
-    _write_json(args.out + ".json", summary)
-    print(_canonical(summary))
-    return EXIT_PASS if all_pass else EXIT_FAIL
+    return summary, {}, EXIT_PASS if all_pass else EXIT_FAIL
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -341,7 +321,9 @@ def build_parser() -> argparse.ArgumentParser:
     n.set_defaults(fn=_cmd_norm)
 
     v = sub.add_parser("verify", help="check a convolution inequality on a corpus")
-    v.add_argument("case", choices=("young", "conv1", "conv3", "conv-eq23", "conv_eq23"))
+    # one spelling per case, so that both spellings of a run share a config hash
+    v.add_argument("case", type=lambda name: name.replace("-", "_"),
+                   choices=("young", "conv1", "conv3", "conv_eq23"))
     v.add_argument("--config", help="JSON config overriding the defaults")
     v.add_argument("--seed", type=int, default=7)
     v.add_argument("--count", type=int, default=20)
@@ -386,11 +368,31 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# written to <out>.json unless named here
+_PAYLOAD_SUFFIX = {"verify": ".report.json"}
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    """Run one command, then write its payload JSON, its manifest and the
+    payload on stdout.  The manifest's config is every parsed option except
+    ``--out``; verify's ``--config`` is recorded as the file's content ({}
+    without one), since the content, not the path, moves the numbers."""
+    args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        if "config" in vars(args):
+            args.config = _read_config(args.config)
+        payload, tolerances, code = args.fn(args)
+        run = {"command": args.command,
+               "config": {k: v for k, v in vars(args).items()
+                          if k not in ("command", "fn", "out")}}
+        manifest = {**run, "config_hash": hashlib.sha256(_canonical(run).encode()).hexdigest(),
+                    "tolerances": tolerances,
+                    "versions": {"lplab": __version__, "numpy": np.__version__,
+                                 "python": ".".join(map(str, sys.version_info[:3]))}}
+        _write_json(args.out + _PAYLOAD_SUFFIX.get(args.command, ".json"), payload)
+        _write_json(args.out + ".manifest.json", manifest)
+        print(_canonical(payload))
+        return code
     except UnderResolvedError as exc:
         print(_canonical({"error": str(exc), "kind": "under_resolution"}),
               file=sys.stderr)

@@ -42,16 +42,16 @@ INF = math.inf
 
 
 def _jsonable(x):
-    """``x`` as written to JSON: a non-finite float becomes "inf" or "-inf",
-    since JSON has no infinity."""
-    if isinstance(x, float) and not math.isfinite(x):
+    """``x`` as written to JSON: an infinite float becomes "inf" or "-inf",
+    since JSON has no infinity; NaN is left for the writer to refuse."""
+    if isinstance(x, float) and math.isinf(x):
         return "inf" if x > 0 else "-inf"
     return x
 
 
 @dataclass(frozen=True)
 class SpaceParams:
-    """Selects a function-space norm: scale A in {B, F}, smoothness s,
+    """Selects a function-space norm: scale A in {B, F}, finite smoothness s,
     integrability p in [1, inf], summability q in (0, inf]."""
 
     scale: str
@@ -62,6 +62,8 @@ class SpaceParams:
     def __post_init__(self):
         if self.scale not in ("B", "F"):
             raise ValueError(f"scale must be 'B' or 'F', got {self.scale!r}")
+        if not math.isfinite(self.s):
+            raise ValueError(f"smoothness s must be finite, got {self.s}")
         if not self.p >= 1:
             raise ValueError(f"integrability p must be >= 1, got {self.p}")
         if not self.q > 0:

@@ -203,6 +203,7 @@ class InequalityCase:
     ``name`` selects the shape: ``young`` (plain Lp), ``conv1``
     (||f*g|A^s_{p,q}|| vs ||f|A^s_{p1,q}|| * ||g|L_{p2}||), ``conv3`` and its
     specialization ``conv_eq23`` (two function-space norms on the right).
+    The scale is B or F and the smoothness orders s, u are finite.
     Exponents need p, p1, p2 >= 1 and q, q1, q2 > 0; the integrability ones
     must satisfy 1 + 1/p = 1/p1 + 1/p2 exactly and, for conv3,
     1/q <= 1/q1 + 1/q2 (1/inf = 0).  F-scale checks require
@@ -225,7 +226,13 @@ class InequalityCase:
     def __post_init__(self):
         if self.name not in ("young", "conv1", "conv3", "conv_eq23"):
             raise ValueError(f"unknown case name {self.name!r}")
-        if min(self.p, self.p1, self.p2) < 1 or min(self.q, self.q1, self.q2) <= 0:
+        if self.scale not in ("B", "F"):
+            raise ValueError(f"scale must be 'B' or 'F', got {self.scale!r}")
+        if not (math.isfinite(self.s) and math.isfinite(self.u)):
+            raise ValueError(f"smoothness s and u must be finite, got s={self.s}, u={self.u}")
+        # written so that a NaN exponent fails too
+        if not (all(x >= 1 for x in (self.p, self.p1, self.p2))
+                and all(x > 0 for x in (self.q, self.q1, self.q2))):
             raise ValueError(f"exponents need p, p1, p2 >= 1 and q, q1, q2 > 0: {self}")
         if abs(1.0 + _inv(self.p) - _inv(self.p1) - _inv(self.p2)) > 1e-12:
             raise ValueError(
@@ -272,12 +279,14 @@ def conv_eq23_case(scale: str, s: float, u: float, p: float, q: float,
 
 @dataclass
 class VerificationReport:
-    """Per-pair ratio statistics and the verdict for one inequality check."""
+    """Per-pair ratio statistics and the verdict for one inequality check.
+
+    ``tolerance`` is None for a report whose verdict never reads one."""
 
     case: object
     ratios: tuple
     skipped: int
-    tolerance: float
+    tolerance: float | None
     constant_claim: float | None
     refinement_delta: float | None
     details: dict
@@ -403,13 +412,13 @@ class PowerLawFit:
 
 
 def fit_power_law(ts, values) -> PowerLawFit:
-    """Fit a power law; requires >= 4 samples with positive values."""
+    """Fit a power law; requires >= 4 samples with positive finite values."""
     ts = np.asarray(ts, dtype=float)
     values = np.asarray(values, dtype=float)
     if ts.size < 4:
         raise ValueError(f"need at least 4 points, got {ts.size}")
-    if np.any(values <= 0) or np.any(ts <= 0):
-        raise ValueError("power-law fit requires positive times and values")
+    if not np.all(np.isfinite(ts) & np.isfinite(values) & (ts > 0) & (values > 0)):
+        raise ValueError("power-law fit requires positive finite times and values")
     lx, ly = np.log(ts), np.log(values)
     slope, intercept = np.polyfit(lx, ly, 1)
     resid = ly - (slope * lx + intercept)
@@ -434,8 +443,8 @@ def smoothing_sweep(fam: KernelFamily, f: SampledField, base: SpaceParams,
                     u: float, ts, res: DyadicResolution) -> SmoothingSweep:
     """Sweep ||P_t f | A^{s+u}_{p,q}|| and the kernel norm ||p_t | B^u_{1,inf}||
     (the dominant factor of the semigroup smoothing bound) over ``ts``."""
-    if u < 0:
-        raise ValueError("smoothing order u must be >= 0")
+    if not (math.isfinite(u) and u >= 0):
+        raise ValueError(f"smoothing order u must be finite and >= 0, got {u}")
     ts = sorted(float(t) for t in ts)
     target = base.shifted(u)
     kernel_sp = SpaceParams("B", u, 1.0, INF)
@@ -487,7 +496,7 @@ def theorem_semi11_bound_check(fam: KernelFamily, u: float, ts,
         case={"name": "semi11", "u": u, "m": fam.spec.m},
         ratios=tuple(ratios),
         skipped=0,
-        tolerance=0.05,
+        tolerance=None,  # no claimed constant, so the verdict reads no tolerance
         constant_claim=None,
         refinement_delta=None,
         details={"rows": rows, "window_monotone": monotone},

@@ -267,23 +267,58 @@ def test_verify_refuses_config_that_is_not_an_object(tmp_path, capsys, config):
     assert not (tmp_path / "x.report.json").exists()
 
 
-@pytest.mark.parametrize("config,key", [
-    ({"count": "6"}, "count"),
-    ({"seed_f": 1.5}, "seed_f"),
-    ({"seed_g": True}, "seed_g"),
-    ({"band_limit": None}, "band_limit"),
-    ({"refine": "no"}, "refine"),
-    ({"grid": {"dim": 1.0}}, "dim"),
-    ({"grid": {"N": "1024"}}, "N"),
-    ({"grid": {"L": False}}, "L"),
-], ids=["count", "seed_f", "seed_g", "band_limit", "refine", "dim", "N", "L"])
-def test_verify_refuses_config_value_of_wrong_type(tmp_path, capsys, config, key):
+@pytest.mark.parametrize("case,config,key", [
+    ("young", {"count": "6"}, "count"),
+    ("young", {"seed_f": 1.5}, "seed_f"),
+    ("young", {"seed_g": True}, "seed_g"),
+    ("young", {"band_limit": None}, "band_limit"),
+    ("young", {"refine": "no"}, "refine"),
+    ("young", {"grid": {"dim": 1.0}}, "dim"),
+    ("young", {"grid": {"N": "1024"}}, "N"),
+    ("young", {"grid": {"L": False}}, "L"),
+    ("young", {"case": {"p": [1]}}, "p"),
+    ("young", {"case": {"constant_claim": "a"}}, "constant_claim"),
+    ("young", {"case": {"tolerance": "x", "constant_claim": 1}}, "tolerance"),
+    ("conv1", {"case": {"s": "x"}}, "s"),
+    ("conv1", {"case": {"q": True}}, "q"),
+    ("conv1", {"case": {"scale": None}}, "scale"),
+], ids=["count", "seed_f", "seed_g", "band_limit", "refine", "dim", "N", "L",
+        "case-p-list", "case-claim-string", "case-tolerance-string", "case-s-string",
+        "case-q-bool", "case-scale-null"])
+def test_verify_refuses_config_value_of_wrong_type(tmp_path, capsys, case, config, key):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
-    assert run_cli(["verify", "young", "--config", cfg, "--N", 1024,
+    assert run_cli(["verify", case, "--config", cfg, "--N", 1024,
                     "--out", tmp_path / "x"]) == 2
     assert f"config '{key}' must be" in _validation_error(capsys)
     assert not (tmp_path / "x.report.json").exists()
+
+
+@pytest.mark.parametrize("case,config,unknown", [
+    ("young", {"seed": 3}, "seed"),
+    ("young", {"grid": {"M": 3}}, "M"),
+    ("young", {"case": {"bogus": 1}}, "bogus"),
+    ("conv-eq23", {"case": {"p1": 5, "q2": 1}}, "p1"),
+], ids=["seed", "grid-M", "case-bogus", "conv-eq23-p1-q2"])
+def test_verify_refuses_unknown_config_key(tmp_path, capsys, case, config, unknown):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert run_cli(["verify", case, "--config", cfg, "--N", 1024,
+                    "--out", tmp_path / "x"]) == 2
+    message = _validation_error(capsys)
+    assert "unknown keys" in message and repr(unknown) in message
+    assert not (tmp_path / "x.report.json").exists()
+
+
+def test_verify_config_reads_typed_case_entries(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"count": 2, "case": {"p1": 1, "p2": "inf", "q": "2^1",
+                                                    "s": None}}))
+    assert run_cli(["verify", "conv1", "--config", cfg, "--N", 1024,
+                    "--out", tmp_path / "x"]) == 0
+    case = json.loads((tmp_path / "x.report.json").read_text())["case"]
+    # exponent strings are parsed, and null keeps the default s = 0.5
+    assert (case["p2"], case["q"], case["s"]) == ("inf", 2.0, 0.5)
 
 
 def test_report_refuses_artifact_that_is_not_an_object(tmp_path, capsys):
@@ -301,3 +336,92 @@ def test_verify_refuses_out_of_range_exponents(tmp_path, capsys, case, params):
     assert run_cli(["verify", case, "--config", cfg, "--N", 1024,
                     "--out", tmp_path / "x"]) == 2
     assert "exponents need" in _validation_error(capsys)
+
+
+@pytest.fixture
+def small_field(tmp_path):
+    out = tmp_path / "small"
+    assert run_cli(["kernel", "--t", 1, "--N", 64, "--L", 8, "--out", out]) == 0
+    return str(out) + ".field"
+
+
+def _manifest_bytes(tmp_path, argv, out) -> bytes:
+    assert run_cli([*argv, "--out", tmp_path / out]) == 0
+    return (tmp_path / (out + ".manifest.json")).read_bytes()
+
+
+_FIELD = object()
+
+
+@pytest.mark.parametrize("argv,changed", [
+    (["norm", "--input", _FIELD], ["--profile-sharpness", 3]),
+    (["sweep", "smoothing", "--N", 1024, "--t", "2^-3..2^0", "--band", 4], ["--band", 8]),
+    (["kernel", "--t", 1, "--N", 64, "--L", 8], ["--format", "csv"]),
+    (["subordinate", "--nodes", 512, "--N", 64, "--L", 8], ["--format", "csv"]),
+], ids=["norm-profile-sharpness", "sweep-band", "kernel-format", "subordinate-format"])
+def test_manifest_records_every_option_but_out(tmp_path, small_field, argv, changed):
+    argv = [small_field if a is _FIELD else a for a in argv]
+    first = _manifest_bytes(tmp_path, argv, "a")
+    assert _manifest_bytes(tmp_path, argv, "b") == first
+    # a later repeat of an option overrides the earlier one
+    other = json.loads(_manifest_bytes(tmp_path, argv + changed, "c"))
+    assert other["config_hash"] != json.loads(first)["config_hash"]
+
+
+def test_verify_manifest_records_config_content_not_path(tmp_path):
+    content = {"count": 2, "case": {"s": 0.25}}
+    argv = ["verify", "conv1", "--N", 1024]
+    manifests = []
+    for name in ("x", "y"):
+        (tmp_path / name).mkdir()
+        cfg = tmp_path / name / "cfg.json"
+        cfg.write_text(json.dumps(content))
+        manifests.append(_manifest_bytes(tmp_path, argv + ["--config", cfg], name))
+    assert manifests[0] == manifests[1]
+    assert json.loads(manifests[0])["config"]["config"] == content
+    without = json.loads(_manifest_bytes(tmp_path, argv + ["--count", 2], "z"))
+    assert without["config"]["config"] == {}
+
+
+def test_verify_case_spellings_share_a_manifest(tmp_path):
+    argv = ["--N", 64, "--L", 8, "--band", 2, "--count", 2]
+    assert (_manifest_bytes(tmp_path, ["verify", "conv-eq23", *argv], "a")
+            == _manifest_bytes(tmp_path, ["verify", "conv_eq23", *argv], "b"))
+
+
+def test_report_writes_a_manifest(tmp_path):
+    artifact = tmp_path / "a.report.json"
+    artifact.write_text(json.dumps({"verdict": "pass", "case": {"name": "young"}}))
+    manifest = json.loads(_manifest_bytes(tmp_path, ["report", artifact], "sum"))
+    assert manifest["command"] == "report"
+    assert manifest["config"] == {"artifacts": [str(artifact)]}
+
+
+@pytest.mark.parametrize("argv", [
+    ["norm", "--input", _FIELD, "--s", "nan"],
+    ["norm", "--input", _FIELD, "--s", "inf"],
+    ["sweep", "smoothing", "--u", "nan"],
+    ["sweep", "smoothing", "--s", "nan"],
+], ids=["norm-s-nan", "norm-s-inf", "sweep-u-nan", "sweep-s-nan"])
+def test_cli_refuses_non_finite_smoothness(tmp_path, capsys, small_field, argv):
+    argv = [small_field if a is _FIELD else a for a in argv]
+    assert run_cli(argv + ["--out", tmp_path / "x"]) == 2
+    assert "must be finite" in _validation_error(capsys)
+    assert not (tmp_path / "x.json").exists()
+
+
+def test_verify_refuses_non_finite_config_smoothness(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"case": {"s": NaN}}')  # Python's json reads the NaN token
+    assert run_cli(["verify", "conv1", "--config", cfg, "--N", 1024,
+                    "--out", tmp_path / "x"]) == 2
+    assert "must be finite" in _validation_error(capsys)
+    assert not (tmp_path / "x.report.json").exists()
+
+
+def test_artifacts_are_strict_json(tmp_path, capsys):
+    # the gw family never reads --m, so its NaN reaches only the manifest
+    assert run_cli(["kernel", "--m", "nan", "--t", 1, "--N", 64, "--L", 8,
+                    "--out", tmp_path / "k"]) == 2
+    assert "not JSON compliant" in _validation_error(capsys)
+    assert sorted(p.name for p in tmp_path.glob("k.*")) == ["k.field.bin", "k.field.json"]

@@ -22,7 +22,7 @@ from lplab import (
     triebel_infty_norm,
     triebel_norm,
 )
-from lplab.norms import default_hardy_nodes
+from lplab.norms import _jsonable, default_hardy_nodes
 
 
 def band_limited(grid, seed, band=1.0):
@@ -358,6 +358,17 @@ def test_space_params_validation():
         SpaceParams("B", 0.0, 1.0, 0.0)
     assert SpaceParams("F", 0.0, 1.0, 0.5).theorem_eligible is False
     assert SpaceParams("B", 0.0, 1.0, 0.5).theorem_eligible is True
+
+
+@pytest.mark.parametrize("s", [float("nan"), INF, -INF])
+def test_space_params_refuses_non_finite_smoothness(s):
+    with pytest.raises(ValueError, match="must be finite"):
+        SpaceParams("B", s, 1.0, 1.0)
+
+
+def test_jsonable_maps_only_infinities():
+    assert (_jsonable(INF), _jsonable(-INF), _jsonable(1.5)) == ("inf", "-inf", 1.5)
+    assert np.isnan(_jsonable(float("nan")))  # left for the JSON writer to refuse
 
 
 def test_space_norm_dispatch(res_1d, corpus_small):

@@ -215,6 +215,8 @@ def test_case_validation():
         InequalityCase("conv1", p=1.0, p1=1.0, p2=1.0, scale="F", q=0.5)
     with pytest.raises(ValueError, match="F-scale"):
         InequalityCase("conv3", p=1.0, p1=1.0, p2=1.0, scale="F", q=1.0, q1=0.5, q2=2.0)
+    with pytest.raises(ValueError, match="scale must be"):
+        InequalityCase("conv1", p=2.0, p1=2.0, p2=1.0, scale="Q")
     # B-scale quasi-norm q < 1 is allowed, and Young's inequality uses no q
     InequalityCase("conv1", p=1.0, p1=1.0, p2=1.0, scale="B", q=0.5)
     InequalityCase("young", p=1.0, p1=1.0, p2=1.0, scale="F", q=0.5)
@@ -227,12 +229,21 @@ def test_case_validation():
     {"p": 1.0, "p1": 1.0, "p2": 1.0, "q": 0.0},
     {"p": 1.0, "p1": 1.0, "p2": 1.0, "q1": -2.0},
     {"p": 1.0, "p1": 1.0, "p2": 1.0, "q2": 0.0},
+    {"p": float("nan"), "p1": 1.0, "p2": 1.0},
+    {"p": 1.0, "p1": 1.0, "p2": 1.0, "q1": float("nan")},
 ])
 def test_case_refuses_out_of_range_exponents(exponents):
     # checked before the relations, which would divide by a zero exponent
     for name in ("young", "conv3"):
         with pytest.raises(ValueError, match="exponents need"):
             InequalityCase(name, **exponents)
+
+
+@pytest.mark.parametrize("smoothness", [{"s": float("nan")}, {"s": INF}, {"u": -INF},
+                                        {"u": float("nan")}])
+def test_case_refuses_non_finite_smoothness(smoothness):
+    with pytest.raises(ValueError, match="must be finite"):
+        InequalityCase("conv3", p=1.0, p1=1.0, p2=1.0, **smoothness)
 
 
 def test_report_serialization(res_v, corpora):
@@ -296,6 +307,11 @@ def test_fit_validation():
         fit_power_law([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
     with pytest.raises(ValueError):
         fit_power_law([1.0, 2.0, 3.0, 4.0], [1.0, -2.0, 3.0, 4.0])
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            fit_power_law([1.0, 2.0, 3.0, 4.0], [1.0, bad, 3.0, 4.0])
+        with pytest.raises(ValueError, match="finite"):
+            fit_power_law([1.0, 2.0, 3.0, bad], [1.0, 2.0, 3.0, 4.0])
 
 
 def test_gradient_rate_biharmonic(grid_1d):
@@ -329,6 +345,13 @@ def test_smoothing_sweep_contraction_flat_at_u0(grid_1d, res_1d):
     f_norm = besov_norm(f, res_1d, sp).value
     for t, v in zip(sweep.ts, sweep.applied_norms):
         assert v <= fam.l1_norm(t) * f_norm * (1 + 1e-10)
+
+
+@pytest.mark.parametrize("u", [-0.5, float("nan"), INF])
+def test_smoothing_sweep_refuses_bad_order(u):
+    # refused before the family or field is read
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        smoothing_sweep(None, None, SpaceParams("B", 0.0, 1.0, INF), u, [1.0], None)
 
 
 def test_smoothing_sweep_stable_rate():
@@ -374,6 +397,13 @@ def test_semi11_case_reports_the_order(grid_1d, res_1d):
     assert theorem_semi11_bound_check(psi, 1.0, [1.0], res_1d).case["m"] is None
     with pytest.raises(ValueError, match="nonempty"):
         theorem_semi11_bound_check(fam, 1.0, [], res_1d)
+
+
+def test_semi11_report_has_no_tolerance(grid_1d, res_1d):
+    # no constant is claimed, so the verdict reads no tolerance and none is stored
+    fam = KernelFamily(gauss_weierstrass(1), grid_1d)
+    report = theorem_semi11_bound_check(fam, 1.0, [1.0], res_1d)
+    assert report.tolerance is None and report.to_json_dict()["tolerance"] is None
 
 
 def test_semi11_signed_kernel(grid_1d, res_1d):
