@@ -67,8 +67,8 @@ class Grid:
             raise ValueError(f"dim must be 1, 2 or 3, got {n}")
         if N < 64 or (N & (N - 1)) != 0:
             raise ValueError(f"samples_per_axis must be a power of two >= 64, got {N}")
-        if not (L > 0):
-            raise ValueError(f"half_width must be positive, got {L}")
+        if not (L > 0 and np.isfinite(L)):
+            raise ValueError(f"half_width must be positive and finite, got {L}")
 
     @property
     def spacing(self) -> float:
@@ -115,19 +115,22 @@ class Grid:
 
 @dataclass
 class SampledField:
-    """A complex-valued function sampled on a periodic grid: the values
-    f(x_j) at the lattice points x_j = -L + j h.
+    """A function sampled on a periodic grid: the values f(x_j) at the
+    lattice points x_j = -L + j h.
 
-    Values must have the grid's shape or be flat in its order; they are
-    validated finite and frozen (read-only) at construction.  Spectra never
-    take this form: :func:`forward_transform` returns a plain lattice array.
+    Real input is stored as float64 and complex input as complex128, so a
+    real field stays real through every transform.  Values must have the
+    grid's shape or be flat in its order; they are validated finite and frozen
+    (read-only) at construction.  Spectra never take this form:
+    :func:`forward_transform` returns a plain lattice array.
     """
 
     grid: Grid
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.complex128)
+        v = np.asarray(self.values)
+        v = v.astype(np.float64 if np.isrealobj(v) else np.complex128, copy=False)
         if v.shape != self.grid.shape:
             # reshaping any other shape of the right size would scramble it
             if v.ndim != 1 or v.size != np.prod(self.grid.shape):
@@ -135,7 +138,7 @@ class SampledField:
                     f"values of shape {v.shape} do not fit grid shape {self.grid.shape}"
                 )
             v = v.reshape(self.grid.shape)
-        if not np.all(np.isfinite(v.view(np.float64))):
+        if not np.all(np.isfinite(v)):
             raise ValueError("field contains non-finite values")
         v = np.ascontiguousarray(v)
         v.setflags(write=False)
@@ -152,13 +155,12 @@ def sample(expr, grid: Grid) -> SampledField:
     """Sample a pointwise function on the grid lattice.
 
     ``expr`` receives one dense coordinate array per axis and must evaluate
-    vectorized.  Non-finite evaluations raise, naming the offending lattice
-    point.
+    vectorized; a real result gives a float64 field.  Non-finite evaluations
+    raise, naming the offending lattice point.
     """
     mesh = grid.coord_mesh()
-    vals = np.asarray(expr(*mesh), dtype=np.complex128)
-    vals = np.broadcast_to(vals, grid.shape)
-    bad = ~np.isfinite(vals.view(np.float64).reshape(grid.shape + (2,))).all(axis=-1)
+    vals = np.broadcast_to(np.asarray(expr(*mesh)), grid.shape)
+    bad = ~np.isfinite(vals)
     if bad.any():
         idx = tuple(np.argwhere(bad)[0])
         point = tuple(float(m[idx]) for m in mesh)
@@ -170,6 +172,38 @@ def _fwd_scale(grid: Grid) -> float:
     return (2.0 * np.pi) ** (-grid.dim / 2.0) * grid.cell_volume
 
 
+def _is_real(f: SampledField) -> bool:
+    return f.values.dtype == np.float64
+
+
+# The package's one transform pair.  Spectra are uncentered (no shifts) and
+# unscaled; a real field takes the Hermitian half lattice [..., :N//2+1] of
+# rfftn, which does half the work of a complex fftn.
+
+
+def _fft(x: np.ndarray, real: bool) -> np.ndarray:
+    """Lattice spectrum of the samples ``x``: the rfftn half lattice when
+    ``real``, the full fftn lattice otherwise."""
+    return np.fft.rfftn(x) if real else np.fft.fftn(x)
+
+
+def _ifft(grid: Grid, spec: np.ndarray, real: bool) -> np.ndarray:
+    """Inverse of :func:`_fft`: float64 samples of a half-lattice spectrum
+    when ``real``, complex samples of a full-lattice one otherwise."""
+    if real:
+        return np.fft.irfftn(spec, s=grid.shape, axes=range(grid.dim))
+    return np.fft.ifftn(spec)
+
+
+def _half(grid: Grid, m):
+    """A full-lattice multiplier restricted to the half lattice of
+    :func:`_fft`, as a view; one of length 1 on the last axis broadcasts
+    along it and is returned as it is."""
+    m = np.asarray(m)
+    N = grid.samples_per_axis
+    return m[..., : N // 2 + 1] if m.ndim and m.shape[-1] == N else m
+
+
 def forward_transform(f: SampledField) -> np.ndarray:
     """Discrete unitary Fourier transform of a field, as a lattice array in
     FFT order.
@@ -177,22 +211,28 @@ def forward_transform(f: SampledField) -> np.ndarray:
     The coefficient at lattice frequency xi_j equals
     (2 pi)^(-n/2) h^n sum_x e^(-i x.xi_j) f(x).
     """
-    return _fwd_scale(f.grid) * np.fft.fftn(np.fft.ifftshift(f.values))
+    return _fwd_scale(f.grid) * _fft(np.fft.ifftshift(f.values), real=False)
 
 
-def _synthesize(grid: Grid, spec: np.ndarray) -> np.ndarray:
-    """Space samples of the lattice spectrum ``spec``: the package's only
-    inverse FFT, exactly inverting :func:`forward_transform`."""
-    return np.fft.fftshift(np.fft.ifftn(spec)) / _fwd_scale(grid)
+def _synthesize(grid: Grid, spec: np.ndarray, real: bool = False) -> np.ndarray:
+    """Space samples of the lattice spectrum ``spec``, exactly inverting
+    :func:`forward_transform`.  With ``real``, ``spec`` is the half lattice
+    [..., :N//2+1] of a Hermitian spectrum and the samples are float64."""
+    return np.fft.fftshift(_ifft(grid, spec, real)) / _fwd_scale(grid)
 
 
 def _multiplied(f: SampledField, multipliers):
     """Yield the space samples of F^-1(m * Ff) for each multiplier m in turn,
-    sharing one forward transform of ``f``.  Multipliers are lattice arrays
-    in FFT order (or broadcastable to one)."""
-    F = forward_transform(f)
+    sharing one forward transform of ``f``.  Multipliers are full-lattice
+    arrays in FFT order (or broadcastable to one); for a real field they must
+    be Hermitian, m(-xi) = conj m(xi), and the samples are float64.
+
+    A multiplier commutes with the cyclic N/2 shift that centers the samples,
+    so no shift is needed, and the transform scales cancel."""
+    real = _is_real(f)
+    F = _fft(f.values, real)
     for m in multipliers:
-        yield _synthesize(f.grid, m * F)
+        yield _ifft(f.grid, (_half(f.grid, m) if real else m) * F, real)
 
 
 def inverse_transform(grid: Grid, F: np.ndarray) -> SampledField:
@@ -222,12 +262,16 @@ def convolve(f: SampledField, g: SampledField) -> SampledField:
     """Periodic convolution h^n sum_y f(x-y) g(y) via the FFT.
 
     Computed as F^-1((2 pi)^(n/2) Ff * Fg), which reproduces the discrete
-    periodic convolution exactly (up to roundoff).
+    periodic convolution exactly (up to roundoff); the result is real when
+    both fields are.
     """
     if f.grid != g.grid:
         raise ValueError("convolve requires matching grids (dim, N, L)")
-    prod = (2.0 * np.pi) ** (f.grid.dim / 2.0) * forward_transform(f) * forward_transform(g)
-    return SampledField(f.grid, _synthesize(f.grid, prod))
+    real = _is_real(f) and _is_real(g)
+    # the cyclic convolution of the samples, shifted by N/2 once because
+    # both boxes start at -L; (2 pi)^(n/2) times both transform scales is h^n
+    cyclic = _ifft(f.grid, _fft(f.values, real) * _fft(g.values, real), real)
+    return SampledField(f.grid, f.grid.cell_volume * np.fft.fftshift(cyclic))
 
 
 def spectral_derivative(f: SampledField, alpha) -> SampledField:
@@ -244,12 +288,23 @@ def spectral_derivative(f: SampledField, alpha) -> SampledField:
     return SampledField(f.grid, next(_multiplied(f, [_derivative_symbol(f.grid, alpha)])))
 
 
-def _derivative_symbol(grid: Grid, alpha: tuple) -> np.ndarray:
-    """The multiplier (i xi)^alpha of the partial derivative d^alpha."""
-    mult = np.ones(grid.shape, dtype=np.complex128)
-    for ax_mesh, a in zip(grid.freq_mesh(), alpha):
+def _derivative_symbol(grid: Grid, alpha) -> np.ndarray:
+    """The multiplier (i xi)^alpha of the partial derivative d^alpha, as a
+    product of one broadcastable factor per differentiated axis.
+
+    An odd order is zero at the Nyquist index N/2, where xi and -xi are one
+    lattice point: the multiplier then stays Hermitian, so the derivative of
+    a real field is real, and a mixed derivative is the single-axis ones
+    applied in turn."""
+    mult = np.ones((1,) * grid.dim)
+    for axis, a in enumerate(alpha):
         if a:
-            mult = mult * (1j * ax_mesh) ** a
+            factor = (1j * grid.freq_axis()) ** a
+            if a % 2:
+                factor[grid.samples_per_axis // 2] = 0.0
+            shape = [1] * grid.dim
+            shape[axis] = grid.samples_per_axis
+            mult = mult * factor.reshape(shape)
     return mult
 
 
@@ -278,10 +333,13 @@ def save_field(fld: SampledField, basepath: str, fmt: str = "binary") -> None:
     else:
         data_path = basepath + ".csv"
         flat = fld.values.ravel()
-        rows = enumerate(zip(flat.real.tolist(), flat.imag.tolist()))
         with open(data_path, "w") as fh:
             fh.write("index,re,im\n")
-            fh.write("".join(f"{i},{re:.17g},{im:.17g}\n" for i, (re, im) in rows))
+            if _is_real(fld):
+                fh.write("".join(f"{i},{re:.17g},0\n" for i, re in enumerate(flat.tolist())))
+            else:
+                rows = enumerate(zip(flat.real.tolist(), flat.imag.tolist()))
+                fh.write("".join(f"{i},{re:.17g},{im:.17g}\n" for i, (re, im) in rows))
     with open(basepath + ".json", "w") as fh:
         json.dump(sidecar, fh, sort_keys=True)
         fh.write("\n")
@@ -289,7 +347,8 @@ def save_field(fld: SampledField, basepath: str, fmt: str = "binary") -> None:
 
 def load_field(basepath: str) -> SampledField:
     """Read a field written by :func:`save_field`; a sidecar that declares
-    anything but space samples is refused."""
+    anything but space samples is refused.  A field whose stored imaginary
+    parts are all zero loads as a real (float64) field."""
     with open(basepath + ".json") as fh:
         meta = json.load(fh)
     tag = meta.get("domain_tag") if isinstance(meta, dict) else None
@@ -307,6 +366,8 @@ def load_field(basepath: str) -> SampledField:
         raw = np.loadtxt(basepath + ".csv", delimiter=",", skiprows=1)
         raw = np.atleast_2d(raw)
         vals = raw[:, 1] + 1j * raw[:, 2]
+    if not vals.imag.any():
+        vals = vals.real
     if vals.size != np.prod(grid.shape):
         raise ValueError(f"data size {vals.size} does not match grid {grid.shape}")
     return SampledField(grid, vals.reshape(grid.shape))

@@ -20,7 +20,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, SampledField, _multiplied, _synthesize, convolve, integrate
+from .grid import (
+    Grid,
+    SampledField,
+    _derivative_symbol,
+    _half,
+    _multiplied,
+    _synthesize,
+    convolve,
+    integrate,
+)
 from .norms import lp_norm
 
 __all__ = [
@@ -101,13 +110,15 @@ def stable_exponent(alpha: float, dim: int = 1) -> SemigroupSpec:
 
 
 def symbol_values(spec: SemigroupSpec, grid: Grid) -> np.ndarray:
-    """Evaluate the characteristic exponent on the grid's frequency lattice."""
+    """Evaluate the characteristic exponent on the grid's frequency lattice:
+    complex128 for a caller-supplied psi, the float64 |xi|^(2m) for an
+    order."""
     if grid.dim != spec.dim:
         raise ValueError(f"grid dim {grid.dim} != semigroup dim {spec.dim}")
     if spec.psi is not None:
         vals = np.asarray(spec.psi(*grid.freq_mesh()), dtype=np.complex128)
         return np.broadcast_to(vals, grid.shape)
-    return (grid.radial_freq() ** (2.0 * spec.m)).astype(np.complex128)
+    return grid.radial_freq() ** (2.0 * spec.m)
 
 
 def closed_form_kernel(spec: SemigroupSpec, t: float, grid: Grid) -> SampledField:
@@ -138,11 +149,16 @@ def spectral_kernel(spec: SemigroupSpec, t: float, grid: Grid) -> SampledField:
 
     Raises :class:`UnderResolvedError` when the spectral tail e^(-t Re psi)
     exceeds 1e-12 anywhere on the lattice's Nyquist faces (index N/2 on any
-    axis), and ValueError when Re psi < 0 somewhere on the lattice.
+    axis), and ValueError when Re psi < 0 somewhere on the lattice.  An
+    isotropic kernel is synthesized from the half lattice, where every axis
+    still has its Nyquist index N/2.
     """
     if not t > 0:
         raise ValueError(f"time t must be positive, got {t}")
+    real = spec.psi is None
     psi = symbol_values(spec, grid)
+    if real:
+        psi = _half(grid, psi)
     if psi.real.min() < -1e-12:
         raise ValueError(
             f"Re psi < 0 on the lattice (min {psi.real.min():.3e}); "
@@ -160,7 +176,9 @@ def spectral_kernel(spec: SemigroupSpec, t: float, grid: Grid) -> SampledField:
         )
     with np.errstate(under="ignore"):
         spectrum = (2.0 * np.pi) ** (-grid.dim / 2.0) * np.exp(-t * psi)
-    vals = _synthesize(grid, spectrum)
+    vals = _synthesize(grid, spectrum, real)
+    if real:
+        return SampledField(grid, vals)
     scale = np.abs(vals.real).max()
     resid = np.abs(vals.imag).max()
     if scale > 0 and resid > 1e-8 * scale:
@@ -208,14 +226,15 @@ class KernelFamily:
             "mass": integrate(p),
             "l1_norm": lp_norm(p, 1),
             "gradient_l1": gradient_l1(p),
-            "min_value": float(p.values.real.min()),
+            "min_value": float(p.values.min()),
         }
 
 
 def gradient_l1(p: SampledField) -> float:
     """Integral of the Euclidean norm of the spectral gradient of p."""
     sq = np.zeros(p.grid.shape)
-    for d in _multiplied(p, (1j * xi for xi in p.grid.freq_mesh())):
+    units = np.eye(p.grid.dim, dtype=int)
+    for d in _multiplied(p, (_derivative_symbol(p.grid, e) for e in units)):
         sq = sq + d.real**2
     return float(p.grid.cell_volume * np.sqrt(sq).sum())
 

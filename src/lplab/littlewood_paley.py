@@ -207,7 +207,7 @@ def validate_resolution(res: DyadicResolution) -> ResolutionReport:
 
 
 def apply_block(res: DyadicResolution, k: int, f: SampledField) -> SampledField:
-    """phi_k(D) f = F^-1(phi_k * Ff); real output for real input (to ~1e-10)."""
+    """phi_k(D) f = F^-1(phi_k * Ff); float64 output for real input."""
     if not (0 <= k <= res.k_max):
         raise ValueError(f"block index {k} outside 0..{res.k_max}")
     if f.grid != res.grid:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grid import Grid, SampledField, _derivative_symbol, _multiplied, _synthesize
+from .grid import Grid, SampledField, _derivative_symbol, _half, _multiplied, _synthesize
 from .littlewood_paley import DyadicResolution, block_spectra
 
 __all__ = [
@@ -255,7 +255,8 @@ def space_norm(f: SampledField, res: DyadicResolution, sp: SpaceParams) -> NormR
 def resolution_l1_bound(res: DyadicResolution) -> float:
     """max_k || F^-1 phi_k ||_L1, an explicit computable constant dominating
     ||f | B^0_{1,inf}|| / ||f||_L1 (block convolutions obey Young's bound)."""
-    return max(_lp_values(_synthesize(res.grid, b), 1, res.grid) for b in res.blocks)
+    return max(_lp_values(_synthesize(res.grid, _half(res.grid, b), real=True), 1, res.grid)
+               for b in res.blocks)
 
 
 def bessel_norm(f: SampledField, s: float) -> float:

@@ -85,14 +85,16 @@ class CorpusSpec:
         unknown = set(self.families) - set(_FAMILIES)
         if unknown:
             raise ValueError(f"unknown corpus families {sorted(unknown)}")
-        if self.count < 1 or self.band_limit <= 0:
-            raise ValueError("count must be >= 1 and band_limit positive")
+        if self.count < 1:
+            raise ValueError(f"count must be >= 1, got {self.count}")
+        if not self.band_limit > 0:  # written so that a NaN fails too
+            raise ValueError(f"band_limit must be positive, got {self.band_limit}")
 
 
 def _band_project(vals: np.ndarray, grid: Grid, band: float) -> np.ndarray:
     """Zero every spectral coefficient with |xi| > band; return real samples."""
     mask = grid.radial_freq() <= band
-    return next(_multiplied(SampledField(grid, vals), [mask])).real
+    return next(_multiplied(SampledField(grid, vals), [mask]))
 
 
 def _gaussian_mix(rng, grid: Grid) -> np.ndarray:
@@ -125,6 +127,8 @@ def _band_limited_random(rng, grid: Grid, band: float) -> np.ndarray:
     spec = np.zeros(grid.shape, dtype=np.complex128)
     idx = np.ix_(*([offs % grid.samples_per_axis] * grid.dim))
     spec[idx] = coeffs
+    # the coefficients are not Hermitian, so the field is the real part of a
+    # full complex synthesis; a half-lattice one would be a different field
     return _synthesize(grid, spec).real
 
 
@@ -365,12 +369,14 @@ def check_inequality(case: InequalityCase, corpus_f, corpus_g,
             skipped += 1
         else:
             ratios.append(lhs / rhs)
+    claim = case.effective_claim(res.grid.dim)
     return VerificationReport(
         case=case,
         ratios=tuple(ratios),
         skipped=skipped,
-        tolerance=case.effective_tolerance(),
-        constant_claim=case.effective_claim(res.grid.dim),
+        # without a claimed constant the verdict reads no tolerance
+        tolerance=None if claim is None else case.effective_tolerance(),
+        constant_claim=claim,
         refinement_delta=None,
         details={"dim": res.grid.dim, "N": res.grid.samples_per_axis,
                  "L": res.grid.half_width},

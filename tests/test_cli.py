@@ -129,6 +129,10 @@ def test_verify_refine_attaches_delta(tmp_path):
     report = json.loads((tmp_path / "r.report.json").read_text())
     assert report["refinement_delta"] is not None
     assert report["refinement_delta"] <= 0.05
+    # conv3 claims no constant, so no tolerance is read or recorded
+    manifest = json.loads((tmp_path / "r.manifest.json").read_text())
+    assert report["tolerance"] is None
+    assert manifest["tolerances"]["ratio_tolerance"] is None
 
 
 def test_sweep_smoothing_biharmonic(tmp_path):
@@ -416,6 +420,22 @@ def test_verify_refuses_non_finite_config_smoothness(tmp_path, capsys):
     assert run_cli(["verify", "conv1", "--config", cfg, "--N", 1024,
                     "--out", tmp_path / "x"]) == 2
     assert "must be finite" in _validation_error(capsys)
+    assert not (tmp_path / "x.report.json").exists()
+
+
+@pytest.mark.parametrize("argv,config,named", [
+    (["--band", "nan"], None, "band_limit"),
+    ([], '{"band_limit": NaN}', "band_limit"),
+    ([], '{"grid": {"L": Infinity}}', "half_width"),
+], ids=["band-nan", "config-band-limit-nan", "config-L-inf"])
+def test_verify_refuses_nan_band_limit_and_infinite_half_width(tmp_path, capsys, argv,
+                                                               config, named):
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(config)  # Python's json reads the NaN and Infinity tokens
+        argv = argv + ["--config", cfg]
+    assert run_cli(["verify", "young", "--N", 1024, *argv, "--out", tmp_path / "x"]) == 2
+    assert named in _validation_error(capsys)
     assert not (tmp_path / "x.report.json").exists()
 
 

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from lplab import (
+    KernelFamily,
     SampledField,
+    apply_block,
+    apply_semigroup,
+    build_resolution,
+    char_exponent,
     convolve,
     forward_transform,
     integrate,
@@ -15,7 +20,10 @@ from lplab import (
     sample,
     save_field,
     spectral_derivative,
+    spectral_kernel,
+    stable_exponent,
 )
+from lplab.littlewood_paley import block_spectra
 
 
 def gaussian_density(grid, var=2.0):
@@ -52,6 +60,12 @@ def test_make_grid_derived_quantities():
 def test_make_grid_rejects_bad_input(dim, n, L):
     with pytest.raises(ValueError):
         make_grid(dim, n, L)
+
+
+@pytest.mark.parametrize("L", [np.inf, np.nan])
+def test_make_grid_refuses_non_finite_half_width(L):
+    with pytest.raises(ValueError, match="half_width"):
+        make_grid(1, 64, L)
 
 
 def test_grid_composability():
@@ -266,6 +280,44 @@ def test_csv_bytes_keep_row_format(tmp_path):
         f"{i},{flat[i].real:.17g},{flat[i].imag:.17g}\n" for i in range(flat.size)
     )
     assert (tmp_path / "field.csv").read_bytes() == expected.encode()
+
+
+def test_real_csv_rows_have_a_zero_imaginary_column(tmp_path):
+    g = make_grid(2, 64, 5.0)
+    vals = np.random.default_rng(5).standard_normal(g.shape)
+    vals[0, 0] = -0.0
+    save_field(SampledField(g, vals), str(tmp_path / "field"), fmt="csv")
+    expected = "index,re,im\n" + "".join(
+        f"{i},{v:.17g},0\n" for i, v in enumerate(vals.ravel().tolist()))
+    assert (tmp_path / "field.csv").read_bytes() == expected.encode()
+
+
+def test_real_fields_stay_real_and_complex_fields_complex(tmp_path):
+    g = make_grid(2, 64, 8.0)
+    f = sample(lambda x, y: np.exp(-(x**2 + y**2)), g)
+    c = SampledField(g, f.values * (1.0 + 0.5j))
+    res = build_resolution(g)
+    fam = KernelFamily(stable_exponent(1.5, 2), g)
+    real = [f, SampledField(g, np.arange(64 * 64)), convolve(f, f), apply_block(res, 1, f),
+            spectral_derivative(f, (1, 0)), fam.kernel(1.0), apply_semigroup(fam, 1.0, f)]
+    assert all(r.values.dtype == np.float64 for r in real)
+    assert all(b.dtype == np.float64 for b in block_spectra(res, f))
+    mixed = [c, convolve(c, f), convolve(f, c), apply_block(res, 1, c),
+             spectral_derivative(c, (0, 1)), apply_semigroup(fam, 1.0, c)]
+    assert all(r.values.dtype == np.complex128 for r in mixed)
+    assert all(b.dtype == np.complex128 for b in block_spectra(res, c))
+    # a psi callable keeps the full-lattice synthesis, and its kernel is real too
+    psi = char_exponent(lambda x, y: x**2 + y**2, 2)
+    assert spectral_kernel(psi, 1.0, g).values.dtype == np.float64
+    stored = [("real", f, np.float64), ("zero-imag", SampledField(g, f.values + 0j), np.float64),
+              ("complex", c, np.complex128)]
+    for fmt, ext in (("binary", ".bin"), ("csv", ".csv")):
+        for name, fld, dtype in stored:
+            save_field(fld, str(tmp_path / name), fmt=fmt)
+            back = load_field(str(tmp_path / name))
+            assert back.values.dtype == dtype and np.array_equal(back.values, fld.values)
+        # +0 imaginary parts, as every kernel file so far has, write the real bytes
+        assert (tmp_path / f"real{ext}").read_bytes() == (tmp_path / f"zero-imag{ext}").read_bytes()
 
 
 def test_three_dimensional_smoke():

@@ -25,8 +25,10 @@ from lplab import (
     lp_norm,
     make_grid,
     spectral_derivative,
+    spectral_kernel,
     stable_exponent,
 )
+from lplab.littlewood_paley import block_spectra
 
 PROPERTY = settings(derandomize=True, max_examples=25, deadline=None, database=None)
 
@@ -144,3 +146,65 @@ def test_chapman_kolmogorov_random_exponents(exponent, dim, half_width, a, b):
     t_min = 12.0 * np.log(10.0) / grid.nyquist**power * (1.0 + 1e-9)
     fam = KernelFamily(spec, grid)
     assert chapman_kolmogorov_residual(fam, a * t_min, b * t_min) <= 1e-8
+
+
+# The real path (rfftn on the half lattice, no centering round trip) against
+# an inline copy of the full-complex route every real field took before it.
+real_grids = st.builds(
+    make_grid,
+    dim=st.sampled_from([1, 2, 3]),
+    samples_per_axis=st.just(64),
+    half_width=st.floats(1.0, 20.0),
+)
+
+
+def full_complex(x, m):
+    """Centered complex fftn, the multiplier m, ifftn, centering undone,
+    real part."""
+    return np.fft.fftshift(np.fft.ifftn(m * np.fft.fftn(np.fft.ifftshift(x)))).real
+
+
+def assert_close(got, want, scale):
+    assert got.dtype == np.float64
+    assert np.abs(got - want).max() <= 1e-13 * scale
+
+
+@PROPERTY
+@given(real_grids, seeds)
+def test_real_block_synthesis_matches_full_complex(grid, seed):
+    f = random_field(grid, seed)
+    res = build_resolution(grid)
+    blocks = list(block_spectra(res, f))
+    assert len(blocks) == len(res.blocks)
+    for b, phi in zip(blocks, res.blocks):
+        assert_close(b, full_complex(f.values, phi), np.abs(f.values).max())
+
+
+@PROPERTY
+@given(real_grids, seeds, seeds)
+def test_real_convolve_matches_full_complex(grid, s1, s2):
+    f, g = random_field(grid, s1), random_field(grid, s2)
+    spectrum_g = grid.cell_volume * np.fft.fftn(np.fft.ifftshift(g.values))
+    want = full_complex(f.values, spectrum_g)
+    assert_close(convolve(f, g).values, want, np.abs(want).max())
+
+
+@PROPERTY
+@given(real_grids, st.floats(0.25, 2.0), st.floats(1.0, 8.0))
+def test_real_spectral_kernel_matches_full_complex(grid, m, a):
+    spec = generalized_gauss_weierstrass(m, grid.dim)
+    t = a * 12.0 * np.log(10.0) / grid.nyquist ** (2.0 * m) * (1.0 + 1e-9)
+    spectrum = np.exp(-t * grid.radial_freq() ** (2.0 * m))
+    want = np.fft.fftshift(np.fft.ifftn(spectrum)).real / grid.cell_volume
+    assert_close(spectral_kernel(spec, t, grid).values, want, np.abs(want).max())
+
+
+@PROPERTY
+@given(real_grids, seeds, st.integers(0, 2), st.integers(1, 3))
+def test_real_derivative_is_real_part_of_full_complex(grid, seed, axis, order):
+    axis = axis % grid.dim
+    f = random_field(grid, seed)
+    alpha = tuple(order if a == axis else 0 for a in range(grid.dim))
+    xi = grid.freq_mesh()[axis]
+    want = full_complex(f.values, (1j * xi) ** order)
+    assert_close(spectral_derivative(f, alpha).values, want, np.abs(want).max())

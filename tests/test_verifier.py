@@ -406,6 +406,22 @@ def test_semi11_report_has_no_tolerance(grid_1d, res_1d):
     assert report.tolerance is None and report.to_json_dict()["tolerance"] is None
 
 
+@pytest.mark.parametrize("claim,tolerance,recorded", [
+    (None, None, None), (None, 1e-3, None), (50.0, None, 1e-6), (50.0, 1e-3, 1e-3),
+], ids=["no-claim", "no-claim-given-tolerance", "claim", "claim-and-tolerance"])
+def test_conv3_report_records_a_tolerance_only_with_a_claim(corpus_small, res_1d, claim,
+                                                            tolerance, recorded):
+    # the verdict reads the tolerance only against a claimed constant
+    cases = (InequalityCase("conv3", p=1.0, p1=1.0, p2=1.0, s=0.5, u=0.5, q=1.0, q1=2.0,
+                            q2=2.0, constant_claim=claim, tolerance=tolerance),
+             conv_eq23_case("B", 0.5, 0.5, 2.0, 2.0, constant_claim=claim,
+                            tolerance=tolerance))
+    for case in cases:
+        report = check_inequality(case, corpus_small[:2], corpus_small[2:4], res_1d)
+        assert report.tolerance == recorded
+        assert report.to_json_dict()["tolerance"] == recorded
+
+
 def test_semi11_signed_kernel(grid_1d, res_1d):
     fam = KernelFamily(generalized_gauss_weierstrass(2.0), grid_1d)
     report = theorem_semi11_bound_check(fam, 1.0, [0.25, 0.5, 1.0], res_1d)
