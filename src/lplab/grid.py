@@ -195,13 +195,12 @@ def _ifft(grid: Grid, spec: np.ndarray, real: bool) -> np.ndarray:
     return np.fft.ifftn(spec)
 
 
-def _half(grid: Grid, m):
+def _half(grid: Grid, m: np.ndarray) -> np.ndarray:
     """A full-lattice multiplier restricted to the half lattice of
     :func:`_fft`, as a view; one of length 1 on the last axis broadcasts
     along it and is returned as it is."""
-    m = np.asarray(m)
     N = grid.samples_per_axis
-    return m[..., : N // 2 + 1] if m.ndim and m.shape[-1] == N else m
+    return m[..., : N // 2 + 1] if m.shape[-1] == N else m
 
 
 def forward_transform(f: SampledField) -> np.ndarray:

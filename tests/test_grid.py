@@ -317,7 +317,8 @@ def test_real_fields_stay_real_and_complex_fields_complex(tmp_path):
             back = load_field(str(tmp_path / name))
             assert back.values.dtype == dtype and np.array_equal(back.values, fld.values)
         # +0 imaginary parts, as every kernel file so far has, write the real bytes
-        assert (tmp_path / f"real{ext}").read_bytes() == (tmp_path / f"zero-imag{ext}").read_bytes()
+        real_bytes = (tmp_path / f"real{ext}").read_bytes()
+        assert real_bytes == (tmp_path / f"zero-imag{ext}").read_bytes()
 
 
 def test_three_dimensional_smoke():
