@@ -121,15 +121,18 @@ class SampledField:
     Real input is stored as float64 and complex input as complex128, so a
     real field stays real through every transform.  Values must have the
     grid's shape or be flat in its order; they are validated finite and frozen
-    (read-only) at construction.  Spectra never take this form:
-    :func:`forward_transform` returns a plain lattice array.
+    (read-only) at construction.  The field owns its values: an array the
+    caller passes is copied, never frozen in place, so the caller may still
+    write to it.  Spectra never take this form: :func:`forward_transform`
+    returns a plain lattice array.
     """
 
     grid: Grid
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values)
+        given = self.values
+        v = np.asarray(given)
         v = v.astype(np.float64 if np.isrealobj(v) else np.complex128, copy=False)
         if v.shape != self.grid.shape:
             # reshaping any other shape of the right size would scramble it
@@ -141,6 +144,8 @@ class SampledField:
         if not np.all(np.isfinite(v)):
             raise ValueError("field contains non-finite values")
         v = np.ascontiguousarray(v)
+        if isinstance(given, np.ndarray) and np.may_share_memory(v, given):
+            v = v.copy()
         v.setflags(write=False)
         self.values = v
 
@@ -332,13 +337,10 @@ def save_field(fld: SampledField, basepath: str, fmt: str = "binary") -> None:
     else:
         data_path = basepath + ".csv"
         flat = fld.values.ravel()
+        rows = enumerate(zip(flat.real.tolist(), flat.imag.tolist()))
         with open(data_path, "w") as fh:
             fh.write("index,re,im\n")
-            if _is_real(fld):
-                fh.write("".join(f"{i},{re:.17g},0\n" for i, re in enumerate(flat.tolist())))
-            else:
-                rows = enumerate(zip(flat.real.tolist(), flat.imag.tolist()))
-                fh.write("".join(f"{i},{re:.17g},{im:.17g}\n" for i, (re, im) in rows))
+            fh.write("".join(f"{i},{re:.17g},{im:.17g}\n" for i, (re, im) in rows))
     with open(basepath + ".json", "w") as fh:
         json.dump(sidecar, fh, sort_keys=True)
         fh.write("\n")

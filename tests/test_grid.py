@@ -221,6 +221,31 @@ def test_spectral_derivative_2d_mixed(grid_2d):
     assert np.abs(d.values - target.values).max() < 1e-9
 
 
+def test_odd_derivative_is_zero_at_nyquist_for_complex_fields():
+    # xi and -xi are one lattice point at index N/2, so an odd order has no
+    # sign to give it: the multiplier is 0 there, for complex fields too
+    g = make_grid(2, 64, 5.0)
+    rng = np.random.default_rng(3)
+    f = SampledField(g, rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape))
+    F, D = forward_transform(f), forward_transform(spectral_derivative(f, (1, 0)))
+    nyq = g.samples_per_axis // 2
+    scale = np.abs(F).max()
+    assert np.abs(D[nyq, :]).max() < 1e-11 * scale
+    xi = g.freq_axis()[:, None]
+    rest = np.arange(g.samples_per_axis) != nyq
+    assert np.abs(D - 1j * xi * F)[rest].max() < 1e-11 * scale
+
+
+def test_field_copies_the_callers_array():
+    g = make_grid(2, 64, 5.0)
+    for given in (np.zeros(g.shape), np.zeros(g.shape, dtype=complex), np.zeros(64 * 64)):
+        f = SampledField(g, given)
+        given[0] = 1.0  # the caller's array stays writable
+        assert not f.values.any()
+        with pytest.raises(ValueError):
+            f.values[0, 0] = 1.0
+
+
 def test_field_rejects_nonfinite(grid_1d):
     vals = np.zeros(grid_1d.shape)
     vals[3] = np.nan

@@ -239,6 +239,14 @@ def test_sobolev_m0_unit_gaussian(grid_1d):
     assert abs(sobolev_w1m_norm(f, 0) - 1.0) < 1e-12
 
 
+def test_sobolev_sees_no_derivative_of_the_nyquist_mode():
+    # (-1)^j lives only at the Nyquist index, where an odd derivative is 0,
+    # so the W^{1,1} norm is the L1 norm h N = 2L alone (it was 2L(1 + pi/h))
+    g = make_grid(1, 64, 4.0)
+    f = SampledField(g, (-1.0) ** np.arange(64))
+    assert sobolev_w1m_norm(f, 1) == pytest.approx(8.0, rel=1e-12)
+
+
 def test_bessel_h2_bound_for_heat_kernels(grid_1d):
     # || p_t | H^2_1 || <= || p_t ||_L1 + n (integral |grad p_{t/2}|)^2
     spec = gauss_weierstrass(1)
