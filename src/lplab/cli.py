@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import re
 import sys
 from dataclasses import asdict
@@ -23,8 +22,9 @@ from dataclasses import asdict
 import numpy as np
 
 from . import __version__
-from .grid import make_grid, integrate, save_field, load_field
+from .grid import _canonical, _write_csv, _write_json, integrate, load_field, make_grid, save_field
 from .kernels import (
+    _TAIL_TOL,
     KernelFamily,
     UnderResolvedError,
     cauchy_poisson,
@@ -33,14 +33,18 @@ from .kernels import (
     stable_exponent,
 )
 from .littlewood_paley import build_resolution, bump_profile
-from .norms import INF, SpaceParams, _jsonable, space_norm
+from .norms import INF, SpaceParams, space_norm
 from .subordination import (
+    _EDGE_TOL,
+    _LAPLACE_TOL,
+    _MASS_TOL,
     laplace_residuals,
     stable_half_density,
     subordinate_kernel,
     subordinator_moment,
 )
 from .verifier import (
+    _RHS_FLOOR,
     CorpusSpec,
     InequalityCase,
     check_inequality,
@@ -54,27 +58,6 @@ EXIT_PASS = 0
 EXIT_VALIDATION = 2
 EXIT_UNDER_RESOLVED = 3
 EXIT_FAIL = 4
-
-
-def _enc(x):
-    # json.dumps calls this only for what it cannot encode itself, such as
-    # np.int64; np.float64 is a float subclass and never gets here
-    return _jsonable(x.item()) if isinstance(x, np.generic) else x
-
-
-def _canonical(obj) -> str:
-    # allow_nan=False: NaN and Infinity tokens are not JSON, so a non-finite
-    # value that reaches an artifact is a validation error
-    return json.dumps(obj, sort_keys=True, default=_enc, allow_nan=False)
-
-
-def _write_json(path: str, obj) -> None:
-    text = _canonical(obj)
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-        fh.write("\n")
-    os.replace(tmp, path)
 
 
 def _json_object(obj, what: str, keys=None) -> dict:
@@ -175,7 +158,7 @@ def _cmd_kernel(args):
     fam = KernelFamily(spec, grid)
     diag = fam.diagnostics(args.t)
     save_field(fam.kernel(args.t), args.out + ".field", fmt=args.format)
-    return diag, {"spectral_tail": 1e-12}, EXIT_PASS
+    return diag, {"spectral_tail": _TAIL_TOL}, EXIT_PASS
 
 
 def _cmd_norm(args):
@@ -194,15 +177,11 @@ _VERIFY_DEFAULTS = {
 }
 
 
-_CASE_KEYS = ("scale", "s", "u", *_EXPONENTS, "constant_claim", "tolerance")
-
-
 def _build_case(name: str, params) -> InequalityCase:
-    # conv_eq23 ties p1 = p, q1 = q, p2 = 1 and q2 = inf, so it reads none of them
-    keys = [k for k in _CASE_KEYS
-            if name != "conv_eq23" or k not in ("p1", "p2", "q1", "q2")]
-    params = _json_object(params, "config 'case'", keys)
     defaults = _VERIFY_DEFAULTS[name]
+    # a case takes the keys it reads: those with a default, plus the claim
+    keys = [*defaults, "constant_claim", "tolerance"]
+    params = _json_object(params, "config 'case'", keys)
     given = {k: _config_value(params, k, defaults.get(k)) for k in keys}
     given = {k: v for k, v in given.items() if v is not None}
     if name == "conv_eq23":
@@ -231,7 +210,7 @@ def _cmd_verify(args):
         report = check_inequality(case, generate_corpus(spec_f, grid),
                                   generate_corpus(spec_g, grid), res)
     report.write_ratios_csv(args.out + ".ratios.csv")
-    return (report.to_json_dict(), {"ratio_tolerance": report.tolerance, "rhs_floor": 1e-12},
+    return (report.to_json_dict(), {"ratio_tolerance": report.tolerance, "rhs_floor": _RHS_FLOOR},
             EXIT_PASS if report.verdict else EXIT_FAIL)
 
 
@@ -247,11 +226,9 @@ def _cmd_sweep(args):
                    band_limit=args.band), grid)
     base = SpaceParams(args.space, args.s, _parse_ext(args.p), _parse_ext(args.q))
     sweep = smoothing_sweep(fam, corpus[0], base, args.u, ts, res)
-    with open(args.out + ".curve.csv", "w") as fh:
-        fh.write("t,applied_norm,kernel_norm\n")
-        for t, a, k in zip(sweep.ts, sweep.applied_norms, sweep.kernel_norms):
-            fh.write(f"{t:.17g},{a:.17g},{k:.17g}\n")
-    return asdict(sweep), {"spectral_tail": 1e-12}, EXIT_PASS
+    _write_csv(args.out + ".curve.csv", ("t", "applied_norm", "kernel_norm"),
+               zip(sweep.ts, sweep.applied_norms, sweep.kernel_norms))
+    return asdict(sweep), {"spectral_tail": _TAIL_TOL}, EXIT_PASS
 
 
 def _cmd_subordinate(args):
@@ -272,7 +249,8 @@ def _cmd_subordinate(args):
         "u": args.u,
         "laplace_check_residuals": laplace_residuals(dens),
     }
-    return payload, {"mass": 1e-6, "laplace": 1e-5, "moment_edge": 1e-6}, EXIT_PASS
+    tolerances = {"mass": _MASS_TOL, "laplace": _LAPLACE_TOL, "moment_edge": _EDGE_TOL}
+    return payload, tolerances, EXIT_PASS
 
 
 def _cmd_report(args):

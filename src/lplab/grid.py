@@ -20,6 +20,8 @@ domain-truncation error; see :func:`integrate`'s tests.
 from __future__ import annotations
 
 import json
+import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,9 +133,7 @@ class SampledField:
     values: np.ndarray
 
     def __post_init__(self):
-        given = self.values
-        v = np.asarray(given)
-        v = v.astype(np.float64 if np.isrealobj(v) else np.complex128, copy=False)
+        v = np.asarray(self.values)
         if v.shape != self.grid.shape:
             # reshaping any other shape of the right size would scramble it
             if v.ndim != 1 or v.size != np.prod(self.grid.shape):
@@ -141,11 +141,10 @@ class SampledField:
                     f"values of shape {v.shape} do not fit grid shape {self.grid.shape}"
                 )
             v = v.reshape(self.grid.shape)
+        # the field's one copy, so the caller's array is never frozen or seen
+        v = np.array(v, dtype=np.float64 if np.isrealobj(v) else np.complex128, order="C")
         if not np.all(np.isfinite(v)):
             raise ValueError("field contains non-finite values")
-        v = np.ascontiguousarray(v)
-        if isinstance(given, np.ndarray) and np.may_share_memory(v, given):
-            v = v.copy()
         v.setflags(write=False)
         self.values = v
 
@@ -313,7 +312,47 @@ def _derivative_symbol(grid: Grid, alpha) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Serialization: flat binary or CSV (index, re, im) plus a JSON sidecar.
+# Serialization.  Every text artifact of the package is written here, whole
+# to ``<path>.tmp`` and then renamed over ``path``: complete or absent.
+
+
+def _jsonable(x):
+    """``x`` as written to JSON: an infinite float becomes "inf" or "-inf",
+    since JSON has no infinity; NaN is left for the writer to refuse."""
+    if isinstance(x, float) and math.isinf(x):
+        return "inf" if x > 0 else "-inf"
+    return x
+
+
+def _enc(x):
+    # json.dumps calls this only for what it cannot encode itself, such as
+    # np.int64; np.float64 is a float subclass and never gets here
+    return _jsonable(x.item()) if isinstance(x, np.generic) else x
+
+
+def _canonical(obj) -> str:
+    # allow_nan=False: NaN and Infinity tokens are not JSON, so a non-finite
+    # value that reaches an artifact is a validation error
+    return json.dumps(obj, sort_keys=True, default=_enc, allow_nan=False)
+
+
+def _write_text(path: str, *parts: str) -> None:
+    """Write the concatenated ``parts`` to ``path`` through ``path.tmp``."""
+    tmp = path + ".tmp"
+    with open(tmp, "w") as fh:
+        fh.writelines(parts)
+    os.replace(tmp, path)
+
+
+def _write_json(path: str, obj) -> None:
+    _write_text(path, _canonical(obj), "\n")
+
+
+def _write_csv(path: str, header, rows) -> None:
+    """Write the column names ``header`` and then one line per row of
+    ``rows``, each value formatted ``%.17g``."""
+    row = ",".join(["%.17g"] * len(header)) + "\n"
+    _write_text(path, ",".join(header) + "\n", "".join(row % r for r in rows))
 
 
 def save_field(fld: SampledField, basepath: str, fmt: str = "binary") -> None:
@@ -324,26 +363,18 @@ def save_field(fld: SampledField, basepath: str, fmt: str = "binary") -> None:
     """
     if fmt not in ("binary", "csv"):
         raise ValueError(f"unknown format {fmt!r}")
-    sidecar = {
+    if fmt == "binary":
+        fld.values.astype("<c16").tofile(basepath + ".bin")
+    else:
+        _write_csv(basepath + ".csv", ("index", "re", "im"),
+                   ((i, z.real, z.imag) for i, z in enumerate(fld.values.ravel().tolist())))
+    _write_json(basepath + ".json", {
         "dim": fld.grid.dim,
         "N": fld.grid.samples_per_axis,
         "L": fld.grid.half_width,
         "domain_tag": "space",
         "format": fmt,
-    }
-    if fmt == "binary":
-        data_path = basepath + ".bin"
-        fld.values.astype("<c16").tofile(data_path)
-    else:
-        data_path = basepath + ".csv"
-        flat = fld.values.ravel()
-        rows = enumerate(zip(flat.real.tolist(), flat.imag.tolist()))
-        with open(data_path, "w") as fh:
-            fh.write("index,re,im\n")
-            fh.write("".join(f"{i},{re:.17g},{im:.17g}\n" for i, (re, im) in rows))
-    with open(basepath + ".json", "w") as fh:
-        json.dump(sidecar, fh, sort_keys=True)
-        fh.write("\n")
+    })
 
 
 def load_field(basepath: str) -> SampledField:

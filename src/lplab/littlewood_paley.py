@@ -15,13 +15,12 @@ norms of the band-limited projection (exact for band-limited fields).
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, SampledField, _multiplied
+from .grid import Grid, SampledField, _multiplied, _write_csv, _write_json
 
 __all__ = [
     "TransitionProfile",
@@ -230,9 +229,8 @@ def export_resolution(res: DyadicResolution, directory: str) -> None:
     """Write per-block CSVs (xi index, value) plus JSON metadata."""
     os.makedirs(directory, exist_ok=True)
     for k, b in enumerate(res.blocks):
-        with open(os.path.join(directory, f"block_{k}.csv"), "w") as fh:
-            fh.write("index,value\n")
-            fh.write("".join(f"{i},{v:.17g}\n" for i, v in enumerate(b.ravel().tolist())))
+        _write_csv(os.path.join(directory, f"block_{k}.csv"), ("index", "value"),
+                   enumerate(b.ravel().tolist()))
     c, C = _partition_bounds(res)
     meta = {
         "profile": res.profile.name,
@@ -242,6 +240,4 @@ def export_resolution(res: DyadicResolution, directory: str) -> None:
         "admissible_general": (c, C) != (1.0, 1.0),
         "grid": {"dim": res.grid.dim, "N": res.grid.samples_per_axis, "L": res.grid.half_width},
     }
-    with open(os.path.join(directory, "resolution.json"), "w") as fh:
-        json.dump(meta, fh, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(directory, "resolution.json"), meta)

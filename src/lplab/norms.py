@@ -21,7 +21,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grid import Grid, SampledField, _derivative_symbol, _half, _multiplied, _synthesize
+from .grid import (Grid, SampledField, _derivative_symbol, _half, _jsonable, _multiplied,
+                   _synthesize)
 from .littlewood_paley import DyadicResolution, block_spectra
 
 __all__ = [
@@ -39,14 +40,6 @@ __all__ = [
 ]
 
 INF = math.inf
-
-
-def _jsonable(x):
-    """``x`` as written to JSON: an infinite float becomes "inf" or "-inf",
-    since JSON has no infinity; NaN is left for the writer to refuse."""
-    if isinstance(x, float) and math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return x
 
 
 @dataclass(frozen=True)

@@ -44,6 +44,8 @@ __all__ = [
 _LAPLACE_NODES = (0.1, 1.0, 10.0)
 _MASS_TOL = 1e-6
 _LAPLACE_TOL = 1e-5
+# the largest share of a moment that one edge quadrature node may carry
+_EDGE_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -253,7 +255,7 @@ def subordinator_moment(dens: SubordinatorDensity, u: float) -> float:
     total = float(terms.sum())
     if total > 0:
         edge = max(terms[0], terms[-1]) / total
-        if edge > 1e-6:
+        if edge > _EDGE_TOL:
             raise ValueError(
                 f"edge quadrature term carries {edge:.2e} of the moment; "
                 "extend the node range"

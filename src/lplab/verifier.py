@@ -26,7 +26,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .grid import Grid, SampledField, _multiplied, _synthesize, convolve
+from .grid import Grid, SampledField, _jsonable, _multiplied, _synthesize, _write_csv, convolve
 from .kernels import KernelFamily, gradient_l1
 from .littlewood_paley import (
     DyadicResolution,
@@ -34,7 +34,7 @@ from .littlewood_paley import (
     _top_block_index,
     build_resolution,
 )
-from .norms import INF, SpaceParams, _jsonable, lp_norm, space_norm, besov_norm
+from .norms import INF, SpaceParams, lp_norm, space_norm, besov_norm
 
 __all__ = [
     "CorpusSpec",
@@ -331,10 +331,7 @@ class VerificationReport:
         }
 
     def write_ratios_csv(self, path: str) -> None:
-        with open(path, "w") as fh:
-            fh.write("pair,ratio\n")
-            for i, r in enumerate(self.ratios):
-                fh.write(f"{i},{r:.17g}\n")
+        _write_csv(path, ("pair", "ratio"), enumerate(self.ratios))
 
 
 def _case_sides(case: InequalityCase, f: SampledField, g: SampledField,

@@ -7,6 +7,9 @@ import pytest
 
 from lplab import load_field, lp_norm
 from lplab.cli import main
+from lplab.kernels import _TAIL_TOL
+from lplab.subordination import _EDGE_TOL, _LAPLACE_TOL, _MASS_TOL
+from lplab.verifier import _RHS_FLOOR
 
 
 def run_cli(args):
@@ -145,6 +148,11 @@ def test_sweep_smoothing_biharmonic(tmp_path):
     rows = (tmp_path / "sw.curve.csv").read_text().strip().splitlines()
     assert rows[0] == "t,applied_norm,kernel_norm"
     assert len(rows) == 8  # header + 7 octave-spaced times
+    # 17 significant digits: the JSON payload's floats, written back, are the rows
+    curves = zip(payload["ts"], payload["applied_norms"], payload["kernel_norms"])
+    expected = "t,applied_norm,kernel_norm\n" + "".join(
+        f"{t:.17g},{a:.17g},{k:.17g}\n" for t, a, k in curves)
+    assert (tmp_path / "sw.curve.csv").read_bytes() == expected.encode()
 
 
 def test_sweep_preflight_under_resolution(tmp_path):
@@ -303,7 +311,9 @@ def test_verify_refuses_config_value_of_wrong_type(tmp_path, capsys, case, confi
     ("young", {"grid": {"M": 3}}, "M"),
     ("young", {"case": {"bogus": 1}}, "bogus"),
     ("conv-eq23", {"case": {"p1": 5, "q2": 1}}, "p1"),
-], ids=["seed", "grid-M", "case-bogus", "conv-eq23-p1-q2"])
+    ("young", {"case": {"s": 1}}, "s"),
+    ("conv1", {"case": {"q2": 1}}, "q2"),
+], ids=["seed", "grid-M", "case-bogus", "conv-eq23-p1-q2", "young-s", "conv1-q2"])
 def test_verify_refuses_unknown_config_key(tmp_path, capsys, case, config, unknown):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
@@ -352,6 +362,20 @@ def small_field(tmp_path):
 def _manifest_bytes(tmp_path, argv, out) -> bytes:
     assert run_cli([*argv, "--out", tmp_path / out]) == 0
     return (tmp_path / (out + ".manifest.json")).read_bytes()
+
+
+def test_manifest_tolerances_are_the_enforced_constants(tmp_path):
+    kernel = json.loads(_manifest_bytes(tmp_path, ["kernel", "--t", 1, "--N", 1024], "k"))
+    assert kernel["tolerances"] == {"spectral_tail": _TAIL_TOL}
+    sub = json.loads(_manifest_bytes(tmp_path, ["subordinate", "--nodes", 2048,
+                                                "--N", 1024, "--L", 40], "s"))
+    assert sub["tolerances"] == {"mass": _MASS_TOL, "laplace": _LAPLACE_TOL,
+                                 "moment_edge": _EDGE_TOL}
+    verify = json.loads(_manifest_bytes(tmp_path, ["verify", "young", "--count", 2,
+                                                   "--N", 1024], "v"))
+    report = json.loads((tmp_path / "v.report.json").read_text())
+    assert verify["tolerances"] == {"ratio_tolerance": report["tolerance"],
+                                    "rhs_floor": _RHS_FLOOR}
 
 
 _FIELD = object()

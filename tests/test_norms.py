@@ -22,7 +22,8 @@ from lplab import (
     triebel_infty_norm,
     triebel_norm,
 )
-from lplab.norms import _jsonable, default_hardy_nodes
+from lplab.grid import _jsonable
+from lplab.norms import default_hardy_nodes
 
 
 def band_limited(grid, seed, band=1.0):

@@ -55,3 +55,5 @@ def test_readme_cli_block_writes_what_it_names(tmp_path, monkeypatch):
         assert artifacts, argv
         for name in artifacts + [out + ".manifest.json"]:
             assert (tmp_path / name).is_file(), (argv, name)
+    # every artifact is written through a temporary file that is renamed over it
+    assert not list(tmp_path.glob("*.tmp"))

@@ -255,6 +255,17 @@ def test_report_serialization(res_v, corpora):
     assert len(report.ratios) + d["skipped"] == 4
 
 
+def test_ratios_csv_bytes_keep_row_format(tmp_path):
+    ratios = (0.5, 1.0 / 3.0, 1e-300, 2.0**60, float("inf"))
+    rep = VerificationReport(case=InequalityCase("young", p=1.0, p1=1.0, p2=1.0),
+                             ratios=ratios, skipped=0, tolerance=1e-9, constant_claim=None,
+                             refinement_delta=None, details={})
+    rep.write_ratios_csv(str(tmp_path / "r.csv"))
+    expected = "pair,ratio\n" + "".join(f"{i},{r:.17g}\n" for i, r in enumerate(ratios))
+    assert (tmp_path / "r.csv").read_bytes() == expected.encode()
+    assert [p.name for p in tmp_path.iterdir()] == ["r.csv"]
+
+
 def test_report_derives_its_summaries():
     case = InequalityCase("conv3", p=1.0, p1=1.0, p2=1.0)
     rep = VerificationReport(case=case, ratios=(0.5, 2.0), skipped=1, tolerance=1e-6,
