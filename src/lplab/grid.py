@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -176,35 +177,30 @@ def _fwd_scale(grid: Grid) -> float:
     return (2.0 * np.pi) ** (-grid.dim / 2.0) * grid.cell_volume
 
 
-def _is_real(f: SampledField) -> bool:
-    return f.values.dtype == np.float64
+# The package's one transform pair, uncentered (no shifts) and unscaled.  The
+# array picks the lattice: float64 samples take the Hermitian half lattice
+# [..., :N//2+1] of rfftn, half the work of a complex fftn, and complex ones the
+# full lattice; a spectrum shorter than N on its last axis inverts to float64.
 
 
-# The package's one transform pair.  Spectra are uncentered (no shifts) and
-# unscaled; a real field takes the Hermitian half lattice [..., :N//2+1] of
-# rfftn, which does half the work of a complex fftn.
+def _fft(x: np.ndarray) -> np.ndarray:
+    """Lattice spectrum of the samples ``x``: the rfftn half lattice for
+    float64 samples, the full fftn lattice for complex ones."""
+    return np.fft.rfftn(x) if x.dtype == np.float64 else np.fft.fftn(x)
 
 
-def _fft(x: np.ndarray, real: bool) -> np.ndarray:
-    """Lattice spectrum of the samples ``x``: the rfftn half lattice when
-    ``real``, the full fftn lattice otherwise."""
-    return np.fft.rfftn(x) if real else np.fft.fftn(x)
-
-
-def _ifft(grid: Grid, spec: np.ndarray, real: bool) -> np.ndarray:
-    """Inverse of :func:`_fft`: float64 samples of a half-lattice spectrum
-    when ``real``, complex samples of a full-lattice one otherwise."""
-    if real:
+def _ifft(grid: Grid, spec: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`_fft`: float64 samples of a half-lattice spectrum,
+    complex samples of a full-lattice one."""
+    if spec.shape[-1] < grid.samples_per_axis:
         return np.fft.irfftn(spec, s=grid.shape, axes=range(grid.dim))
     return np.fft.ifftn(spec)
 
 
-def _half(grid: Grid, m: np.ndarray) -> np.ndarray:
-    """A full-lattice multiplier restricted to the half lattice of
-    :func:`_fft`, as a view; one of length 1 on the last axis broadcasts
-    along it and is returned as it is."""
-    N = grid.samples_per_axis
-    return m[..., : N // 2 + 1] if m.shape[-1] == N else m
+def _radial_freq(f: SampledField) -> np.ndarray:
+    """|xi| on the lattice of ``f``'s spectrum under :func:`_fft`."""
+    last = f.grid.samples_per_axis // 2 + 1 if f.values.dtype == np.float64 else None
+    return np.sqrt(sum(m[..., :last] ** 2 for m in f.grid.freq_mesh()))
 
 
 def forward_transform(f: SampledField) -> np.ndarray:
@@ -214,34 +210,37 @@ def forward_transform(f: SampledField) -> np.ndarray:
     The coefficient at lattice frequency xi_j equals
     (2 pi)^(-n/2) h^n sum_x e^(-i x.xi_j) f(x).
     """
-    return _fwd_scale(f.grid) * _fft(np.fft.ifftshift(f.values), real=False)
+    return _fwd_scale(f.grid) * np.fft.fftn(np.fft.ifftshift(f.values))
 
 
-def _synthesize(grid: Grid, spec: np.ndarray, real: bool = False) -> np.ndarray:
-    """Space samples of the lattice spectrum ``spec``, exactly inverting
-    :func:`forward_transform`.  With ``real``, ``spec`` is the half lattice
-    [..., :N//2+1] of a Hermitian spectrum and the samples are float64."""
-    return np.fft.fftshift(_ifft(grid, spec, real)) / _fwd_scale(grid)
+def _synthesize(grid: Grid, spec: np.ndarray) -> np.ndarray:
+    """Space samples of the full-lattice spectrum ``spec``, exactly inverting
+    :func:`forward_transform`; a float64 ``spec`` is taken to be even, as every
+    radial multiplier is, and is synthesized from its half lattice to float64."""
+    if spec.dtype == np.float64:
+        spec = spec[..., : grid.samples_per_axis // 2 + 1]
+    return np.fft.fftshift(_ifft(grid, spec)) / _fwd_scale(grid)
 
 
 def _multiplied(f: SampledField, multipliers):
     """Yield the space samples of F^-1(m * Ff) for each multiplier m in turn,
-    sharing one forward transform of ``f``.  Multipliers are full-lattice
-    arrays in FFT order (or broadcastable to one); for a real field they must
-    be Hermitian, m(-xi) = conj m(xi), and the samples are float64.
+    sharing one forward transform of ``f``.  Each m is an FFT-order array on
+    the full lattice or on Ff's own (or broadcastable to one), cut to Ff's as
+    m[..., :F.shape[-1]]; for a float64 field that is the half lattice, so m
+    must be Hermitian, m(-xi) = conj m(xi), and the samples are float64.
 
     A multiplier commutes with the cyclic N/2 shift that centers the samples,
     so no shift is needed, and the transform scales cancel."""
-    real = _is_real(f)
-    F = _fft(f.values, real)
+    F = _fft(f.values)
     for m in multipliers:
-        yield _ifft(f.grid, (_half(f.grid, m) if real else m) * F, real)
+        yield _ifft(f.grid, m[..., : F.shape[-1]] * F)
 
 
 def inverse_transform(grid: Grid, F: np.ndarray) -> SampledField:
     """The field whose :func:`forward_transform` is the lattice array ``F``
     (exact discrete inverse)."""
-    return SampledField(grid, _synthesize(grid, F))
+    # complex128, so a real F that is not even keeps its full lattice
+    return SampledField(grid, _synthesize(grid, np.asarray(F, dtype=np.complex128)))
 
 
 def integrate(f: SampledField) -> float:
@@ -270,10 +269,11 @@ def convolve(f: SampledField, g: SampledField) -> SampledField:
     """
     if f.grid != g.grid:
         raise ValueError("convolve requires matching grids (dim, N, L)")
-    real = _is_real(f) and _is_real(g)
+    # both operands on one lattice: the full one if either is complex
+    a, b = (h.values.astype(np.result_type(f.values, g.values), copy=False) for h in (f, g))
     # the cyclic convolution of the samples, shifted by N/2 once because
     # both boxes start at -L; (2 pi)^(n/2) times both transform scales is h^n
-    cyclic = _ifft(f.grid, _fft(f.values, real) * _fft(g.values, real), real)
+    cyclic = _ifft(f.grid, _fft(a) * _fft(b))
     return SampledField(f.grid, f.grid.cell_volume * np.fft.fftshift(cyclic))
 
 
@@ -395,8 +395,12 @@ def load_field(basepath: str) -> SampledField:
     if meta["format"] == "binary":
         vals = np.fromfile(basepath + ".bin", dtype="<c16")
     else:
-        raw = np.loadtxt(basepath + ".csv", delimiter=",", skiprows=1)
-        raw = np.atleast_2d(raw)
+        with warnings.catch_warnings():
+            # a file without data rows is refused below, like a short row
+            warnings.simplefilter("ignore", UserWarning)
+            raw = np.loadtxt(basepath + ".csv", delimiter=",", skiprows=1, ndmin=2)
+        if raw.shape[1] != 3:
+            raise ValueError(f"{basepath}.csv does not hold rows of three columns index,re,im")
         vals = raw[:, 1] + 1j * raw[:, 2]
     if not vals.imag.any():
         vals = vals.real

@@ -23,8 +23,8 @@ import numpy as np
 from .grid import (
     Grid,
     SampledField,
+    _IMAG_TOL,
     _derivative_symbol,
-    _half,
     _multiplied,
     _synthesize,
     convolve,
@@ -150,18 +150,15 @@ def spectral_kernel(spec: SemigroupSpec, t: float, grid: Grid) -> SampledField:
     Raises :class:`UnderResolvedError` when the spectral tail e^(-t Re psi)
     exceeds 1e-12 anywhere on the lattice's Nyquist faces (index N/2 on any
     axis), and ValueError when Re psi < 0 somewhere on the lattice.  An
-    isotropic kernel is synthesized from the half lattice, where every axis
-    still has its Nyquist index N/2.
+    order's spectrum is float64 and even, so its kernel is synthesized from
+    the half lattice and is real by construction.
     """
     if not t > 0:
         raise ValueError(f"time t must be positive, got {t}")
-    real = spec.psi is None
     psi = symbol_values(spec, grid)
-    if real:
-        psi = _half(grid, psi)
-    if psi.real.min() < -1e-12:
+    if not psi.real.min() >= -1e-12:
         raise ValueError(
-            f"Re psi < 0 on the lattice (min {psi.real.min():.3e}); "
+            f"Re psi < 0 or NaN on the lattice (min {psi.real.min():.3e}); "
             "not a valid characteristic exponent"
         )
     face = grid.samples_per_axis // 2
@@ -176,12 +173,12 @@ def spectral_kernel(spec: SemigroupSpec, t: float, grid: Grid) -> SampledField:
         )
     with np.errstate(under="ignore"):
         spectrum = (2.0 * np.pi) ** (-grid.dim / 2.0) * np.exp(-t * psi)
-    vals = _synthesize(grid, spectrum, real)
-    if real:
+    vals = _synthesize(grid, spectrum)
+    if vals.dtype == np.float64:
         return SampledField(grid, vals)
     scale = np.abs(vals.real).max()
     resid = np.abs(vals.imag).max()
-    if scale > 0 and resid > 1e-8 * scale:
+    if scale > 0 and resid > _IMAG_TOL * scale:
         raise ValueError(
             f"kernel has imaginary residual {resid:.3e} (scale {scale:.3e}); "
             "psi is not Hermitian-symmetric on the lattice"
@@ -259,8 +256,8 @@ def hartman_wintner_profile(spec: SemigroupSpec, radii, grid: Grid):
     magnitudes.
     """
     radii = np.asarray(radii, dtype=float)
-    if np.any(radii <= 1.0):
-        raise ValueError("radii must exceed 1")
+    if not np.all(radii > 1.0):
+        raise ValueError(f"radii must exceed 1, got {radii}")
     if radii.max() > grid.nyquist:
         raise ValueError(
             f"radius {radii.max():g} outside the lattice (nyquist {grid.nyquist:.4g})"

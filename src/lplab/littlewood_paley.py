@@ -54,7 +54,7 @@ class TransitionProfile:
         v = np.asarray(self.ramp(t), dtype=float)
         if v[0] != 0.0 or v[-1] != 1.0:
             raise ValueError(f"profile {self.name!r}: endpoint values not exact")
-        if np.any(np.diff(v) < -1e-12):
+        if not np.all(np.diff(v) >= -1e-12):
             raise ValueError(f"profile {self.name!r}: ramp is not monotone")
 
 

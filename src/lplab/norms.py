@@ -21,8 +21,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grid import (Grid, SampledField, _derivative_symbol, _half, _jsonable, _multiplied,
-                   _synthesize)
+from .grid import (Grid, SampledField, _derivative_symbol, _jsonable, _multiplied,
+                   _radial_freq, _synthesize)
 from .littlewood_paley import DyadicResolution, block_spectra
 
 __all__ = [
@@ -248,15 +248,14 @@ def space_norm(f: SampledField, res: DyadicResolution, sp: SpaceParams) -> NormR
 def resolution_l1_bound(res: DyadicResolution) -> float:
     """max_k || F^-1 phi_k ||_L1, an explicit computable constant dominating
     ||f | B^0_{1,inf}|| / ||f||_L1 (block convolutions obey Young's bound)."""
-    return max(_lp_values(_synthesize(res.grid, _half(res.grid, b), real=True), 1, res.grid)
-               for b in res.blocks)
+    return max(_lp_values(_synthesize(res.grid, b), 1, res.grid) for b in res.blocks)
 
 
 def bessel_norm(f: SampledField, s: float) -> float:
     """Bessel-potential norm || F^-1((1+|xi|^2)^(s/2) Ff) ||_L1, s >= 0."""
-    if s < 0:
-        raise ValueError(f"smoothness s must be >= 0, got {s}")
-    rho2 = f.grid.radial_freq() ** 2
+    if not 0 <= s < math.inf:
+        raise ValueError(f"smoothness s must be finite and >= 0, got {s}")
+    rho2 = _radial_freq(f) ** 2
     out = next(_multiplied(f, [(1.0 + rho2) ** (s / 2.0)]))
     return _lp_values(out, 1, f.grid)
 
@@ -290,9 +289,9 @@ def hardy_norm(f: SampledField, t_nodes=None) -> float:
     nodes = default_hardy_nodes() if t_nodes is None else np.asarray(t_nodes, float)
     if nodes.size == 0:
         raise ValueError("t_nodes must be nonempty")
-    if np.any(nodes <= 0) or np.any(nodes >= 1) or np.any(np.diff(nodes) < 0):
-        raise ValueError("t_nodes must be sorted within (0, 1)")
-    rho2 = f.grid.radial_freq() ** 2
+    if not (np.all(nodes > 0) and np.all(nodes < 1) and np.all(np.diff(nodes) >= 0)):
+        raise ValueError(f"t_nodes must be sorted within (0, 1), got {nodes}")
+    rho2 = _radial_freq(f) ** 2
     peak = np.zeros(f.grid.shape)
     for out in _multiplied(f, (np.exp(-(t * t) * rho2) for t in nodes)):
         peak = np.maximum(peak, np.abs(out))

@@ -64,13 +64,13 @@ class BernsteinSpec:
         lam = np.geomspace(1e-3, 1e6, 6001)
         v = bernstein_eval(self, lam)
         g0 = bernstein_eval(self, np.array([0.0]))[0]
-        if abs(g0) > 1e-12:
+        if not abs(g0) <= 1e-12:
             raise ValueError(f"Bernstein function must satisfy g(0) = 0, got {g0:.3e}")
         scale = max(abs(v[-1]), 1.0)
-        if np.any(np.diff(v) < -1e-9 * scale):
+        if not np.all(np.diff(v) >= -1e-9 * scale):
             raise ValueError("Bernstein function is not nondecreasing on the sweep")
         slopes = np.diff(v) / np.diff(lam)
-        if np.any(np.diff(slopes) > 1e-9 * max(slopes.max(), 1.0)):
+        if not np.all(np.diff(slopes) <= 1e-9 * max(slopes.max(), 1.0)):
             raise ValueError("Bernstein function is not concave on the sweep")
 
 
@@ -94,7 +94,7 @@ def user_bernstein(g, g_inverse=None) -> BernsteinSpec:
 def bernstein_eval(spec: BernsteinSpec, lam):
     """g(lambda), vectorized, lambda >= 0."""
     lam = np.asarray(lam, dtype=float)
-    if np.any(lam < 0):
+    if not np.all(lam >= 0):
         raise ValueError("lambda must be >= 0")
     return np.asarray(spec.g(lam), dtype=float)
 
@@ -104,8 +104,8 @@ def bernstein_inverse(spec: BernsteinSpec, y: float) -> float:
 
     Raises when g saturates below y (inverse of a constant segment).
     """
-    if y < 0:
-        raise ValueError("y must be >= 0")
+    if not y >= 0:
+        raise ValueError(f"y must be >= 0, got {y}")
     if spec.g_inverse is not None:
         return float(spec.g_inverse(y))
     if y == 0:
@@ -149,8 +149,8 @@ class SubordinatorDensity:
         if not (self.t > 0):
             raise ValueError("t must be positive")
         r = self.nodes
-        if r.size < 2 or np.any(r <= 0) or np.any(np.diff(r) <= 0):
-            raise ValueError("nodes must be positive and strictly increasing")
+        if r.size < 2 or not (np.all(r > 0) and np.all(np.diff(r) > 0)):
+            raise ValueError(f"nodes must be positive and strictly increasing, got {r}")
         y = np.log(r)
         dy = np.empty_like(y)
         dy[1:-1] = 0.5 * (y[2:] - y[:-2])
@@ -160,13 +160,13 @@ class SubordinatorDensity:
         for arr in (self.nodes, self.density, self.weights):
             arr.setflags(write=False)
         mass_err = abs(self.mass() - 1.0)
-        if mass_err > _MASS_TOL:
+        if not mass_err <= _MASS_TOL:
             raise ValueError(
                 f"subordinator mass off by {mass_err:.3e} (> {_MASS_TOL:g}); "
-                "node range does not cover the law"
+                "density is not finite or its nodes do not cover the law"
             )
-        worst = max(laplace_residuals(self).values())
-        if worst > _LAPLACE_TOL:
+        worst = np.max(list(laplace_residuals(self).values()))
+        if not worst <= _LAPLACE_TOL:
             raise ValueError(
                 f"Laplace identity residual {worst:.3e} (> {_LAPLACE_TOL:g}); "
                 "bad node range or density"
@@ -176,10 +176,10 @@ class SubordinatorDensity:
         return float(np.sum(self.weights * self.density))
 
 
-def laplace_residuals(dens: SubordinatorDensity, lambdas=_LAPLACE_NODES) -> dict:
-    """|sum w e^(-lambda r) rho(r) - e^(-t g(lambda))| per lambda."""
+def laplace_residuals(dens: SubordinatorDensity) -> dict:
+    """|sum w e^(-lambda r) rho(r) - e^(-t g(lambda))| per lambda in _LAPLACE_NODES."""
     out = {}
-    for lam in lambdas:
+    for lam in _LAPLACE_NODES:
         approx = float(np.sum(dens.weights * np.exp(-lam * dens.nodes) * dens.density))
         exact = float(np.exp(-dens.t * bernstein_eval(dens.bernstein, np.array([lam]))[0]))
         out[float(lam)] = abs(approx - exact)
@@ -248,14 +248,14 @@ def subordinator_moment(dens: SubordinatorDensity, u: float) -> float:
     the singularity; an edge node contributing more than 1e-6 of the total
     signals an unresolved range and raises.
     """
-    if u < 0:
-        raise ValueError("u must be >= 0")
+    if not u >= 0:
+        raise ValueError(f"u must be >= 0, got {u}")
     with np.errstate(under="ignore"):
         terms = dens.weights * dens.nodes ** (-u / 2.0) * dens.density
     total = float(terms.sum())
     if total > 0:
         edge = max(terms[0], terms[-1]) / total
-        if edge > _EDGE_TOL:
+        if not edge <= _EDGE_TOL:
             raise ValueError(
                 f"edge quadrature term carries {edge:.2e} of the moment; "
                 "extend the node range"

@@ -26,7 +26,8 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .grid import Grid, SampledField, _jsonable, _multiplied, _synthesize, _write_csv, convolve
+from .grid import (Grid, SampledField, _jsonable, _multiplied, _radial_freq, _synthesize,
+                   _write_csv, convolve)
 from .kernels import KernelFamily, gradient_l1
 from .littlewood_paley import (
     DyadicResolution,
@@ -91,10 +92,9 @@ class CorpusSpec:
             raise ValueError(f"band_limit must be positive, got {self.band_limit}")
 
 
-def _band_project(vals: np.ndarray, grid: Grid, band: float) -> np.ndarray:
-    """Zero every spectral coefficient with |xi| > band; return real samples."""
-    mask = grid.radial_freq() <= band
-    return next(_multiplied(SampledField(grid, vals), [mask]))
+def _band_project(f: SampledField, band: float) -> SampledField:
+    """Zero every spectral coefficient of ``f`` with |xi| > band."""
+    return SampledField(f.grid, next(_multiplied(f, [_radial_freq(f) <= band])))
 
 
 def _gaussian_mix(rng, grid: Grid) -> np.ndarray:
@@ -185,10 +185,8 @@ def generate_corpus(spec: CorpusSpec, grid: Grid) -> list:
             raw = _mollified_step(rng, grid, spec.band_limit)
         else:
             raw = _oscillatory_packet(rng, grid, spec.band_limit)
-        vals = _band_project(raw, grid, spec.band_limit)
-        f = SampledField(grid, vals)
-        mass = lp_norm(f, 1)
-        fields.append(SampledField(grid, vals / mass))
+        f = _band_project(SampledField(grid, raw), spec.band_limit)
+        fields.append(SampledField(grid, f.values / lp_norm(f, 1)))
     return fields
 
 

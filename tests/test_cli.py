@@ -56,13 +56,24 @@ def test_norm_command_round_trips_field(tmp_path):
     assert result["value"] > 0
 
 
-def test_norm_refuses_wrong_data_size(tmp_path):
+def test_norm_refuses_wrong_data_size(tmp_path, capsys):
     kout = str(tmp_path / "k")
     assert run_cli(["kernel", "--family", "gw", "--t", 1, "--N", 1024,
                     "--L", 40, "--out", kout]) == 0
     data = tmp_path / "k.field.bin"
     data.write_bytes(data.read_bytes()[:-16])  # one complex sample short
     assert run_cli(["norm", "--input", kout + ".field", "--out", tmp_path / "n"]) == 2
+    # a CSV cut down to index,re, and one that holds only its header line
+    cout = str(tmp_path / "c")
+    assert run_cli(["kernel", "--family", "gw", "--t", 1, "--N", 64, "--L", 8,
+                    "--format", "csv", "--out", cout]) == 0
+    data = tmp_path / "c.field.csv"
+    rows = data.read_text().splitlines()
+    for text in ("".join(r.rsplit(",", 1)[0] + "\n" for r in rows), rows[0] + "\n"):
+        data.write_text(text)
+        capsys.readouterr()
+        assert run_cli(["norm", "--input", cout + ".field", "--out", tmp_path / "n"]) == 2
+        assert "three columns" in _validation_error(capsys)
     assert not (tmp_path / "n.json").exists()
 
 

@@ -166,6 +166,9 @@ def test_negative_symbol_rejected(grid_1d):
     bad = char_exponent(lambda x: -(x**2), 1)
     with pytest.raises(ValueError, match="Re psi"):
         spectral_kernel(bad, 1.0, grid_1d)
+    nan = char_exponent(lambda x: np.where(np.abs(x) < 1, np.nan, x**2), 1)
+    with pytest.raises(ValueError, match="Re psi < 0 or NaN"):
+        spectral_kernel(nan, 1.0, grid_1d)
 
 
 def test_non_hermitian_symbol_rejected():
@@ -237,6 +240,8 @@ def test_hartman_wintner_validates_radii(grid_1d):
         hartman_wintner_profile(gauss_weierstrass(1), [0.5], grid_1d)
     with pytest.raises(ValueError):
         hartman_wintner_profile(gauss_weierstrass(1), [1e6], grid_1d)
+    with pytest.raises(ValueError, match="exceed 1, got \\[ 2. nan\\]"):
+        hartman_wintner_profile(gauss_weierstrass(1), [2.0, np.nan], grid_1d)
 
 
 def test_apply_semigroup_widens_gaussian(grid_1d):

@@ -184,6 +184,8 @@ def test_profile_contract():
     assert np.all(np.diff(prof.ramp(t)) >= -1e-12)
     with pytest.raises(ValueError, match="wiggle"):
         TransitionProfile("wiggle", lambda t: np.sin(6 * np.asarray(t)))
+    with pytest.raises(ValueError, match="not monotone"):
+        TransitionProfile("nan", lambda t: np.where((t > 0) & (t < 1), np.nan, t))
     with pytest.raises(ValueError):
         bump_profile(sharpness=-1.0)
 

@@ -285,6 +285,8 @@ def test_hardy_validates_nodes(grid_1d):
         hardy_norm(f, [0.5, 0.2])
     with pytest.raises(ValueError):
         hardy_norm(f, [0.0, 0.5])
+    with pytest.raises(ValueError, match="within \\(0, 1\\), got"):
+        hardy_norm(f, [0.1, np.nan, 0.5])
 
 
 def test_hardy_controls_f01inf_stably():
@@ -373,6 +375,9 @@ def test_space_params_validation():
 def test_space_params_refuses_non_finite_smoothness(s):
     with pytest.raises(ValueError, match="must be finite"):
         SpaceParams("B", s, 1.0, 1.0)
+    f = sample(lambda x: np.exp(-(x**2)), make_grid(1, 64, 8.0))
+    with pytest.raises(ValueError, match="must be finite"):
+        bessel_norm(f, s)
 
 
 def test_jsonable_maps_only_infinities():

@@ -14,6 +14,7 @@ from lplab import (
     SampledField,
     SpaceParams,
     besov_norm,
+    bessel_norm,
     build_resolution,
     bump_profile,
     chapman_kolmogorov_residual,
@@ -21,6 +22,7 @@ from lplab import (
     forward_transform,
     generalized_gauss_weierstrass,
     gradient_l1,
+    hardy_norm,
     inverse_transform,
     lp_norm,
     make_grid,
@@ -29,6 +31,7 @@ from lplab import (
     stable_exponent,
 )
 from lplab.littlewood_paley import block_spectra
+from lplab.norms import default_hardy_nodes
 
 PROPERTY = settings(derandomize=True, max_examples=25, deadline=None, database=None)
 
@@ -67,6 +70,15 @@ def test_transform_round_trip_and_parseval(grid, seed):
     space = grid.cell_volume * np.sum(np.abs(f.values) ** 2)
     freq = (np.pi / grid.half_width) ** grid.dim * np.sum(np.abs(F) ** 2)
     assert freq == pytest.approx(space, rel=1e-12)
+
+
+@PROPERTY
+@given(grids, seeds)
+def test_real_spectrum_that_is_not_even_inverts_on_the_full_lattice(grid, seed):
+    F = np.random.default_rng(seed).standard_normal(grid.shape)
+    got = inverse_transform(grid, F).values
+    assert got.dtype == np.complex128
+    assert np.array_equal(got, inverse_transform(grid, F.astype(complex)).values)
 
 
 @PROPERTY
@@ -178,6 +190,17 @@ def test_real_block_synthesis_matches_full_complex(grid, seed):
     assert len(blocks) == len(res.blocks)
     for b, phi in zip(blocks, res.blocks):
         assert_close(b, full_complex(f.values, phi), np.abs(f.values).max())
+
+
+@PROPERTY
+@given(real_grids, seeds, st.floats(0.0, 4.0))
+def test_real_hardy_and_bessel_match_full_complex(grid, seed, s):
+    # the complex128 copy of a real field takes the full-lattice route
+    f = random_field(grid, seed)
+    c = SampledField(grid, f.values.astype(np.complex128))
+    nodes = default_hardy_nodes(4)
+    assert hardy_norm(f, nodes) == pytest.approx(hardy_norm(c, nodes), rel=1e-13)
+    assert bessel_norm(f, s) == pytest.approx(bessel_norm(c, s), rel=1e-13)
 
 
 @PROPERTY

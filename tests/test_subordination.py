@@ -93,6 +93,11 @@ def test_directly_built_spec_is_checked():
         BernsteinSpec(lambda lam: lam**2)
     with pytest.raises(ValueError, match="g\\(0\\) = 0"):
         BernsteinSpec(lambda lam: lam + 1.0)
+    # NaN values fail every check instead of passing it
+    with pytest.raises(ValueError, match="g\\(0\\) = 0"), np.errstate(invalid="ignore"):
+        user_bernstein(lambda lam: np.sqrt(lam - 1.0))
+    with pytest.raises(ValueError, match="nondecreasing"):
+        user_bernstein(lambda lam: np.where(lam < 1e3, np.sqrt(lam), np.nan))
 
 
 def test_power_exponent_validated():
@@ -122,6 +127,8 @@ def test_stable_half_density_unimodal():
 def test_stable_half_density_bad_range_aborts():
     with pytest.raises(ValueError):
         stable_half_density(1.0, num_nodes=512, r_min=1e-4, r_max=1e2)
+    with pytest.raises(ValueError, match="strictly increasing, got \\[nan"):
+        stable_half_density(1.0, num_nodes=512, r_min=np.nan)
 
 
 def test_density_node_count_floor():
@@ -137,6 +144,13 @@ def test_user_density_refuses_bad_nodes():
         user_density(1.0, [1.0, 3.0, 2.0], [1.0, 1.0, 1.0], g)
     with pytest.raises(ValueError, match="strictly increasing"):
         user_density(1.0, [-1.0, 1.0, 2.0], [1.0, 1.0, 1.0], g)
+    dens = stable_half_density(1.0, num_nodes=512)
+    nodes, density = dens.nodes.copy(), dens.density.copy()
+    nodes[100], density[100] = np.nan, np.nan
+    with pytest.raises(ValueError, match="strictly increasing"):
+        user_density(1.0, nodes, dens.density, g)
+    with pytest.raises(ValueError, match="density is not finite"):
+        user_density(1.0, dens.nodes, density, g)
 
 
 def test_density_weights_are_derived_and_read_only():
@@ -276,6 +290,8 @@ def test_moment_unresolved_singularity_raises():
     assert abs(subordinator_moment(dens, 0.5) - math.gamma(0.75)) < 1e-4
     with pytest.raises(ValueError, match="edge"):
         subordinator_moment(dens, 2.0)
+    with pytest.raises(ValueError, match="u must be >= 0, got nan"):
+        subordinator_moment(dens, np.nan)
 
 
 # ---------------------------------------------------------------------------
