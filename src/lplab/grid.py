@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import threading
 import warnings
 from dataclasses import dataclass
 
@@ -116,38 +117,105 @@ class Grid:
         return np.sqrt(sum(m.astype(float) ** 2 for m in mesh))
 
 
-@dataclass
 class SampledField:
     """A function sampled on a periodic grid: the values f(x_j) at the
     lattice points x_j = -L + j h.
 
+    A field holds its samples, its lattice spectrum, or both; whichever is
+    missing is computed on first read and kept, so a field is transformed at
+    most once.  The spectrum (``spectrum``) is the uncentered, unscaled array
+    ``_fft(values)``: the Hermitian half lattice of rfftn for a real field,
+    the full fftn lattice for a complex one.  It is not the unitary
+    transform; :func:`forward_transform` returns that.
+
     Real input is stored as float64 and complex input as complex128, so a
     real field stays real through every transform.  Values must have the
-    grid's shape or be flat in its order; they are validated finite and frozen
-    (read-only) at construction.  The field owns its values: an array the
-    caller passes is copied, never frozen in place, so the caller may still
-    write to it.  Spectra never take this form: :func:`forward_transform`
-    returns a plain lattice array.
+    grid's shape or be flat in its order.  Samples and spectrum are each
+    validated finite and frozen (read-only) when they are stored.  The field
+    owns its values: an array the caller passes is copied, never frozen in
+    place, so the caller may still write to it.
     """
 
-    grid: Grid
-    values: np.ndarray
+    __slots__ = ("grid", "_samples", "_lattice", "_fill")
 
-    def __post_init__(self):
-        v = np.asarray(self.values)
-        if v.shape != self.grid.shape:
+    def __init__(self, grid: Grid, values):
+        v = np.asarray(values)
+        if v.shape != grid.shape:
             # reshaping any other shape of the right size would scramble it
-            if v.ndim != 1 or v.size != np.prod(self.grid.shape):
+            if v.ndim != 1 or v.size != np.prod(grid.shape):
                 raise ValueError(
-                    f"values of shape {v.shape} do not fit grid shape {self.grid.shape}"
+                    f"values of shape {v.shape} do not fit grid shape {grid.shape}"
                 )
-            v = v.reshape(self.grid.shape)
+            v = v.reshape(grid.shape)
         # the field's one copy, so the caller's array is never frozen or seen
         v = np.array(v, dtype=np.float64 if np.isrealobj(v) else np.complex128, order="C")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("field contains non-finite values")
-        v.setflags(write=False)
-        self.values = v
+        self.grid = grid
+        self._samples = _frozen(v, "field")
+        self._lattice = None
+        self._fill = threading.Lock()
+
+    def __reduce__(self):
+        # the fill lock is neither copied nor pickled: a copy makes its own
+        if self._lattice is None:
+            return SampledField, (self.grid, self._samples)
+        return _field, (self.grid, self._lattice, self._samples)
+
+    @property
+    def dtype(self) -> np.dtype:
+        """float64 for a real field, complex128 for a complex one."""
+        if self._samples is not None:
+            return self._samples.dtype
+        real = self._lattice.shape[-1] < self.grid.samples_per_axis
+        return np.dtype(np.float64 if real else np.complex128)
+
+    # Each fill is taken under the field's lock, so threads that read one
+    # field at once share a single transform and a single array.
+
+    @property
+    def values(self) -> np.ndarray:
+        """The samples f(x_j), in the grid's shape."""
+        if self._samples is None:
+            with self._fill:
+                if self._samples is None:
+                    self._samples = _frozen(_ifft(self.grid, self._lattice), "field")
+        return self._samples
+
+    @property
+    def spectrum(self) -> np.ndarray:
+        """The lattice spectrum ``_fft(values)``, uncentered and unscaled."""
+        if self._lattice is None:
+            with self._fill:
+                if self._lattice is None:
+                    self._lattice = _frozen(_fft(self._samples), "field spectrum")
+        return self._lattice
+
+
+def _frozen(a: np.ndarray, what: str) -> np.ndarray:
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"{what} contains non-finite values")
+    a.setflags(write=False)
+    return a
+
+
+def _field(grid: Grid, spectrum: np.ndarray, values=None) -> SampledField:
+    """The field whose spectrum (see :class:`SampledField`) is ``spectrum``,
+    a half-lattice array for a real field or a full-lattice one for a complex
+    field.  ``values``, when given, must be the samples of that spectrum.
+    Both arrays are taken over and frozen, not copied."""
+    half = grid.shape[:-1] + (grid.samples_per_axis // 2 + 1,)
+    spec = np.asarray(spectrum, dtype=np.complex128)
+    if spec.shape not in (half, grid.shape):
+        raise ValueError(f"spectrum of shape {spec.shape} fits neither lattice of {grid}")
+    f = SampledField.__new__(SampledField)
+    f.grid = grid
+    f._lattice = _frozen(spec, "field spectrum")
+    f._samples = None
+    f._fill = threading.Lock()
+    if values is not None:
+        if values.shape != grid.shape or values.dtype != f.dtype:
+            raise ValueError("samples do not match the spectrum's lattice")
+        f._samples = _frozen(values, "field")
+    return f
 
 
 def make_grid(dim: int, samples_per_axis: int, half_width: float) -> Grid:
@@ -197,10 +265,11 @@ def _ifft(grid: Grid, spec: np.ndarray) -> np.ndarray:
     return np.fft.ifftn(spec)
 
 
-def _radial_freq(f: SampledField) -> np.ndarray:
-    """|xi| on the lattice of ``f``'s spectrum under :func:`_fft`."""
-    last = f.grid.samples_per_axis // 2 + 1 if f.values.dtype == np.float64 else None
-    return np.sqrt(sum(m[..., :last] ** 2 for m in f.grid.freq_mesh()))
+def _radial_freq(grid: Grid, dtype) -> np.ndarray:
+    """|xi| on the lattice of :func:`_fft` for samples of ``dtype``: the half
+    lattice for float64, the full lattice for complex128."""
+    last = grid.samples_per_axis // 2 + 1 if dtype == np.float64 else None
+    return np.sqrt(sum(m[..., :last] ** 2 for m in grid.freq_mesh()))
 
 
 def forward_transform(f: SampledField) -> np.ndarray:
@@ -224,16 +293,72 @@ def _synthesize(grid: Grid, spec: np.ndarray) -> np.ndarray:
 
 def _multiplied(f: SampledField, multipliers):
     """Yield the space samples of F^-1(m * Ff) for each multiplier m in turn,
-    sharing one forward transform of ``f``.  Each m is an FFT-order array on
-    the full lattice or on Ff's own (or broadcastable to one), cut to Ff's as
+    all from ``f``'s one spectrum.  Each m is an FFT-order array on the full
+    lattice or on Ff's own (or broadcastable to one), cut to Ff's as
     m[..., :F.shape[-1]]; for a float64 field that is the half lattice, so m
     must be Hermitian, m(-xi) = conj m(xi), and the samples are float64.
 
     A multiplier commutes with the cyclic N/2 shift that centers the samples,
     so no shift is needed, and the transform scales cancel."""
-    F = _fft(f.values)
+    F = f.spectrum
     for m in multipliers:
         yield _ifft(f.grid, m[..., : F.shape[-1]] * F)
+
+
+def _times(f: SampledField, m: np.ndarray) -> SampledField:
+    """The field F^-1(m * Ff), held as its spectrum (m as in
+    :func:`_multiplied`); nothing is transformed until its samples are read."""
+    F = f.spectrum
+    return _field(f.grid, m[..., : F.shape[-1]] * F)
+
+
+def _l2_norms(f: SampledField, multipliers):
+    """Yield ||F^-1(m * Ff)||_L2 for each multiplier m (as in
+    :func:`_multiplied`) by Parseval, with no inverse transform:
+    h^n sum_x |g(x)|^2 = h^n N^-n sum_xi |Fg(xi)|^2.  On the half lattice a
+    point off the last axis's 0 and N/2 planes also stands for its mirror
+    -xi, which m(-xi) = conj m(xi) gives the same modulus, so it counts
+    twice."""
+    F = f.spectrum
+    power = F.real**2 + F.imag**2
+    N = f.grid.samples_per_axis
+    if F.shape[-1] < N:
+        power[..., 1 : N // 2] *= 2.0
+    scale = f.grid.cell_volume / N**f.grid.dim
+    for m in multipliers:
+        yield math.sqrt(scale * np.sum(np.abs(m[..., : F.shape[-1]]) ** 2 * power))
+
+
+def _shifted(grid: Grid, spec: np.ndarray, scale: float) -> SampledField:
+    """The field whose samples are F^-1(scale * spec) shifted cyclically by
+    N/2 on every axis, the shift that moves lattice index 0 to x = 0.  It is
+    built from its spectrum, where the shift multiplies the coefficient at
+    lattice index j by (-1)^(j_1 + ... + j_n), so nothing is transformed."""
+    alternating = 1.0 - 2.0 * (np.arange(grid.samples_per_axis) % 2)
+    sign = np.float64(scale)
+    for axis in range(grid.dim):
+        shape = [1] * grid.dim
+        shape[axis] = spec.shape[axis]
+        sign = sign * alternating[: spec.shape[axis]].reshape(shape)
+    out = np.empty(spec.shape, dtype=np.complex128)
+    np.multiply(spec, sign, out=out)
+    return _field(grid, out)
+
+
+def _real_synthesis(grid: Grid, coeffs: np.ndarray) -> SampledField:
+    """The real part of ``inverse_transform(grid, F)`` for the spectrum F
+    that holds ``coeffs[j + J]`` at lattice offset j, |j_a| <= J on every
+    axis, and zero elsewhere (2J + 1 < N).  The real part of a synthesis is
+    the synthesis of the Hermitian part (F(xi) + conj F(-xi)) / 2, so it is
+    built on the half lattice, with no transform."""
+    J = coeffs.shape[0] // 2
+    N = grid.samples_per_axis
+    # reversing every axis maps offset j to -j
+    herm = 0.5 * (coeffs + np.conj(coeffs[(slice(None, None, -1),) * grid.dim]))
+    spec = np.zeros(grid.shape[:-1] + (N // 2 + 1,), dtype=np.complex128)
+    offsets = np.arange(-J, J + 1) % N
+    spec[np.ix_(*([offsets] * (grid.dim - 1)), np.arange(J + 1))] = herm[..., J:]
+    return _shifted(grid, spec, 1.0 / _fwd_scale(grid))
 
 
 def inverse_transform(grid: Grid, F: np.ndarray) -> SampledField:
@@ -265,16 +390,16 @@ def convolve(f: SampledField, g: SampledField) -> SampledField:
 
     Computed as F^-1((2 pi)^(n/2) Ff * Fg), which reproduces the discrete
     periodic convolution exactly (up to roundoff); the result is real when
-    both fields are.
+    both fields are, and is held as its spectrum.
     """
     if f.grid != g.grid:
         raise ValueError("convolve requires matching grids (dim, N, L)")
     # both operands on one lattice: the full one if either is complex
-    a, b = (h.values.astype(np.result_type(f.values, g.values), copy=False) for h in (f, g))
+    dtype = np.result_type(f.dtype, g.dtype)
+    a, b = (h.spectrum if h.dtype == dtype else _fft(h.values.astype(dtype)) for h in (f, g))
     # the cyclic convolution of the samples, shifted by N/2 once because
     # both boxes start at -L; (2 pi)^(n/2) times both transform scales is h^n
-    cyclic = _ifft(f.grid, _fft(a) * _fft(b))
-    return SampledField(f.grid, f.grid.cell_volume * np.fft.fftshift(cyclic))
+    return _shifted(f.grid, a * b, f.grid.cell_volume)
 
 
 def spectral_derivative(f: SampledField, alpha) -> SampledField:
@@ -288,7 +413,7 @@ def spectral_derivative(f: SampledField, alpha) -> SampledField:
     alpha = tuple(int(a) for a in alpha)
     if len(alpha) != f.grid.dim or any(a < 0 for a in alpha):
         raise ValueError(f"alpha must be {f.grid.dim} nonnegative orders, got {alpha}")
-    return SampledField(f.grid, next(_multiplied(f, [_derivative_symbol(f.grid, alpha)])))
+    return _times(f, _derivative_symbol(f.grid, alpha))
 
 
 def _derivative_symbol(grid: Grid, alpha) -> np.ndarray:

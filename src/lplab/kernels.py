@@ -25,7 +25,10 @@ from .grid import (
     SampledField,
     _IMAG_TOL,
     _derivative_symbol,
+    _fwd_scale,
     _multiplied,
+    _radial_freq,
+    _shifted,
     _synthesize,
     convolve,
     integrate,
@@ -109,12 +112,16 @@ def stable_exponent(alpha: float, dim: int = 1) -> SemigroupSpec:
     return generalized_gauss_weierstrass(alpha / 2.0, dim)
 
 
+def _check_dim(spec: SemigroupSpec, grid: Grid) -> None:
+    if grid.dim != spec.dim:
+        raise ValueError(f"grid dim {grid.dim} != semigroup dim {spec.dim}")
+
+
 def symbol_values(spec: SemigroupSpec, grid: Grid) -> np.ndarray:
     """Evaluate the characteristic exponent on the grid's frequency lattice:
     complex128 for a caller-supplied psi, the float64 |xi|^(2m) for an
     order."""
-    if grid.dim != spec.dim:
-        raise ValueError(f"grid dim {grid.dim} != semigroup dim {spec.dim}")
+    _check_dim(spec, grid)
     if spec.psi is not None:
         vals = np.asarray(spec.psi(*grid.freq_mesh()), dtype=np.complex128)
         return np.broadcast_to(vals, grid.shape)
@@ -131,8 +138,7 @@ def closed_form_kernel(spec: SemigroupSpec, t: float, grid: Grid) -> SampledFiel
     """
     if not t > 0:
         raise ValueError(f"time t must be positive, got {t}")
-    if grid.dim != spec.dim:
-        raise ValueError(f"grid dim {grid.dim} != semigroup dim {spec.dim}")
+    _check_dim(spec, grid)
     if spec.m == 1.0:
         r2 = sum(m**2 for m in grid.coord_mesh())
         vals = (4.0 * np.pi * t) ** (-grid.dim / 2.0) * np.exp(-r2 / (4.0 * t))
@@ -150,17 +156,25 @@ def spectral_kernel(spec: SemigroupSpec, t: float, grid: Grid) -> SampledField:
     Raises :class:`UnderResolvedError` when the spectral tail e^(-t Re psi)
     exceeds 1e-12 anywhere on the lattice's Nyquist faces (index N/2 on any
     axis), and ValueError when Re psi < 0 somewhere on the lattice.  An
-    order's spectrum is float64 and even, so its kernel is synthesized from
-    the half lattice and is real by construction.
+    order's exponent |xi|^(2m) is real and even, so it is evaluated on the
+    half lattice only, which holds every value it takes, and the kernel is
+    a real field built from its spectrum with no transform.  A psi callable
+    is evaluated on the full lattice and synthesized, and its kernel must
+    come out real.
     """
     if not t > 0:
         raise ValueError(f"time t must be positive, got {t}")
-    psi = symbol_values(spec, grid)
+    if spec.psi is None:
+        _check_dim(spec, grid)
+        psi = _radial_freq(grid, np.float64) ** (2.0 * spec.m)
+    else:
+        psi = symbol_values(spec, grid)
     if not psi.real.min() >= -1e-12:
         raise ValueError(
             f"Re psi < 0 or NaN on the lattice (min {psi.real.min():.3e}); "
             "not a valid characteristic exponent"
         )
+    # index N/2 on every axis; on the half lattice's last axis, its last column
     face = grid.samples_per_axis // 2
     psi_nyq = min(psi.real.take(face, axis=a).min() for a in range(grid.dim))
     with np.errstate(under="ignore"):
@@ -171,11 +185,13 @@ def spectral_kernel(spec: SemigroupSpec, t: float, grid: Grid) -> SampledField:
             f"faces reaches {tail:.3e} > {_TAIL_TOL:g} "
             f"(nyquist {grid.nyquist:.4g}); increase N or choose larger t"
         )
+    norm = (2.0 * np.pi) ** (-grid.dim / 2.0)
     with np.errstate(under="ignore"):
-        spectrum = (2.0 * np.pi) ** (-grid.dim / 2.0) * np.exp(-t * psi)
-    vals = _synthesize(grid, spectrum)
-    if vals.dtype == np.float64:
-        return SampledField(grid, vals)
+        decay = np.exp(-t * psi)
+    if spec.psi is None:
+        # the kernel is centered at x = 0, lattice index N/2
+        return _shifted(grid, decay, norm / _fwd_scale(grid))
+    vals = _synthesize(grid, norm * decay)
     scale = np.abs(vals.real).max()
     resid = np.abs(vals.imag).max()
     if scale > 0 and resid > _IMAG_TOL * scale:
@@ -194,8 +210,7 @@ class KernelFamily:
     """
 
     def __init__(self, spec: SemigroupSpec, grid: Grid):
-        if grid.dim != spec.dim:
-            raise ValueError(f"grid dim {grid.dim} != semigroup dim {spec.dim}")
+        _check_dim(spec, grid)
         self.spec = spec
         self.grid = grid
         self._cache: dict = {}

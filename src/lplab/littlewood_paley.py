@@ -15,12 +15,13 @@ norms of the band-limited projection (exact for band-limited fields).
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, SampledField, _multiplied, _write_csv, _write_json
+from .grid import Grid, SampledField, _l2_norms, _multiplied, _times, _write_csv, _write_json
 
 __all__ = [
     "TransitionProfile",
@@ -32,6 +33,7 @@ __all__ = [
     "validate_resolution",
     "apply_block",
     "block_spectra",
+    "block_l2_norms",
     "export_resolution",
 ]
 
@@ -64,8 +66,8 @@ def bump_profile(sharpness: float = 1.0, name: str | None = None) -> TransitionP
     Any sharpness a > 0 gives a valid C-infinity profile; a = 1 is the
     default, larger a steepens the transition.
     """
-    if not sharpness > 0:
-        raise ValueError("sharpness must be positive")
+    if not (sharpness > 0 and math.isfinite(sharpness)):
+        raise ValueError(f"sharpness must be positive and finite, got {sharpness}")
     a = float(sharpness)
 
     def ramp(t):
@@ -211,7 +213,7 @@ def apply_block(res: DyadicResolution, k: int, f: SampledField) -> SampledField:
         raise ValueError(f"block index {k} outside 0..{res.k_max}")
     if f.grid != res.grid:
         raise ValueError("field grid does not match resolution grid")
-    return SampledField(res.grid, next(_multiplied(f, [res.blocks[k]])))
+    return _times(f, res.blocks[k])
 
 
 def block_spectra(res: DyadicResolution, f: SampledField):
@@ -223,6 +225,14 @@ def block_spectra(res: DyadicResolution, f: SampledField):
     if f.grid != res.grid:
         raise ValueError("field grid does not match resolution grid")
     yield from _multiplied(f, res.blocks)
+
+
+def block_l2_norms(res: DyadicResolution, f: SampledField):
+    """Yield ||phi_k(D) f||_L2, k = 0..k_max, by Parseval from the spectrum
+    of ``f``: no block is synthesized."""
+    if f.grid != res.grid:
+        raise ValueError("field grid does not match resolution grid")
+    yield from _l2_norms(f, res.blocks)
 
 
 def export_resolution(res: DyadicResolution, directory: str) -> None:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .grid import (Grid, SampledField, _derivative_symbol, _jsonable, _multiplied,
                    _radial_freq, _synthesize)
-from .littlewood_paley import DyadicResolution, block_spectra
+from .littlewood_paley import DyadicResolution, block_l2_norms, block_spectra
 
 __all__ = [
     "SpaceParams",
@@ -141,6 +141,16 @@ def _result(value, terms, sp, reduction) -> NormResult:
     return NormResult(float(value), tuple(float(t) for t in terms), sp, reduction)
 
 
+def _block_terms(f: SampledField, res: DyadicResolution, sp: SpaceParams) -> np.ndarray:
+    """2^{ks} ||phi_k(D) f||_Lp for k = 0..k_max: by Parseval from the
+    spectrum of ``f`` at p = 2, from the synthesized blocks otherwise."""
+    if sp.p == 2:
+        norms = block_l2_norms(res, f)
+    else:
+        norms = (_lp_values(b, sp.p, res.grid) for b in block_spectra(res, f))
+    return np.array([2.0 ** (k * sp.s) * x for k, x in enumerate(norms)])
+
+
 def besov_norm(f: SampledField, res: DyadicResolution, sp: SpaceParams) -> NormResult:
     """Besov (quasi-)norm: lq over k of 2^{ks} ||phi_k(D) f||_Lp.
 
@@ -149,20 +159,22 @@ def besov_norm(f: SampledField, res: DyadicResolution, sp: SpaceParams) -> NormR
     """
     if sp.scale != "B":
         raise ValueError("besov_norm requires scale 'B'")
-    terms = np.array(
-        [2.0 ** (k * sp.s) * _lp_values(b, sp.p, res.grid)
-         for k, b in enumerate(block_spectra(res, f))]
-    )
+    terms = _block_terms(f, res, sp)
     return _result(_lq_reduce(terms, sp.q), terms, sp, "lq_of_block_lp")
 
 
 def triebel_norm(f: SampledField, res: DyadicResolution, sp: SpaceParams) -> NormResult:
     """Triebel-Lizorkin norm: Lp over x of the pointwise lq over k of
-    2^{ks} |phi_k(D) f(x)|.  p = infinity is routed to the cube-based norm."""
+    2^{ks} |phi_k(D) f(x)|.  p = infinity is routed to the cube-based norm.
+    At p = q = 2 the two sums commute (Fubini), so the norm is the l2 sum of
+    the block L2 norms, taken by Parseval with no block synthesized."""
     if sp.scale != "F":
         raise ValueError("triebel_norm requires scale 'F'")
     if sp.p == INF:
         return triebel_infty_norm(f, res, sp.s, sp.q)
+    if sp.p == 2 and sp.q == 2:
+        terms = _block_terms(f, res, sp)
+        return _result(_lq_reduce(terms, 2.0), terms, sp, "lp_of_pointwise_lq")
     acc = None
     terms = []
     for k, b in enumerate(block_spectra(res, f)):
@@ -255,7 +267,7 @@ def bessel_norm(f: SampledField, s: float) -> float:
     """Bessel-potential norm || F^-1((1+|xi|^2)^(s/2) Ff) ||_L1, s >= 0."""
     if not 0 <= s < math.inf:
         raise ValueError(f"smoothness s must be finite and >= 0, got {s}")
-    rho2 = _radial_freq(f) ** 2
+    rho2 = _radial_freq(f.grid, f.dtype) ** 2
     out = next(_multiplied(f, [(1.0 + rho2) ** (s / 2.0)]))
     return _lp_values(out, 1, f.grid)
 
@@ -291,7 +303,7 @@ def hardy_norm(f: SampledField, t_nodes=None) -> float:
         raise ValueError("t_nodes must be nonempty")
     if not (np.all(nodes > 0) and np.all(nodes < 1) and np.all(np.diff(nodes) >= 0)):
         raise ValueError(f"t_nodes must be sorted within (0, 1), got {nodes}")
-    rho2 = _radial_freq(f) ** 2
+    rho2 = _radial_freq(f.grid, f.dtype) ** 2
     peak = np.zeros(f.grid.shape)
     for out in _multiplied(f, (np.exp(-(t * t) * rho2) for t in nodes)):
         peak = np.maximum(peak, np.abs(out))

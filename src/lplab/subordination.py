@@ -19,6 +19,7 @@ edge-term diagnostics, never adaptive, so results are reproducible.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -196,12 +197,16 @@ def stable_half_density(t: float, num_nodes: int = 4096,
     mass below 1e-6.  The density is accepted only after the Laplace-identity
     check against e^(-t sqrt(lambda)) passes.
     """
-    if not t > 0:
-        raise ValueError("t must be positive")
+    if not (t > 0 and math.isfinite(t)):
+        raise ValueError(f"t must be positive and finite, got {t}")
     if num_nodes < 512:
         raise ValueError("need at least 512 quadrature nodes")
     r_min = 1e-8 * t * t if r_min is None else r_min
     r_max = 1e13 * t * t if r_max is None else r_max
+    # a NaN end goes on to the node check, which shows the nodes
+    for name, r in (("r_min", r_min), ("r_max", r_max)):
+        if math.isinf(r):
+            raise ValueError(f"{name} must be finite, got {r}")
     nodes = np.geomspace(r_min, r_max, num_nodes)
     with np.errstate(under="ignore"):
         density = t / (2.0 * np.sqrt(np.pi)) * nodes**-1.5 * np.exp(-t * t / (4.0 * nodes))

@@ -26,8 +26,8 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .grid import (Grid, SampledField, _jsonable, _multiplied, _radial_freq, _synthesize,
-                   _write_csv, convolve)
+from .grid import (Grid, SampledField, _field, _jsonable, _radial_freq, _real_synthesis,
+                   _times, _write_csv, convolve)
 from .kernels import KernelFamily, gradient_l1
 from .littlewood_paley import (
     DyadicResolution,
@@ -94,7 +94,7 @@ class CorpusSpec:
 
 def _band_project(f: SampledField, band: float) -> SampledField:
     """Zero every spectral coefficient of ``f`` with |xi| > band."""
-    return SampledField(f.grid, next(_multiplied(f, [_radial_freq(f) <= band])))
+    return _times(f, _radial_freq(f.grid, f.dtype) <= band)
 
 
 def _gaussian_mix(rng, grid: Grid) -> np.ndarray:
@@ -111,7 +111,7 @@ def _gaussian_mix(rng, grid: Grid) -> np.ndarray:
     return out
 
 
-def _band_limited_random(rng, grid: Grid, band: float) -> np.ndarray:
+def _band_limited_random(rng, grid: Grid, band: float) -> SampledField:
     # Coefficients are drawn on the resolution-independent lattice pi*j/L,
     # |j| <= band*L/pi, so refined grids see the same trig polynomial.
     dxi = np.pi / grid.half_width
@@ -123,13 +123,9 @@ def _band_limited_random(rng, grid: Grid, band: float) -> np.ndarray:
     offs = np.arange(-jb, jb + 1)
     r2 = sum(o.astype(float) ** 2 for o in np.meshgrid(*([offs] * grid.dim),
                                                        indexing="ij", sparse=True))
-    coeffs = coeffs * (np.sqrt(r2) * dxi <= band)
-    spec = np.zeros(grid.shape, dtype=np.complex128)
-    idx = np.ix_(*([offs % grid.samples_per_axis] * grid.dim))
-    spec[idx] = coeffs
-    # the coefficients are not Hermitian, so the field is the real part of a
-    # full complex synthesis; a half-lattice one would be a different field
-    return _synthesize(grid, spec).real
+    # the coefficients are not Hermitian; the field is the real part of
+    # their synthesis
+    return _real_synthesis(grid, coeffs * (np.sqrt(r2) * dxi <= band))
 
 
 def _mollified_step(rng, grid: Grid, band: float) -> np.ndarray:
@@ -178,15 +174,17 @@ def generate_corpus(spec: CorpusSpec, grid: Grid) -> list:
     for i in range(spec.count):
         family = spec.families[i % len(spec.families)]
         if family == "gaussian_mix":
-            raw = _gaussian_mix(rng, grid)
+            raw = SampledField(grid, _gaussian_mix(rng, grid))
         elif family == "band_limited_random":
             raw = _band_limited_random(rng, grid, spec.band_limit)
         elif family == "mollified_step":
-            raw = _mollified_step(rng, grid, spec.band_limit)
+            raw = SampledField(grid, _mollified_step(rng, grid, spec.band_limit))
         else:
-            raw = _oscillatory_packet(rng, grid, spec.band_limit)
-        f = _band_project(SampledField(grid, raw), spec.band_limit)
-        fields.append(SampledField(grid, f.values / lp_norm(f, 1)))
+            raw = SampledField(grid, _oscillatory_packet(rng, grid, spec.band_limit))
+        f = _band_project(raw, spec.band_limit)
+        mass = lp_norm(f, 1)
+        # the field keeps its spectrum, so no later step transforms it again
+        fields.append(_field(grid, f.spectrum / mass, f.values / mass))
     return fields
 
 

@@ -242,6 +242,19 @@ def test_threads_env_does_not_change_results(tmp_path, monkeypatch):
     assert a == b
 
 
+def test_threads_env_does_not_change_a_3d_sweep(tmp_path, monkeypatch):
+    # worker threads share the corpus field and the kernel cache, whose
+    # spectra and samples are filled on first read
+    args = ["sweep", "smoothing", "--dim", 3, "--N", 64, "--L", 4, "--band", 4,
+            "--t", "2^-4..2^1", "--space", "F", "--p", 2, "--q", 2]
+    assert run_cli(args + ["--out", tmp_path / "serial"]) == 0
+    monkeypatch.setenv("LPLAB_THREADS", "4")
+    assert run_cli(args + ["--out", tmp_path / "parallel"]) == 0
+    for suffix in (".json", ".curve.csv"):
+        a = (tmp_path / ("serial" + suffix)).read_bytes()
+        assert a == (tmp_path / ("parallel" + suffix)).read_bytes()
+
+
 def _validation_error(capsys) -> str:
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["kind"] == "validation"

@@ -1,4 +1,7 @@
+import copy
 import json
+import pickle
+import threading
 
 import numpy as np
 import pytest
@@ -23,7 +26,10 @@ from lplab import (
     spectral_kernel,
     stable_exponent,
 )
+from lplab.grid import _field
 from lplab.littlewood_paley import block_spectra
+from lplab.norms import INF, SpaceParams, besov_norm, triebel_norm
+from lplab.verifier import CorpusSpec, generate_corpus, smoothing_sweep
 
 
 def gaussian_density(grid, var=2.0):
@@ -269,6 +275,109 @@ def test_field_values_immutable(grid_1d):
     f = gaussian_density(grid_1d)
     with pytest.raises(ValueError):
         f.values[0] = 1.0
+
+
+def test_field_spectrum_and_samples_are_read_only(grid_2d):
+    rng = np.random.default_rng(1)
+    from_samples = SampledField(grid_2d, rng.standard_normal(grid_2d.shape))
+    from_spectrum = convolve(from_samples, from_samples)
+    for f in (from_samples, from_spectrum):
+        for arr in (f.values, f.spectrum):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr.flat[0] = 1.0
+
+
+def test_field_refuses_non_finite_spectrum(grid_2d):
+    spec = np.array(SampledField(grid_2d, np.ones(grid_2d.shape)).spectrum)
+    spec[3, 4] = np.nan
+    with pytest.raises(ValueError, match="spectrum contains non-finite"):
+        _field(grid_2d, spec)
+    with pytest.raises(ValueError, match="fits neither lattice"):
+        _field(grid_2d, spec[:, :-1])
+
+
+def test_field_of_a_spectrum_matches_its_samples(grid_2d):
+    rng = np.random.default_rng(2)
+    for vals in (rng.standard_normal(grid_2d.shape),
+                 rng.standard_normal(grid_2d.shape) + 1j * rng.standard_normal(grid_2d.shape)):
+        f = SampledField(grid_2d, vals)
+        g = _field(grid_2d, np.array(f.spectrum))
+        assert g.dtype == f.dtype
+        assert np.abs(g.values - vals).max() <= 1e-14 * np.abs(vals).max()
+
+
+def test_field_copies_and_pickles_in_either_form(grid_2d):
+    f = SampledField(grid_2d, np.random.default_rng(4).standard_normal(grid_2d.shape))
+    for g in (f, convolve(f, f)):
+        for h in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+            assert np.array_equal(h.values, g.values)
+            assert np.array_equal(h.spectrum, g.spectrum)
+
+
+def test_concurrent_reads_share_one_fill(grid_2d):
+    f = _field(grid_2d, SampledField(grid_2d, np.ones(grid_2d.shape)).spectrum.copy())
+    seen = []
+    start = threading.Barrier(4)
+
+    def read():
+        start.wait()
+        seen.append(f.values)
+
+    threads = [threading.Thread(target=read) for _ in range(4)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert all(v is seen[0] for v in seen)
+
+
+class _FFTCounter:
+    """Counts the numpy.fft calls made while it is installed, forward and
+    inverse apart."""
+
+    FORWARD = ("fft", "rfft", "fft2", "rfft2", "fftn", "rfftn")
+    INVERSE = ("ifft", "irfft", "ifft2", "irfft2", "ifftn", "irfftn")
+
+    def __init__(self, monkeypatch):
+        self.forward = self.inverse = 0
+        for kind, names in (("forward", self.FORWARD), ("inverse", self.INVERSE)):
+            for name in names:
+                monkeypatch.setattr(np.fft, name, self._counted(kind, getattr(np.fft, name)))
+
+    def _counted(self, kind, fn):
+        def counted(*args, **kwargs):
+            setattr(self, kind, getattr(self, kind) + 1)
+            return fn(*args, **kwargs)
+        return counted
+
+
+def test_smoothing_sweep_transforms_no_field_twice(monkeypatch):
+    grid = make_grid(3, 64, 4.0)
+    res = build_resolution(grid)
+    fam = KernelFamily(stable_exponent(2.0, 3), grid)
+    f = generate_corpus(CorpusSpec(seed=0, count=1, families=("mollified_step",),
+                                   band_limit=4.0), grid)[0]
+    ts = [0.25, 0.5, 1.0, 2.0]
+    counter = _FFTCounter(monkeypatch)
+    smoothing_sweep(fam, f, SpaceParams("F", 0.0, 2.0, 2.0), 1.0, ts, res)
+    # the F(2,2) norm takes no inverse transform and the B(1,inf) kernel norm
+    # one per block; kernels and convolutions are built from their spectra
+    assert counter.forward == 0
+    assert counter.inverse == len(ts) * (res.k_max + 1)
+
+
+def test_norm_of_a_convolution_takes_no_forward_transform(monkeypatch, grid_2d):
+    rng = np.random.default_rng(3)
+    res = build_resolution(grid_2d)
+    f, g = (SampledField(grid_2d, rng.standard_normal(grid_2d.shape)) for _ in range(2))
+    _ = f.spectrum, g.spectrum  # each field's one forward transform, not counted
+    counter = _FFTCounter(monkeypatch)
+    h = convolve(f, g)
+    besov_norm(h, res, SpaceParams("B", 0.5, 1.0, INF))
+    triebel_norm(h, res, SpaceParams("F", 0.5, 2.0, 2.0))
+    assert counter.forward == 0
+    assert counter.inverse == res.k_max + 1
 
 
 @pytest.mark.parametrize("fmt", ["binary", "csv"])

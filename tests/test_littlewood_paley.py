@@ -190,6 +190,11 @@ def test_profile_contract():
         bump_profile(sharpness=-1.0)
 
 
+def test_bump_profile_refuses_infinite_sharpness():
+    with pytest.raises(ValueError, match="sharpness must be positive and finite, got inf"):
+        bump_profile(float("inf"))
+
+
 def test_nyquist_too_small_rejected():
     g = make_grid(1, 64, 30.0)  # nyquist = pi*64/60 < 4
     with pytest.raises(ValueError, match="nyquist"):

@@ -29,6 +29,7 @@ from lplab import (
     spectral_derivative,
     spectral_kernel,
     stable_exponent,
+    triebel_norm,
 )
 from lplab.littlewood_paley import block_spectra
 from lplab.norms import default_hardy_nodes
@@ -231,3 +232,27 @@ def test_real_derivative_is_real_part_of_full_complex(grid, seed, axis, order):
     xi = grid.freq_mesh()[axis]
     want = full_complex(f.values, (1j * xi) ** order)
     assert_close(spectral_derivative(f, alpha).values, want, np.abs(want).max())
+
+
+# p = 2 norms go by Parseval from the field's spectrum; this reference
+# synthesizes every block on the full complex lattice and sums over space.
+summabilities = st.one_of(st.floats(0.5, 8.0), st.just(INF))
+
+
+@PROPERTY
+@given(real_grids, seeds, st.booleans(), st.floats(-1.0, 2.0), summabilities)
+def test_p2_norms_match_block_synthesis(grid, seed, complex_valued, s, q):
+    f = random_field(grid, seed, complex_valued)
+    res = build_resolution(grid)
+    F = np.fft.fftn(f.values)
+    weighted = [2.0 ** (k * s) * np.abs(np.fft.ifftn(phi * F)) for k, phi in enumerate(res.blocks)]
+    terms = np.array([np.sqrt(grid.cell_volume * np.sum(w * w)) for w in weighted])
+    besov = besov_norm(f, res, SpaceParams("B", s, 2.0, q))
+    want = terms.max() if q == INF else np.sum(terms**q) ** (1.0 / q)
+    assert besov.value == pytest.approx(want, rel=1e-12)
+    assert besov.block_terms == pytest.approx(tuple(terms), rel=1e-12)
+    triebel = triebel_norm(f, res, SpaceParams("F", s, 2.0, 2.0))
+    pointwise = np.sqrt(sum(w * w for w in weighted))
+    assert triebel.value == pytest.approx(np.sqrt(grid.cell_volume * np.sum(pointwise**2)),
+                                          rel=1e-12)
+    assert triebel.block_terms == pytest.approx(tuple(terms), rel=1e-12)

@@ -131,6 +131,16 @@ def test_stable_half_density_bad_range_aborts():
         stable_half_density(1.0, num_nodes=512, r_min=np.nan)
 
 
+@pytest.mark.parametrize("kwargs,named", [
+    ({"t": math.inf}, "t must be"),
+    ({"t": 1.0, "r_max": math.inf}, "r_max"),
+    ({"t": 1.0, "r_min": math.inf}, "r_min"),
+], ids=["t", "r_max", "r_min"])
+def test_stable_half_density_refuses_infinite_input(kwargs, named):
+    with pytest.raises(ValueError, match=f"{named}.*inf"):
+        stable_half_density(num_nodes=512, **kwargs)
+
+
 def test_density_node_count_floor():
     with pytest.raises(ValueError):
         stable_half_density(1.0, num_nodes=64)

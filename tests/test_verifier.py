@@ -17,6 +17,7 @@ from lplab import (
     gauss_weierstrass,
     generalized_gauss_weierstrass,
     gradient_l1,
+    inverse_transform,
     lp_norm,
     make_grid,
     profile_equivalence,
@@ -92,6 +93,45 @@ def test_mollified_step_block_decay(grid_v, res_v):
     mean_slope = float(np.mean(slopes))
     print(f"mollified-step block decay slope: {mean_slope:+.3f}")
     assert -1.35 < mean_slope < -0.65
+
+
+def _old_band_limited_random(rng, grid, band):
+    """The earlier construction of a band_limited_random corpus field: the
+    real part of a full complex synthesis, band-projected through an rfftn
+    pair, then L1-normalized."""
+    N, n = grid.samples_per_axis, grid.dim
+    dxi = np.pi / grid.half_width
+    jb = int(np.floor(band / dxi))
+    side = 2 * jb + 1
+    coeffs = rng.standard_normal((side,) * n) + 1j * rng.standard_normal((side,) * n)
+    offs = np.arange(-jb, jb + 1)
+    r2 = sum(o.astype(float) ** 2 for o in np.meshgrid(*([offs] * n), indexing="ij",
+                                                       sparse=True))
+    spec = np.zeros(grid.shape, dtype=np.complex128)
+    spec[np.ix_(*([offs % N] * n))] = coeffs * (np.sqrt(r2) * dxi <= band)
+    raw = inverse_transform(grid, spec).values.real
+    half = grid.radial_freq()[..., : N // 2 + 1]
+    vals = np.fft.irfftn(np.fft.rfftn(raw) * (half <= band), s=grid.shape, axes=range(n))
+    return vals / (grid.cell_volume * np.abs(vals).sum())
+
+
+@pytest.mark.parametrize("grid,band", [
+    (make_grid(1, 2048, 40.0), 16.0),
+    (make_grid(2, 128, 8.0), 4.0),
+    (make_grid(3, 64, 4.0), 4.0),
+], ids=["1d", "2d", "3d"])
+def test_band_limited_random_matches_full_lattice_construction(grid, band):
+    seed, count = 13, 3
+    corpus = generate_corpus(CorpusSpec(seed=seed, count=count,
+                                        families=("band_limited_random",),
+                                        band_limit=band), grid)
+    rng = np.random.default_rng(seed)
+    for f in corpus:
+        old = _old_band_limited_random(rng, grid, band)
+        assert np.abs(f.values - old).max() <= 1e-13 * np.abs(old).max()
+        # the spectrum the field keeps is the one of its samples
+        F = np.fft.rfftn(f.values)
+        assert np.abs(f.spectrum - F).max() <= 1e-13 * np.abs(F).max()
 
 
 def test_refined_corpus_represents_same_fields(grid_v):
