@@ -227,7 +227,7 @@ def _cmd_sweep(args):
     base = SpaceParams(args.space, args.s, _parse_ext(args.p), _parse_ext(args.q))
     sweep = smoothing_sweep(fam, corpus[0], base, args.u, ts, res)
     _write_csv(args.out + ".curve.csv", ("t", "applied_norm", "kernel_norm"),
-               zip(sweep.ts, sweep.applied_norms, sweep.kernel_norms))
+               (sweep.ts, sweep.applied_norms, sweep.kernel_norms))
     return asdict(sweep), {"spectral_tail": _TAIL_TOL}, EXIT_PASS
 
 

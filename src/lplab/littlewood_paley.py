@@ -240,7 +240,7 @@ def export_resolution(res: DyadicResolution, directory: str) -> None:
     os.makedirs(directory, exist_ok=True)
     for k, b in enumerate(res.blocks):
         _write_csv(os.path.join(directory, f"block_{k}.csv"), ("index", "value"),
-                   enumerate(b.ravel().tolist()))
+                   (range(b.size), b.ravel()))
     c, C = _partition_bounds(res)
     meta = {
         "profile": res.profile.name,

@@ -327,7 +327,7 @@ class VerificationReport:
         }
 
     def write_ratios_csv(self, path: str) -> None:
-        _write_csv(path, ("pair", "ratio"), enumerate(self.ratios))
+        _write_csv(path, ("pair", "ratio"), (range(len(self.ratios)), self.ratios))
 
 
 def _case_sides(case: InequalityCase, f: SampledField, g: SampledField,

@@ -77,6 +77,20 @@ def test_norm_refuses_wrong_data_size(tmp_path, capsys):
     assert not (tmp_path / "n.json").exists()
 
 
+def test_norm_refuses_csv_rows_out_of_order(tmp_path, capsys):
+    kout = str(tmp_path / "k")
+    assert run_cli(["kernel", "--family", "gw", "--t", 1, "--N", 64, "--L", 8,
+                    "--format", "csv", "--out", kout]) == 0
+    data = tmp_path / "k.field.csv"
+    rows = data.read_text().splitlines(keepends=True)
+    rows[5], rows[6] = rows[6], rows[5]
+    data.write_text("".join(rows))
+    capsys.readouterr()
+    assert run_cli(["norm", "--input", kout + ".field", "--out", tmp_path / "n"]) == 2
+    assert "index column" in _validation_error(capsys)
+    assert not (tmp_path / "n.json").exists()
+
+
 def test_norm_refuses_frequency_sidecar(tmp_path):
     kout = str(tmp_path / "k")
     assert run_cli(["kernel", "--family", "gw", "--t", 1, "--N", 1024,

@@ -26,7 +26,8 @@ from lplab import (
     spectral_kernel,
     stable_exponent,
 )
-from lplab.grid import _field
+from lplab import grid as grid_module
+from lplab.grid import _field, _fwd_scale
 from lplab.littlewood_paley import block_spectra
 from lplab.norms import INF, SpaceParams, besov_norm, triebel_norm
 from lplab.verifier import CorpusSpec, generate_corpus, smoothing_sweep
@@ -380,6 +381,28 @@ def test_norm_of_a_convolution_takes_no_forward_transform(monkeypatch, grid_2d):
     assert counter.inverse == res.k_max + 1
 
 
+def test_forward_transform_of_a_known_spectrum_takes_no_fft(monkeypatch, grid_2d):
+    f = SampledField(grid_2d, np.random.default_rng(8).standard_normal(grid_2d.shape))
+    _ = f.spectrum  # the field's one forward transform, not counted
+    counter = _FFTCounter(monkeypatch)
+    forward_transform(convolve(f, f))
+    assert counter.forward == counter.inverse == 0
+
+
+@pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("dim, N", [(1, 1024), (2, 128), (3, 64)])
+def test_forward_transform_matches_the_centered_fftn_of_the_samples(dim, N, cplx):
+    g = make_grid(dim, N, 6.0)
+    rng = np.random.default_rng(dim)
+    vals = rng.standard_normal(g.shape)
+    if cplx:
+        vals = vals + 1j * rng.standard_normal(g.shape)
+    f = SampledField(g, vals)
+    for h in (f, convolve(f, f), spectral_derivative(f, (1,) * dim)):
+        ref = _fwd_scale(g) * np.fft.fftn(np.fft.ifftshift(h.values))
+        assert np.abs(forward_transform(h) - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
 @pytest.mark.parametrize("fmt", ["binary", "csv"])
 def test_field_serialization_round_trip(tmp_path, fmt):
     g = make_grid(1, 64, 5.0) if fmt == "csv" else make_grid(1, 1024, 20.0)
@@ -402,18 +425,89 @@ def test_save_field_rejects_unknown_format(tmp_path):
     assert not list(tmp_path.iterdir())
 
 
-def test_csv_bytes_keep_row_format(tmp_path):
-    g = make_grid(2, 64, 5.0)
+def _complex_field(g):
     rng = np.random.default_rng(4)
     vals = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
-    vals[0, 0] = complex(-0.0, 1e-300)
-    f = SampledField(g, vals)
-    save_field(f, str(tmp_path / "field"), fmt="csv")
+    vals[(0,) * g.dim] = complex(-0.0, 1e-300)
+    return SampledField(g, vals)
+
+
+def _csv_reference(f):
+    """A field's CSV text, formatted one row at a time."""
     flat = f.values.ravel()
-    expected = "index,re,im\n" + "".join(
+    return "index,re,im\n" + "".join(
         f"{i},{flat[i].real:.17g},{flat[i].imag:.17g}\n" for i in range(flat.size)
     )
-    assert (tmp_path / "field.csv").read_bytes() == expected.encode()
+
+
+def test_csv_bytes_keep_row_format(tmp_path):
+    f = _complex_field(make_grid(2, 64, 5.0))
+    save_field(f, str(tmp_path / "field"), fmt="csv")
+    assert (tmp_path / "field.csv").read_bytes() == _csv_reference(f).encode()
+
+
+# 4,096 rows fit in one chunk of the writer; these span several
+@pytest.mark.parametrize("field", [
+    lambda: spectral_kernel(stable_exponent(2.0, 3), 0.05, make_grid(3, 64, 4.0)),
+    lambda: _complex_field(make_grid(2, 256, 5.0)),
+], ids=["real-3d-64", "complex-2d-256"])
+def test_csv_bytes_across_chunks(tmp_path, field):
+    f = field()
+    assert f.values.size > grid_module._CSV_CHUNK
+    save_field(f, str(tmp_path / "field"), fmt="csv")
+    assert (tmp_path / "field.csv").read_bytes() == _csv_reference(f).encode()
+
+
+@pytest.mark.parametrize("rows", [0, 1, grid_module._CSV_CHUNK, 2 * grid_module._CSV_CHUNK + 3])
+def test_csv_table_bytes_at_chunk_edges(tmp_path, rows):
+    ratios = np.random.default_rng(6).uniform(0.1, 2.0, rows)
+    path = str(tmp_path / "table.csv")
+    grid_module._write_csv(path, ("pair", "ratio"), (range(rows), ratios))
+    expected = "pair,ratio\n" + "".join(f"{i},{r:.17g}\n" for i, r in enumerate(ratios))
+    assert (tmp_path / "table.csv").read_bytes() == expected.encode()
+    with pytest.raises(ValueError, match="differ in length"):
+        grid_module._write_csv(path, ("pair", "ratio"), (range(rows + 1), ratios))
+
+
+@pytest.mark.parametrize("mode, part", [("w", "partial"), ("wb", b"partial")])
+@pytest.mark.parametrize("existing", [False, True])
+def test_a_write_that_fails_midway_leaves_no_trace(tmp_path, mode, part, existing):
+    target = tmp_path / "artifact"
+    if existing:
+        target.write_bytes(b"old")
+
+    def parts():
+        yield part
+        raise OSError("no space left on device")
+
+    with pytest.raises(OSError, match="no space"):
+        grid_module._write_file(str(target), parts(), mode)
+    assert [p.name for p in tmp_path.iterdir()] == (["artifact"] if existing else [])
+    if existing:
+        assert target.read_bytes() == b"old"
+
+
+def test_binary_field_write_is_atomic(tmp_path, monkeypatch):
+    f = SampledField(make_grid(1, 64, 5.0), np.arange(64.0))
+    base = str(tmp_path / "field")
+    save_field(f, base)
+    assert (tmp_path / "field.bin").read_bytes() == f.values.astype("<c16").tobytes()
+    write_file, modes = grid_module._write_file, []
+
+    def interrupted(path, parts, mode="w"):
+        def cut():
+            yield from parts
+            raise KeyboardInterrupt
+        modes.append(mode)
+        write_file(path, cut(), mode)
+
+    # an interrupt after the data is written but before the rename
+    monkeypatch.setattr(grid_module, "_write_file", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        save_field(SampledField(f.grid, np.ones(64)), base)
+    assert modes == ["wb"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["field.bin", "field.json"]
+    assert np.array_equal(load_field(base).values, f.values)
 
 
 def test_real_csv_rows_have_a_zero_imaginary_column(tmp_path):
