@@ -20,7 +20,7 @@ domain-truncation error; see :func:`integrate`'s tests.
 from __future__ import annotations
 
 import contextlib
-import itertools
+import functools
 import json
 import math
 import os
@@ -508,28 +508,224 @@ def _write_json(path: str, obj) -> None:
 # vanishes, small enough that no piece nears the size of a field's text.
 _CSV_CHUNK = 32768
 
+# Magnitudes whose %.17g digits are computed below; smaller and larger ones,
+# subnormals among them, would take the scaled products out of the normal
+# float64 range.  _K_MIN.._K_MAX are the scales 10^k they need, one to spare.
+_FAST_MIN, _FAST_MAX = 1e-270, 1e270
+_K_MIN, _K_MAX = -256, 288
+# The scaled value is exact to about 1e-14, so a fraction this far from 1/2
+# decides its rounding; a closer one is formatted by ``%``.
+_TIE_TOL = 1e-9
+
+# The 44 candidate bytes of a formatted float: a sign, the "0.000" of a small
+# fixed-notation value, 17 digits each followed by a possible point, then "e",
+# the exponent's sign and three exponent digits.  A value keeps a subset.
+_SLOT = np.frombuffer(b"-0.000" + b"0." * 16 + b"0e+000", np.uint8)
+_DIGIT0, _EXP0 = 6, 39
+
+
+@functools.cache
+def _pow10():
+    """``hi``, ``lo`` with ``hi + lo = 10^k`` to twice float64 precision, for
+    k in _K_MIN.._K_MAX, both correctly rounded from Python integers."""
+    his, los = [], []
+    for k in range(_K_MIN, _K_MAX + 1):
+        if k >= 0:
+            hi = float(10**k)
+            lo = float(10**k - int(hi))
+        else:
+            p = 10**-k
+            hi = 1 / p
+            num, den = hi.as_integer_ratio()
+            lo = (den - num * p) / (den * p)
+        his.append(hi)
+        los.append(lo)
+    return _frozen(np.array(his), "powers of ten"), _frozen(np.array(los), "powers of ten")
+
+
+@functools.cache
+def _slot_keep():
+    """The bytes of ``_SLOT`` a float keeps, one row per (layout, index of its
+    last nonzero digit, sign bit).  Layout X + 4 is fixed notation with
+    decimal exponent -4 <= X <= 16; 21 and 22 are exponent notation with two
+    and three exponent digits."""
+    keep = np.zeros((23, 17, 2, _SLOT.size), bool)
+    keep[:, :, 1, 0] = True
+    digits = _DIGIT0 + 2 * np.arange(17)
+    for layout in range(23):
+        x = layout - 4
+        for last in range(17):
+            row = keep[layout, last]
+            row[:, digits[: last + 1]] = True
+            if layout >= 21:
+                row[:, _DIGIT0 + 1] = last > 0
+                row[:, _EXP0:] = True
+                row[:, _EXP0 + 2] = layout == 22
+            elif x >= 0:
+                row[:, digits[: x + 1]] = True  # the integer part keeps its zeros
+                row[:, _DIGIT0 + 2 * x + 1] = last > x
+            else:
+                row[:, 1 : 2 - x] = True  # "0." and -X - 1 zeros
+    keep = keep.reshape(-1, _SLOT.size)
+    keep.setflags(write=False)  # cached: every caller shares it
+    return keep
+
+
+def _split(z):
+    # Dekker's split of z into two halves of at most 26 significant bits
+    t = z * 134217729.0
+    hi = t - (t - z)
+    return hi, z - hi
+
+
+def _scaled(a, k):
+    """The integer part and fraction of a * 10^k, exact to about 1e-14, for
+    normal a > 0 and scales k in _K_MIN.._K_MAX."""
+    his, los = _pow10()
+    hi, lo = his[k - _K_MIN], los[k - _K_MIN]
+    p = a * hi
+    ah, al = _split(a)
+    hh, hl = _split(hi)
+    # a * hi = p + err exactly (Dekker's product); a * lo adds the tail of 10^k
+    e = (((ah * hh - p) + ah * hl + al * hh) + al * hl) + a * lo
+    ip = np.floor(p)
+    r = (p - ip) + e
+    fr = np.floor(r)
+    return ip.astype(np.int64) + fr.astype(np.int64), r - fr
+
+
+def _digits(n, width: int):
+    """The last ``width`` decimal digits of the non-negative int64s ``n``,
+    most significant first, as ASCII bytes of shape (len(n), width)."""
+    out = np.empty((n.size, width), np.uint8)
+    for j in range(width - 1, -1, -1):
+        q = n // 10  # floor_divide by a scalar is several times faster than divmod
+        out[:, j] = n - 10 * q
+        n = q
+    return out + ord("0")
+
+
+def _decimal(v):
+    """The ``%.17g`` decimal form of the float64s ``v``: 17 correctly rounded
+    digits as an int64 (0 for a zero), the decimal exponent, and a mask of
+    the values this arithmetic does not cover, which ``%`` formats."""
+    a = np.abs(v)
+    fast = (a >= _FAST_MIN) & (a <= _FAST_MAX)
+    a = np.where(fast, a, 1.0)  # log10 and the split see no zero, inf or NaN
+    x = np.floor(np.log10(a)).astype(np.int64)
+    n, frac = _scaled(a, 16 - x)
+    # next to a power of ten log10 can miss the exponent by one; the
+    # unrounded integer part, 17 digits when it is right, shows which way
+    fix = (n >= 10**17).astype(np.int64) - (n < 10**16)
+    (wrong,) = np.nonzero(fix)
+    if wrong.size:
+        x[wrong] += fix[wrong]
+        n[wrong], frac[wrong] = _scaled(a[wrong], 16 - x[wrong])
+    n += frac > 0.5
+    carry = n == 10**17
+    n[carry] = 10**16
+    x += carry
+    slow = ~fast & (v != 0)
+    slow |= (np.abs(frac - 0.5) < _TIE_TOL) | (n < 10**16) | (n >= 10**17)
+    n[~fast] = 0  # a zero prints "0"; the slow values are formatted by %
+    x[~fast] = 0
+    return n, x, slow
+
+
+def _format_floats(v, out, keep) -> None:
+    """Lay the ``%.17g`` bytes of the float64s ``v`` into the rows of the
+    (len(v), 44) ``out`` and mark them in ``keep``."""
+    n, x, slow = _decimal(v)
+    d = _digits(n, 17)
+    last = np.where(n == 0, 0, 16 - np.argmax(d[:, ::-1] != ord("0"), axis=1))
+    layout = np.where((x < -4) | (x >= 17), 21 + (np.abs(x) >= 100), x + 4)
+    out[:] = _SLOT
+    out[:, _DIGIT0:_EXP0:2] = d
+    out[:, _EXP0 + 1] = np.where(x < 0, ord("-"), ord("+"))
+    out[:, _EXP0 + 2 :] = _digits(np.abs(x), 3)
+    np.take(_slot_keep(), (layout * 17 + last) * 2 + np.signbit(v), axis=0, out=keep)
+    (slow,) = np.nonzero(slow)
+    if slow.size:
+        # each value left-justified in its 44-byte slot; %.17g prints no blank
+        text = (b"%-44.17g" * slow.size) % tuple(v[slow].tolist())
+        out[slow] = np.frombuffer(text, np.uint8).reshape(slow.size, _SLOT.size)
+        keep[slow] = out[slow] != ord(" ")
+
+
+def _format_ints(v, out, keep) -> None:
+    """Lay the ``%d`` bytes of the int64s ``v`` into the rows of ``out``, a
+    sign and then as many digits as the widest value has, and mark them in
+    ``keep``."""
+    width = out.shape[1] - 1
+    a = np.abs(v)
+    ndigits = np.searchsorted(10 ** np.arange(1, width, dtype=np.int64), a, side="right") + 1
+    out[:, 0] = ord("-")
+    out[:, 1:] = _digits(a, width)
+    keep[:, 0] = v < 0
+    keep[:, 1:] = np.arange(width) >= width - ndigits[:, None]
+
+
+def _csv_rows(columns, start: int, stop: int) -> bytes:
+    """The lines of rows ``start:stop`` of the CSV ``columns``: each a range,
+    a float64 array, or the bytes of the one value all of its rows hold."""
+    pieces = []  # bytes every row repeats, or (values, cell width, formatter)
+    for j, c in enumerate(columns):
+        pieces += [b","] if j else []
+        if isinstance(c, range):
+            r = c[start:stop]
+            c = (np.arange(r.start, r.stop, r.step, dtype=np.int64),
+                 1 + len(str(max(abs(r[0]), abs(r[-1])))), _format_ints)
+        elif not isinstance(c, bytes):
+            c = (c[start:stop], _SLOT.size, _format_floats)
+        pieces.append(c)
+    pieces.append(b"\n")
+    widths = [len(p) if isinstance(p, bytes) else p[1] for p in pieces]
+    out = np.empty((stop - start, sum(widths)), np.uint8)
+    keep = np.empty(out.shape, bool)
+    edges = np.cumsum([0] + widths)
+    for p, lo, hi in zip(pieces, edges[:-1], edges[1:]):
+        if isinstance(p, bytes):
+            out[:, lo:hi] = np.frombuffer(p, np.uint8)
+            keep[:, lo:hi] = True
+        else:
+            p[2](p[0], out[:, lo:hi], keep[:, lo:hi])
+    # compress over a flat mask is several times faster than boolean indexing
+    return np.compress(keep.ravel(), out).tobytes()
+
 
 def _write_csv(path: str, header, columns) -> None:
     """Write the column names ``header`` and then one line per row of the
-    equal-length ``columns`` (arrays, lists or ranges), each value formatted
-    ``%.17g``.  The rows go out ``_CSV_CHUNK`` at a time, each chunk formatted
-    by one ``%`` over its values in row order, so no per-row tuple or string
-    and no whole-file string is built.  A range column is printed ``%d``,
-    three times faster, which for an integer below 10^17 gives the bytes of
-    ``%.17g``."""
+    equal-length ``columns`` (arrays, lists or ranges): a range column's
+    values are printed ``%d`` and every other value byte for byte as
+    ``%.17g`` would print it.
+
+    The bytes are computed with numpy, ``_CSV_CHUNK`` rows at a time, into
+    one byte matrix per chunk: each value's 17 correctly rounded digits come
+    from a double-double product x * 10^k, and a mask keeps the sign, digits,
+    point and exponent ``%g`` shows.  A column that holds one value in every
+    row (a real field's imaginary parts) is formatted once.  Values the digit
+    arithmetic does not cover (non-finite, subnormal, beyond 1e+-270, or
+    within 1e-9 of a rounding tie) are formatted one at a time by ``%``."""
     n = len(columns[0])
     if any(len(c) != n for c in columns):
         raise ValueError("CSV columns differ in length")
-    row = ",".join("%d" if isinstance(c, range) else "%.17g" for c in columns) + "\n"
+    if len(header) != len(columns):
+        raise ValueError(f"CSV header names {len(header)} columns, not {len(columns)}")
+    cols = []
+    for c in columns:
+        if not isinstance(c, range):
+            c = np.asarray(c, dtype=np.float64)
+            bits = c.view(np.uint64)
+            if n and (bits == bits[0]).all():
+                c = b"%.17g" % c[0]
+        cols.append(c)
 
     def chunks():
-        yield ",".join(header) + "\n"
+        yield (",".join(header) + "\n").encode()
         for start in range(0, n, _CSV_CHUNK):
-            part = [c[start : start + _CSV_CHUNK] for c in columns]
-            part = [p.tolist() if isinstance(p, np.ndarray) else p for p in part]
-            yield row * len(part[0]) % tuple(itertools.chain.from_iterable(zip(*part)))
+            yield _csv_rows(cols, start, min(start + _CSV_CHUNK, n))
 
-    _write_file(path, chunks())
+    _write_file(path, chunks(), "wb")
 
 
 def save_field(fld: SampledField, basepath: str, fmt: str = "binary") -> None:
@@ -569,9 +765,19 @@ def load_field(basepath: str) -> SampledField:
             raise ValueError(f"field sidecar lacks {key!r}")
     if meta["format"] not in ("binary", "csv"):
         raise ValueError(f"field sidecar format {meta['format']!r} is not 'binary' or 'csv'")
-    grid = make_grid(meta["dim"], meta["N"], meta["L"])
+    # make_grid would turn 1.9 or true into 1 and "2" into 2.0
+    for key in ("dim", "N"):
+        v = meta[key]
+        if isinstance(v, bool) or not (isinstance(v, int) or isinstance(v, float) and v.is_integer()):
+            raise ValueError(f"field sidecar {key!r} {v!r} is not an integer")
+    L = meta["L"]
+    if isinstance(L, bool) or not isinstance(L, (int, float)) or not math.isfinite(L):
+        raise ValueError(f"field sidecar 'L' {L!r} is not a finite real number")
+    grid = make_grid(meta["dim"], meta["N"], L)
     if meta["format"] == "binary":
         vals = np.fromfile(basepath + ".bin", dtype="<c16")
+        if not vals.imag.any():
+            vals = vals.real
     else:
         with warnings.catch_warnings():
             # a file without data rows is refused below, like a short row
@@ -582,9 +788,8 @@ def load_field(basepath: str) -> SampledField:
         # a row out of place would load as a silently permuted field
         if not np.array_equal(raw[:, 0], np.arange(len(raw))):
             raise ValueError(f"{basepath}.csv index column is not 0..{len(raw) - 1} in order")
-        vals = raw[:, 1] + 1j * raw[:, 2]
-    if not vals.imag.any():
-        vals = vals.real
+        # a real field's all-zero imaginary column builds no complex array
+        vals = raw[:, 1] + 1j * raw[:, 2] if raw[:, 2].any() else raw[:, 1]
     if vals.size != np.prod(grid.shape):
         raise ValueError(f"data size {vals.size} does not match grid {grid.shape}")
     return SampledField(grid, vals.reshape(grid.shape))

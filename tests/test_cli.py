@@ -282,7 +282,11 @@ _DROP = object()
     ("dim", _DROP, "'dim'"), ("N", _DROP, "'N'"), ("L", _DROP, "'L'"),
     ("format", _DROP, "'format'"), ("L", None, "'L'"), ("format", "npy", "'npy'"),
     (None, [], "domain_tag"),
-], ids=["no-dim", "no-N", "no-L", "no-format", "null-L", "format-npy", "not-object"])
+    # make_grid would read each of these as some other grid value
+    ("dim", 1.9, "'dim'"), ("dim", True, "'dim'"), ("N", 64.7, "'N'"), ("N", "64", "'N'"),
+    ("L", "2", "'L'"), ("L", True, "'L'"),
+], ids=["no-dim", "no-N", "no-L", "no-format", "null-L", "format-npy", "not-object",
+        "fractional-dim", "bool-dim", "fractional-N", "string-N", "string-L", "bool-L"])
 def test_norm_refuses_broken_sidecar(tmp_path, capsys, key, value, named):
     kout = str(tmp_path / "k")
     assert run_cli(["kernel", "--family", "gw", "--t", 1, "--N", 64,

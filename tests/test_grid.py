@@ -467,6 +467,62 @@ def test_csv_table_bytes_at_chunk_edges(tmp_path, rows):
     assert (tmp_path / "table.csv").read_bytes() == expected.encode()
     with pytest.raises(ValueError, match="differ in length"):
         grid_module._write_csv(path, ("pair", "ratio"), (range(rows + 1), ratios))
+    with pytest.raises(ValueError, match="header names 3 columns, not 2"):
+        grid_module._write_csv(path, ("pair", "ratio", "extra"), (range(rows), ratios))
+
+
+def _csv_column_reference(values) -> bytes:
+    return ("x\n" + ("%.17g\n" * len(values)) % tuple(values)).encode()
+
+
+@pytest.mark.parametrize("values, text", [
+    ([0.0] * 5, "0"),
+    ([-0.0] * 5, "-0"),
+    ([2.5e-7] * 5, "2.4999999999999999e-07"),
+    ([0.0, -0.0, -0.0, 0.0, 1.0], None),
+], ids=["plus-zero", "minus-zero", "nonzero", "mixed-zeros"])
+def test_csv_constant_and_zero_columns(tmp_path, values, text):
+    path = tmp_path / "c.csv"
+    grid_module._write_csv(str(path), ("x",), (np.array(values),))
+    assert path.read_bytes() == _csv_column_reference(values)
+    if text is not None:
+        assert path.read_text().splitlines()[1:] == [text] * len(values)
+
+
+def _adversarial_floats(rng):
+    """Values where a decimal formatter can slip: every class of bit pattern,
+    powers of ten and two with their neighbours, halfway cases and the
+    switches between fixed and exponent notation."""
+    edges = np.concatenate([10.0 ** np.arange(-323, 309), np.ldexp(1.0, np.arange(-1074, 1024)),
+                            [1e-5, 1e-4, 1e16, 1e17, 99999999999999999.0]])
+    v = np.concatenate([
+        rng.integers(0, 2**64, 100_000, dtype=np.uint64).view(np.float64),
+        edges, np.nextafter(edges, 0), np.nextafter(edges, np.inf),
+        (rng.integers(10**16, 10**17, 100_000) * 10 + 5).astype(np.float64),
+        # 1 + odd / 2^17 has 18 digits and ends in 5: an exact rounding tie
+        1.0 + (2 * rng.integers(0, 2**16, 2_000) + 1) * 2.0**-17,
+        rng.integers(1, 10**6, 50_000) * 10.0 ** rng.integers(-300, 300, 50_000).astype(float),
+        rng.standard_normal(750_000) * 10.0 ** rng.uniform(-20, 20, 750_000),
+    ])
+    return np.where(rng.random(v.size) < 0.5, -v, v)
+
+
+def test_csv_bytes_of_a_million_adversarial_values(tmp_path):
+    v = _adversarial_floats(np.random.default_rng(13))
+    assert v.size >= 10**6
+    path = tmp_path / "a.csv"
+    grid_module._write_csv(str(path), ("x",), (v,))
+    assert path.read_bytes() == _csv_column_reference(v.tolist())
+    # the vectorized digits, not the per-value fallback, format the bulk; of
+    # the values they cover, about 1% are exact ties, most of them between
+    # 1e13 and 1e16, where a float64 has a binary fraction of a few bits
+    covered = v[np.isfinite(v) & (np.abs(v) >= 1e-270) & (np.abs(v) <= 1e270)]
+    assert grid_module._decimal(covered[::4])[2].mean() < 0.02
+
+
+def test_a_kernel_field_takes_no_per_value_fallback():
+    f = spectral_kernel(stable_exponent(2.0, 3), 0.05, make_grid(3, 64, 4.0))
+    assert not grid_module._decimal(f.values.ravel())[2].any()
 
 
 @pytest.mark.parametrize("mode, part", [("w", "partial"), ("wb", b"partial")])

@@ -5,7 +5,7 @@ all.  Examples are derandomized and bounded so the suite stays deterministic.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lplab import (
@@ -31,6 +31,7 @@ from lplab import (
     stable_exponent,
     triebel_norm,
 )
+from lplab import grid as grid_module
 from lplab.littlewood_paley import block_spectra
 from lplab.norms import default_hardy_nodes
 
@@ -256,3 +257,18 @@ def test_p2_norms_match_block_synthesis(grid, seed, complex_valued, s, q):
     assert triebel.value == pytest.approx(np.sqrt(grid.cell_volume * np.sum(pointwise**2)),
                                           rel=1e-12)
     assert triebel.block_terms == pytest.approx(tuple(terms), rel=1e-12)
+
+
+# A CSV cell reads as %d for a range column and as %.17g for every other
+# value, NaN, infinities, signed zeros and subnormals included.
+@PROPERTY
+@given(st.lists(st.floats(width=64), max_size=50), st.integers(-10**12, 10**12),
+       st.sampled_from([1, -1, 7, -1000]))
+@example([float("nan"), float("-inf"), float("inf"), -0.0, 0.0, 5e-324, -2.2e-308, 0.1], -4, 1)
+def test_csv_cells_match_per_value_formatting(tmp_path_factory, values, start, step):
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    index = range(start, start + step * len(values), step)
+    grid_module._write_csv(str(path), ("i", "list", "array"),
+                           (index, values, np.array(values[::-1], dtype=float)))
+    want = "".join("%d,%.17g,%.17g\n" % row for row in zip(index, values, values[::-1]))
+    assert path.read_bytes() == ("i,list,array\n" + want).encode()
