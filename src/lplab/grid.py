@@ -23,7 +23,9 @@ import contextlib
 import functools
 import json
 import math
+import numbers
 import os
+import sys
 import threading
 import warnings
 from dataclasses import dataclass
@@ -69,12 +71,15 @@ class Grid:
 
     def __post_init__(self):
         n, N, L = self.dim, self.samples_per_axis, self.half_width
-        if n not in (1, 2, 3):
-            raise ValueError(f"dim must be 1, 2 or 3, got {n}")
-        if N < 64 or (N & (N - 1)) != 0:
-            raise ValueError(f"samples_per_axis must be a power of two >= 64, got {N}")
-        if not (L > 0 and np.isfinite(L)):
-            raise ValueError(f"half_width must be positive and finite, got {L}")
+        if not (_integral(n) and n in (1, 2, 3)):
+            raise ValueError(f"dim must be 1, 2 or 3, got {n!r}")
+        if not (_integral(N) and N >= 64 and (int(N) & (int(N) - 1)) == 0):
+            raise ValueError(f"samples_per_axis must be a power of two >= 64, got {N!r}")
+        if not (_finite_real(L) and L > 0):
+            raise ValueError(f"half_width must be positive and finite, got {L!r}")
+        # the frozen fields keep the plain int and float these values equal
+        for name, cast in (("dim", int), ("samples_per_axis", int), ("half_width", float)):
+            object.__setattr__(self, name, cast(getattr(self, name)))
 
     @property
     def spacing(self) -> float:
@@ -115,8 +120,18 @@ class Grid:
 
     def radial_freq(self) -> np.ndarray:
         """|xi| on the full frequency lattice."""
-        mesh = self.freq_mesh()
-        return np.sqrt(sum(m.astype(float) ** 2 for m in mesh))
+        return _radial_freq(self, np.complex128)
+
+
+def _finite_real(v) -> bool:
+    # an int or float (numpy's too) within the float64 range; never a bool or a str
+    return (isinstance(v, numbers.Real) and not isinstance(v, bool)
+            and abs(v) <= sys.float_info.max)
+
+
+def _integral(v) -> bool:
+    # an int, or a float that equals one
+    return _finite_real(v) and float(v).is_integer()
 
 
 class SampledField:
@@ -222,8 +237,7 @@ def _field(grid: Grid, spectrum: np.ndarray, values=None) -> SampledField:
 
 def make_grid(dim: int, samples_per_axis: int, half_width: float) -> Grid:
     """Construct a validated periodic grid (see :class:`Grid`)."""
-    return Grid(dim=int(dim), samples_per_axis=int(samples_per_axis),
-                half_width=float(half_width))
+    return Grid(dim=dim, samples_per_axis=samples_per_axis, half_width=half_width)
 
 
 def sample(expr, grid: Grid) -> SampledField:
@@ -299,15 +313,6 @@ def forward_transform(f: SampledField) -> np.ndarray:
     return full
 
 
-def _synthesize(grid: Grid, spec: np.ndarray) -> np.ndarray:
-    """Space samples of the full-lattice spectrum ``spec``, exactly inverting
-    :func:`forward_transform`; a float64 ``spec`` is taken to be even, as every
-    radial multiplier is, and is synthesized from its half lattice to float64."""
-    if spec.dtype == np.float64:
-        spec = spec[..., : grid.samples_per_axis // 2 + 1]
-    return np.fft.fftshift(_ifft(grid, spec)) / _fwd_scale(grid)
-
-
 def _multiplied(f: SampledField, multipliers):
     """Yield the space samples of F^-1(m * Ff) for each multiplier m in turn,
     all from ``f``'s one spectrum.  Each m is an FFT-order array on the full
@@ -350,7 +355,11 @@ def _shifted(grid: Grid, spec: np.ndarray, scale: float) -> SampledField:
     """The field whose samples are F^-1(scale * spec) shifted cyclically by
     N/2 on every axis, the shift that moves lattice index 0 to x = 0.  It is
     built from its spectrum, where the shift multiplies the coefficient at
-    lattice index j by (-1)^(j_1 + ... + j_n), so nothing is transformed."""
+    lattice index j by (-1)^(j_1 + ... + j_n), so nothing is transformed.  A
+    float64 ``spec`` is taken to be even, as every radial multiplier is: only
+    its half lattice is kept, and the field is real."""
+    if spec.dtype == np.float64:
+        spec = spec[..., : grid.samples_per_axis // 2 + 1]
     out = np.empty(spec.shape, dtype=np.complex128)
     np.multiply(spec, _centering_sign(grid, spec.shape, scale), out=out)
     return _field(grid, out)
@@ -387,9 +396,9 @@ def _real_synthesis(grid: Grid, coeffs: np.ndarray) -> SampledField:
 
 def inverse_transform(grid: Grid, F: np.ndarray) -> SampledField:
     """The field whose :func:`forward_transform` is the lattice array ``F``
-    (exact discrete inverse)."""
+    (exact discrete inverse), held as its spectrum."""
     # complex128, so a real F that is not even keeps its full lattice
-    return SampledField(grid, _synthesize(grid, np.asarray(F, dtype=np.complex128)))
+    return _shifted(grid, np.asarray(F, dtype=np.complex128), 1.0 / _fwd_scale(grid))
 
 
 def integrate(f: SampledField) -> float:
@@ -485,13 +494,12 @@ def _canonical(obj) -> str:
     return json.dumps(obj, sort_keys=True, default=_enc, allow_nan=False)
 
 
-def _write_file(path: str, parts, mode: str = "w") -> None:
-    """Write the ``parts`` (str for mode "w", bytes-like for "wb") to ``path``
-    through ``path.tmp``; a write that fails midway removes the tmp file and
-    leaves ``path`` as it was."""
+def _write_file(path: str, parts) -> None:
+    """Write the bytes ``parts`` to ``path`` via ``path.tmp``; a write that
+    fails midway removes the tmp file and leaves ``path`` as it was."""
     tmp = path + ".tmp"
     try:
-        with open(tmp, mode) as fh:
+        with open(tmp, "wb") as fh:
             fh.writelines(parts)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
@@ -501,7 +509,7 @@ def _write_file(path: str, parts, mode: str = "w") -> None:
 
 
 def _write_json(path: str, obj) -> None:
-    _write_file(path, (_canonical(obj), "\n"))
+    _write_file(path, ((_canonical(obj) + "\n").encode("ascii"),))
 
 
 # Rows per formatted piece of a CSV: large enough that the per-chunk overhead
@@ -608,25 +616,17 @@ def _digits(n, width: int):
 def _decimal(v):
     """The ``%.17g`` decimal form of the float64s ``v``: 17 correctly rounded
     digits as an int64 (0 for a zero), the decimal exponent, and a mask of
-    the values this arithmetic does not cover, which ``%`` formats."""
+    the values this arithmetic does not cover, which ``%`` formats.  Among
+    them are values next to a power of ten whose log10 misses the decimal
+    exponent, and seventeen 9s, which might round up to 18 digits."""
     a = np.abs(v)
     fast = (a >= _FAST_MIN) & (a <= _FAST_MAX)
     a = np.where(fast, a, 1.0)  # log10 and the split see no zero, inf or NaN
     x = np.floor(np.log10(a)).astype(np.int64)
     n, frac = _scaled(a, 16 - x)
-    # next to a power of ten log10 can miss the exponent by one; the
-    # unrounded integer part, 17 digits when it is right, shows which way
-    fix = (n >= 10**17).astype(np.int64) - (n < 10**16)
-    (wrong,) = np.nonzero(fix)
-    if wrong.size:
-        x[wrong] += fix[wrong]
-        n[wrong], frac[wrong] = _scaled(a[wrong], 16 - x[wrong])
-    n += frac > 0.5
-    carry = n == 10**17
-    n[carry] = 10**16
-    x += carry
     slow = ~fast & (v != 0)
-    slow |= (np.abs(frac - 0.5) < _TIE_TOL) | (n < 10**16) | (n >= 10**17)
+    slow |= (np.abs(frac - 0.5) < _TIE_TOL) | (n < 10**16) | (n >= 10**17 - 1)
+    n += frac > 0.5
     n[~fast] = 0  # a zero prints "0"; the slow values are formatted by %
     x[~fast] = 0
     return n, x, slow
@@ -704,8 +704,10 @@ def _write_csv(path: str, header, columns) -> None:
     from a double-double product x * 10^k, and a mask keeps the sign, digits,
     point and exponent ``%g`` shows.  A column that holds one value in every
     row (a real field's imaginary parts) is formatted once.  Values the digit
-    arithmetic does not cover (non-finite, subnormal, beyond 1e+-270, or
-    within 1e-9 of a rounding tie) are formatted one at a time by ``%``."""
+    arithmetic does not cover (non-finite, subnormal, beyond 1e+-270,
+    within 1e-9 of a rounding tie, with a log10 that misses the decimal
+    exponent, or with seventeen 9s that would round up) are formatted one at
+    a time by ``%``."""
     n = len(columns[0])
     if any(len(c) != n for c in columns):
         raise ValueError("CSV columns differ in length")
@@ -725,7 +727,7 @@ def _write_csv(path: str, header, columns) -> None:
         for start in range(0, n, _CSV_CHUNK):
             yield _csv_rows(cols, start, min(start + _CSV_CHUNK, n))
 
-    _write_file(path, chunks(), "wb")
+    _write_file(path, chunks())
 
 
 def save_field(fld: SampledField, basepath: str, fmt: str = "binary") -> None:
@@ -739,7 +741,7 @@ def save_field(fld: SampledField, basepath: str, fmt: str = "binary") -> None:
         raise ValueError(f"unknown format {fmt!r}")
     v = fld.values.ravel()
     if fmt == "binary":
-        _write_file(basepath + ".bin", (v.astype("<c16"),), "wb")
+        _write_file(basepath + ".bin", (v.astype("<c16"),))
     else:
         _write_csv(basepath + ".csv", ("index", "re", "im"), (range(v.size), v.real, v.imag))
     _write_json(basepath + ".json", {
@@ -765,15 +767,12 @@ def load_field(basepath: str) -> SampledField:
             raise ValueError(f"field sidecar lacks {key!r}")
     if meta["format"] not in ("binary", "csv"):
         raise ValueError(f"field sidecar format {meta['format']!r} is not 'binary' or 'csv'")
-    # make_grid would turn 1.9 or true into 1 and "2" into 2.0
-    for key in ("dim", "N"):
-        v = meta[key]
-        if isinstance(v, bool) or not (isinstance(v, int) or isinstance(v, float) and v.is_integer()):
-            raise ValueError(f"field sidecar {key!r} {v!r} is not an integer")
-    L = meta["L"]
-    if isinstance(L, bool) or not isinstance(L, (int, float)) or not math.isfinite(L):
-        raise ValueError(f"field sidecar 'L' {L!r} is not a finite real number")
-    grid = make_grid(meta["dim"], meta["N"], L)
+    # Grid applies these rules too, but names its own fields, not the keys
+    for key, ok, kind in (("dim", _integral, "an integer"), ("N", _integral, "an integer"),
+                          ("L", _finite_real, "a finite real number")):
+        if not ok(meta[key]):
+            raise ValueError(f"field sidecar {key!r} {meta[key]!r} is not {kind}")
+    grid = make_grid(meta["dim"], meta["N"], meta["L"])
     if meta["format"] == "binary":
         vals = np.fromfile(basepath + ".bin", dtype="<c16")
         if not vals.imag.any():

@@ -29,7 +29,6 @@ from .grid import (
     _multiplied,
     _radial_freq,
     _shifted,
-    _synthesize,
     convolve,
     integrate,
 )
@@ -136,8 +135,8 @@ def closed_form_kernel(spec: SemigroupSpec, t: float, grid: Grid) -> SampledFiel
     The samples are the whole-space closed form restricted to the box (no
     periodization), so heavy tails show up as box-mass deficit.
     """
-    if not t > 0:
-        raise ValueError(f"time t must be positive, got {t}")
+    if not 0 < t < np.inf:
+        raise ValueError(f"time t must be positive and finite, got {t}")
     _check_dim(spec, grid)
     if spec.m == 1.0:
         r2 = sum(m**2 for m in grid.coord_mesh())
@@ -159,11 +158,10 @@ def spectral_kernel(spec: SemigroupSpec, t: float, grid: Grid) -> SampledField:
     order's exponent |xi|^(2m) is real and even, so it is evaluated on the
     half lattice only, which holds every value it takes, and the kernel is
     a real field built from its spectrum with no transform.  A psi callable
-    is evaluated on the full lattice and synthesized, and its kernel must
-    come out real.
+    is evaluated on the full lattice, and its kernel must come out real.
     """
-    if not t > 0:
-        raise ValueError(f"time t must be positive, got {t}")
+    if not 0 < t < np.inf:
+        raise ValueError(f"time t must be positive and finite, got {t}")
     if spec.psi is None:
         _check_dim(spec, grid)
         psi = _radial_freq(grid, np.float64) ** (2.0 * spec.m)
@@ -188,10 +186,11 @@ def spectral_kernel(spec: SemigroupSpec, t: float, grid: Grid) -> SampledField:
     norm = (2.0 * np.pi) ** (-grid.dim / 2.0)
     with np.errstate(under="ignore"):
         decay = np.exp(-t * psi)
+    # the kernel is centered at x = 0, lattice index N/2
+    p = _shifted(grid, decay, norm / _fwd_scale(grid))
     if spec.psi is None:
-        # the kernel is centered at x = 0, lattice index N/2
-        return _shifted(grid, decay, norm / _fwd_scale(grid))
-    vals = _synthesize(grid, norm * decay)
+        return p
+    vals = p.values
     scale = np.abs(vals.real).max()
     resid = np.abs(vals.imag).max()
     if scale > 0 and resid > _IMAG_TOL * scale:

@@ -43,6 +43,16 @@ def test_kernel_validation_exit_code(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["kernel", "--family", "gw", "--t", "inf", "--N", 1024, "--L", 40],
+    ["sweep", "smoothing", "--t", "1,2,4,inf"],
+], ids=["kernel", "sweep"])
+def test_cli_refuses_infinite_time(tmp_path, capsys, argv):
+    assert run_cli(argv + ["--out", tmp_path / "x"]) == 2
+    assert "time t must be positive and finite" in _validation_error(capsys)
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_norm_command_round_trips_field(tmp_path):
     kout = tmp_path / "k"
     assert run_cli(["kernel", "--family", "gw", "--t", 1, "--N", 1024,

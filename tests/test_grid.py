@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from lplab import (
+    Grid,
     KernelFamily,
     SampledField,
     apply_block,
@@ -29,7 +30,7 @@ from lplab import (
 from lplab import grid as grid_module
 from lplab.grid import _field, _fwd_scale
 from lplab.littlewood_paley import block_spectra
-from lplab.norms import INF, SpaceParams, besov_norm, triebel_norm
+from lplab.norms import INF, SpaceParams, besov_norm, resolution_l1_bound, triebel_norm
 from lplab.verifier import CorpusSpec, generate_corpus, smoothing_sweep
 
 
@@ -62,11 +63,32 @@ def test_make_grid_derived_quantities():
 
 @pytest.mark.parametrize(
     "dim,n,L",
-    [(1, 100, 10.0), (1, 4096, -1.0), (0, 256, 10.0), (4, 64, 10.0), (1, 32, 10.0)],
+    [(1, 100, 10.0), (1, 4096, -1.0), (0, 256, 10.0), (4, 64, 10.0), (1, 32, 10.0),
+     # truncated or cast, each of these would stand for some other grid
+     pytest.param(1.9, 64, 2.0, id="fractional-dim"),
+     pytest.param(1, 64.7, 2.0, id="fractional-N"),
+     pytest.param(1, np.float64(64.5), 2.0, id="fractional-numpy-N"),
+     pytest.param(True, 64, 2.0, id="bool-dim"),
+     pytest.param(1, 64, True, id="bool-L"),
+     pytest.param("1", 64, 2.0, id="string-dim"),
+     pytest.param(1, "64", 2.0, id="string-N"),
+     pytest.param(1, 64, "2", id="string-L"),
+     pytest.param(1, 64, 10**400, id="int-L-beyond-float"),
+     pytest.param(1, None, 2.0, id="null-N")],
 )
 def test_make_grid_rejects_bad_input(dim, n, L):
     with pytest.raises(ValueError):
         make_grid(dim, n, L)
+    with pytest.raises(ValueError):
+        Grid(dim, n, L)
+
+
+def test_grid_takes_integral_values_of_any_number_type():
+    want = make_grid(2, 64, 2.0)
+    for dim, n, L in [(2.0, 64.0, 2), (np.int64(2), np.int32(64), np.float64(2.0))]:
+        for g in (make_grid(dim, n, L), Grid(dim, n, L)):
+            assert g == want and g.shape == (64, 64)
+            assert [type(v) for v in (g.dim, g.samples_per_axis, g.half_width)] == [int, int, float]
 
 
 @pytest.mark.parametrize("L", [np.inf, np.nan])
@@ -334,15 +356,17 @@ def test_concurrent_reads_share_one_fill(grid_2d):
 
 
 class _FFTCounter:
-    """Counts the numpy.fft calls made while it is installed, forward and
-    inverse apart."""
+    """Counts the numpy.fft calls made while it is installed: forward
+    transforms, inverse transforms and shifts apart."""
 
     FORWARD = ("fft", "rfft", "fft2", "rfft2", "fftn", "rfftn")
     INVERSE = ("ifft", "irfft", "ifft2", "irfft2", "ifftn", "irfftn")
+    SHIFT = ("fftshift", "ifftshift")
 
     def __init__(self, monkeypatch):
-        self.forward = self.inverse = 0
-        for kind, names in (("forward", self.FORWARD), ("inverse", self.INVERSE)):
+        self.forward = self.inverse = self.shift = 0
+        for kind, names in (("forward", self.FORWARD), ("inverse", self.INVERSE),
+                            ("shift", self.SHIFT)):
             for name in names:
                 monkeypatch.setattr(np.fft, name, self._counted(kind, getattr(np.fft, name)))
 
@@ -387,6 +411,20 @@ def test_forward_transform_of_a_known_spectrum_takes_no_fft(monkeypatch, grid_2d
     counter = _FFTCounter(monkeypatch)
     forward_transform(convolve(f, f))
     assert counter.forward == counter.inverse == 0
+
+
+def test_every_synthesis_centers_by_sign_not_by_shift(monkeypatch, grid_2d):
+    F = forward_transform(SampledField(grid_2d, np.random.default_rng(4).standard_normal(
+        grid_2d.shape)))
+    counter = _FFTCounter(monkeypatch)
+    back = inverse_transform(grid_2d, F)
+    # the inverse is held as its spectrum, so the round trip transforms nothing
+    assert np.abs(forward_transform(back) - F).max() <= 1e-15 * np.abs(F).max()
+    assert counter.forward == counter.inverse == 0
+    _ = back.values
+    resolution_l1_bound(build_resolution(grid_2d))
+    spectral_kernel(char_exponent(lambda x, y: x**2 + y**2, 2), 1.0, grid_2d)
+    assert counter.inverse > 0 and counter.shift == 0
 
 
 @pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
@@ -525,19 +563,18 @@ def test_a_kernel_field_takes_no_per_value_fallback():
     assert not grid_module._decimal(f.values.ravel())[2].any()
 
 
-@pytest.mark.parametrize("mode, part", [("w", "partial"), ("wb", b"partial")])
 @pytest.mark.parametrize("existing", [False, True])
-def test_a_write_that_fails_midway_leaves_no_trace(tmp_path, mode, part, existing):
+def test_a_write_that_fails_midway_leaves_no_trace(tmp_path, existing):
     target = tmp_path / "artifact"
     if existing:
         target.write_bytes(b"old")
 
     def parts():
-        yield part
+        yield b"partial"
         raise OSError("no space left on device")
 
     with pytest.raises(OSError, match="no space"):
-        grid_module._write_file(str(target), parts(), mode)
+        grid_module._write_file(str(target), parts())
     assert [p.name for p in tmp_path.iterdir()] == (["artifact"] if existing else [])
     if existing:
         assert target.read_bytes() == b"old"
@@ -548,20 +585,21 @@ def test_binary_field_write_is_atomic(tmp_path, monkeypatch):
     base = str(tmp_path / "field")
     save_field(f, base)
     assert (tmp_path / "field.bin").read_bytes() == f.values.astype("<c16").tobytes()
-    write_file, modes = grid_module._write_file, []
+    write_file, written = grid_module._write_file, []
 
-    def interrupted(path, parts, mode="w"):
+    def interrupted(path, parts):
         def cut():
-            yield from parts
+            for part in parts:
+                written.append(memoryview(part).tobytes())  # refuses a str
+                yield part
             raise KeyboardInterrupt
-        modes.append(mode)
-        write_file(path, cut(), mode)
+        write_file(path, cut())
 
     # an interrupt after the data is written but before the rename
     monkeypatch.setattr(grid_module, "_write_file", interrupted)
     with pytest.raises(KeyboardInterrupt):
         save_field(SampledField(f.grid, np.ones(64)), base)
-    assert modes == ["wb"]
+    assert written == [np.ones(64).astype("<c16").tobytes()]
     assert sorted(p.name for p in tmp_path.iterdir()) == ["field.bin", "field.json"]
     assert np.array_equal(load_field(base).values, f.values)
 

@@ -54,6 +54,9 @@ def test_closed_form_cauchy_peak(grid_1d):
 def test_closed_form_validation(grid_1d):
     with pytest.raises(ValueError):
         closed_form_kernel(gauss_weierstrass(1), 0.0, grid_1d)
+    # an infinite t would give an all-zero field
+    with pytest.raises(ValueError, match="time t must be positive and finite"):
+        closed_form_kernel(gauss_weierstrass(1), np.inf, grid_1d)
     with pytest.raises(ValueError):
         closed_form_kernel(generalized_gauss_weierstrass(2.0), 1.0, grid_1d)
     with pytest.raises(ValueError):
@@ -195,6 +198,13 @@ def test_semigroup_spec_refuses_invalid():
     # the positional call of the old (kind, dim) signature
     with pytest.raises(ValueError, match="dim must be 1, 2 or 3"):
         SemigroupSpec("cauchy_poisson", 1)
+
+
+@pytest.mark.parametrize("t", [np.inf, np.nan])
+def test_spectral_kernel_refuses_non_finite_time(grid_1d, t):
+    for spec in (gauss_weierstrass(1), char_exponent(lambda x: x**2, 1)):
+        with pytest.raises(ValueError, match="time t must be positive and finite"):
+            spectral_kernel(spec, t, grid_1d)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
