@@ -60,7 +60,6 @@ from .subordination import (
     BernsteinSpec,
     SubordinatorDensity,
     bernstein_eval,
-    bernstein_inverse,
     laplace_residuals,
     log_bernstein,
     power_bernstein,

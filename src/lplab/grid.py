@@ -378,6 +378,19 @@ def _centering_sign(grid: Grid, shape: tuple, scale: float) -> np.ndarray:
     return sign
 
 
+def _hermitian_half(grid: Grid, a: np.ndarray):
+    """The half lattice [..., :N//2+1] of the Hermitian part
+    (a(xi) + conj a(-xi)) / 2 of the full-lattice FFT-order array ``a``, and
+    the largest modulus of its anti-Hermitian part (a(xi) - conj a(-xi)) / 2.
+    The mirror -xi is index (-j) mod N on every axis; that modulus is the
+    same at xi and -xi, so the half lattice holds its maximum too."""
+    N = grid.samples_per_axis
+    rev = -np.arange(N) % N
+    mirror = np.conj(a[np.ix_(*([rev] * (grid.dim - 1)), rev[: N // 2 + 1])])
+    half = a[..., : N // 2 + 1]
+    return 0.5 * (half + mirror), 0.5 * np.abs(half - mirror).max()
+
+
 def _real_synthesis(grid: Grid, coeffs: np.ndarray) -> SampledField:
     """The real part of ``inverse_transform(grid, F)`` for the spectrum F
     that holds ``coeffs[j + J]`` at lattice offset j, |j_a| <= J on every

@@ -34,7 +34,6 @@ __all__ = [
     "log_bernstein",
     "user_bernstein",
     "bernstein_eval",
-    "bernstein_inverse",
     "stable_half_density",
     "laplace_residuals",
     "subordinate_kernel",
@@ -51,15 +50,13 @@ _EDGE_TOL = 1e-6
 
 @dataclass(frozen=True)
 class BernsteinSpec:
-    """A Bernstein function g with g(0) = 0, given by a vectorized callable g
-    and optionally its inverse g_inverse.
+    """A Bernstein function g with g(0) = 0, given by a vectorized callable g.
 
     Construction checks g(0) = 0 and that g is nondecreasing and concave on a
     log-spaced sweep, however the spec is built.
     """
 
     g: object
-    g_inverse: object = None
 
     def __post_init__(self):
         lam = np.geomspace(1e-3, 1e6, 6001)
@@ -80,16 +77,16 @@ def power_bernstein(alpha: float) -> BernsteinSpec:
     alpha = float(alpha)
     if not 0 < alpha <= 1:
         raise ValueError(f"power exponent must be in (0, 1], got {alpha}")
-    return BernsteinSpec(lambda lam: lam**alpha, lambda y: y ** (1.0 / alpha))
+    return BernsteinSpec(lambda lam: lam**alpha)
 
 
 def log_bernstein() -> BernsteinSpec:
     """g(lambda) = log(1 + lambda)."""
-    return BernsteinSpec(np.log1p, np.expm1)
+    return BernsteinSpec(np.log1p)
 
 
-def user_bernstein(g, g_inverse=None) -> BernsteinSpec:
-    return BernsteinSpec(g, g_inverse)
+def user_bernstein(g) -> BernsteinSpec:
+    return BernsteinSpec(g)
 
 
 def bernstein_eval(spec: BernsteinSpec, lam):
@@ -98,34 +95,6 @@ def bernstein_eval(spec: BernsteinSpec, lam):
     if not np.all(lam >= 0):
         raise ValueError("lambda must be >= 0")
     return np.asarray(spec.g(lam), dtype=float)
-
-
-def bernstein_inverse(spec: BernsteinSpec, y: float) -> float:
-    """g^-1(y) for strictly increasing g; bisection when no g_inverse is given.
-
-    Raises when g saturates below y (inverse of a constant segment).
-    """
-    if not y >= 0:
-        raise ValueError(f"y must be >= 0, got {y}")
-    if spec.g_inverse is not None:
-        return float(spec.g_inverse(y))
-    if y == 0:
-        return 0.0
-    hi = 1.0
-    for _ in range(2000):
-        if bernstein_eval(spec, np.array([hi]))[0] >= y:
-            break
-        hi *= 2.0
-    else:
-        raise ValueError(f"g never reaches {y:g}: inverse of a constant segment")
-    lo = 0.0
-    while hi - lo > 1e-10 * max(hi, 1.0):
-        mid = 0.5 * (lo + hi)
-        if bernstein_eval(spec, np.array([mid]))[0] < y:
-            lo = mid
-        else:
-            hi = mid
-    return float(0.5 * (lo + hi))
 
 
 @dataclass(frozen=True)

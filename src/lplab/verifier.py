@@ -183,8 +183,9 @@ def generate_corpus(spec: CorpusSpec, grid: Grid) -> list:
             raw = SampledField(grid, _oscillatory_packet(rng, grid, spec.band_limit))
         f = _band_project(raw, spec.band_limit)
         mass = lp_norm(f, 1)
-        # the field keeps its spectrum, so no later step transforms it again
-        fields.append(_field(grid, f.spectrum / mass, f.values / mass))
+        # the field keeps only its spectrum, so no later step transforms it
+        # again; its samples are synthesized if and when they are read
+        fields.append(_field(grid, f.spectrum / mass))
     return fields
 
 

@@ -405,6 +405,16 @@ def test_norm_of_a_convolution_takes_no_forward_transform(monkeypatch, grid_2d):
     assert counter.inverse == res.k_max + 1
 
 
+def test_psi_kernel_and_its_convolution_take_no_fft(monkeypatch, grid_2d):
+    f = SampledField(grid_2d, np.random.default_rng(6).standard_normal(grid_2d.shape))
+    _ = f.spectrum  # the field's one forward transform, not counted
+    counter = _FFTCounter(monkeypatch)
+    psi = char_exponent(lambda x, y: x**2 + y**2 + 1j * x**3, 2)
+    h = convolve(spectral_kernel(psi, 1.0, grid_2d), f)
+    assert counter.forward == counter.inverse == counter.shift == 0
+    assert h.dtype == np.float64
+
+
 def test_forward_transform_of_a_known_spectrum_takes_no_fft(monkeypatch, grid_2d):
     f = SampledField(grid_2d, np.random.default_rng(8).standard_normal(grid_2d.shape))
     _ = f.spectrum  # the field's one forward transform, not counted
@@ -423,8 +433,14 @@ def test_every_synthesis_centers_by_sign_not_by_shift(monkeypatch, grid_2d):
     assert counter.forward == counter.inverse == 0
     _ = back.values
     resolution_l1_bound(build_resolution(grid_2d))
-    spectral_kernel(char_exponent(lambda x, y: x**2 + y**2, 2), 1.0, grid_2d)
     assert counter.inverse > 0 and counter.shift == 0
+    # a psi callable's kernel is held as its spectrum too: built with no
+    # transform, and synthesized, with no shift, when its samples are read
+    done = counter.inverse
+    p = spectral_kernel(char_exponent(lambda x, y: x**2 + y**2, 2), 1.0, grid_2d)
+    assert counter.forward == 0 and counter.inverse == done
+    _ = p.values
+    assert counter.inverse == done + 1 and counter.shift == 0
 
 
 @pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
@@ -628,7 +644,8 @@ def test_real_fields_stay_real_and_complex_fields_complex(tmp_path):
              spectral_derivative(c, (0, 1)), apply_semigroup(fam, 1.0, c)]
     assert all(r.values.dtype == np.complex128 for r in mixed)
     assert all(b.dtype == np.complex128 for b in block_spectra(res, c))
-    # a psi callable keeps the full-lattice synthesis, and its kernel is real too
+    # a psi callable's kernel is real too: the half spectrum of the Hermitian
+    # part of exp(-t psi)
     psi = char_exponent(lambda x, y: x**2 + y**2, 2)
     assert spectral_kernel(psi, 1.0, g).values.dtype == np.float64
     stored = [("real", f, np.float64), ("zero-imag", SampledField(g, f.values + 0j), np.float64),

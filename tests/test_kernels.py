@@ -26,6 +26,7 @@ from lplab import (
     spectral_kernel,
     stable_exponent,
 )
+from lplab.grid import _fwd_scale
 from lplab.kernels import SemigroupSpec, symbol_values
 
 INV_SQRT_PI = 0.5641895835477563  # integral of |d/dx p_1| for the heat kernel
@@ -180,6 +181,33 @@ def test_non_hermitian_symbol_rejected():
     skew = char_exponent(lambda x: x**2 + 1j * np.abs(x), 1)
     with pytest.raises(ValueError, match="Hermitian"):
         spectral_kernel(skew, 1.0, g)
+    # an even imaginary part eps xi^2 leaves an anti-Hermitian part of about
+    # eps / e in a spectrum of modulus 1: above the 1e-8 threshold at 1e-6
+    slight = char_exponent(lambda x: x**2 + 1e-6j * x**2, 1)
+    with pytest.raises(ValueError, match="Hermitian"):
+        spectral_kernel(slight, 1.0, g)
+
+
+def _full_lattice_kernel(spec, t, grid):
+    """The real part of the complex synthesis of (2 pi)^(-n/2) e^(-t psi) on
+    the full lattice, centered at x = 0: the reference a kernel held as the
+    half spectrum of its Hermitian part must reproduce."""
+    decay = np.exp(-t * symbol_values(spec, grid))
+    norm = (2.0 * np.pi) ** (-grid.dim / 2.0) / _fwd_scale(grid)
+    return (norm * np.fft.fftshift(np.fft.ifftn(decay))).real
+
+
+@pytest.mark.parametrize("psi", [
+    lambda x: x**2 + 1e-12j * x**2,  # anti-Hermitian part ~4e-13, below 1e-8
+    lambda x: x**2 + 1j * x**3,      # Hermitian: an odd imaginary part
+], ids=["even-imag-1e-12", "odd-imag"])
+def test_hermitian_symbol_kernel_is_the_real_part_of_its_synthesis(psi):
+    g = make_grid(1, 256, 20.0)
+    spec = char_exponent(psi, 1)
+    p = spectral_kernel(spec, 1.0, g)
+    ref = _full_lattice_kernel(spec, 1.0, g)
+    assert p.values.dtype == np.float64
+    assert np.abs(p.values - ref).max() <= 1e-15 * np.abs(ref).max()
 
 
 def test_semigroup_spec_refuses_invalid():

@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -67,6 +70,25 @@ def test_corpus_fields_are_normalized_real_and_band_limited(grid_v, res_v, corpo
         for k in range(res_v.k_max + 1):
             if 2.0 ** (k - 1) > band:
                 assert np.abs(apply_block(res_v, k, f).values).max() < 1e-13
+
+
+def test_corpus_fields_hold_only_their_half_spectrum():
+    g = make_grid(2, 128, 8.0)
+    spec = CorpusSpec(seed=3, count=8, band_limit=4.0)
+    generate_corpus(CorpusSpec(seed=4, count=1, band_limit=4.0), g)  # fill any cache
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fields = generate_corpus(spec, g)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # no field keeps its samples: each is read from the spectrum when needed
+    half_spectrum = 16 * 128 * (128 // 2 + 1)
+    assert held <= 1.05 * spec.count * half_spectrum
+    assert len(fields) == spec.count
 
 
 def test_corpus_band_limit_validated(grid_v):
