@@ -232,7 +232,7 @@ def _cmd_sweep(args):
 
 
 def _cmd_subordinate(args):
-    if abs(args.alpha - 0.5) > 1e-12:
+    if not abs(args.alpha - 0.5) <= 1e-12:  # written so that a NaN fails too
         raise ValueError(
             "only the alpha = 1/2 stable subordinator has a built-in density; "
             "supply other laws programmatically via lplab.subordination.user_density"

@@ -391,22 +391,6 @@ def _hermitian_half(grid: Grid, a: np.ndarray):
     return 0.5 * (half + mirror), 0.5 * np.abs(half - mirror).max()
 
 
-def _real_synthesis(grid: Grid, coeffs: np.ndarray) -> SampledField:
-    """The real part of ``inverse_transform(grid, F)`` for the spectrum F
-    that holds ``coeffs[j + J]`` at lattice offset j, |j_a| <= J on every
-    axis, and zero elsewhere (2J + 1 < N).  The real part of a synthesis is
-    the synthesis of the Hermitian part (F(xi) + conj F(-xi)) / 2, so it is
-    built on the half lattice, with no transform."""
-    J = coeffs.shape[0] // 2
-    N = grid.samples_per_axis
-    # reversing every axis maps offset j to -j
-    herm = 0.5 * (coeffs + np.conj(coeffs[(slice(None, None, -1),) * grid.dim]))
-    spec = np.zeros(grid.shape[:-1] + (N // 2 + 1,), dtype=np.complex128)
-    offsets = np.arange(-J, J + 1) % N
-    spec[np.ix_(*([offsets] * (grid.dim - 1)), np.arange(J + 1))] = herm[..., J:]
-    return _shifted(grid, spec, 1.0 / _fwd_scale(grid))
-
-
 def inverse_transform(grid: Grid, F: np.ndarray) -> SampledField:
     """The field whose :func:`forward_transform` is the lattice array ``F``
     (exact discrete inverse), held as its spectrum."""

@@ -26,8 +26,8 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .grid import (Grid, SampledField, _field, _jsonable, _radial_freq, _real_synthesis,
-                   _times, _write_csv, convolve)
+from .grid import (Grid, SampledField, _centering_sign, _field, _fwd_scale, _hermitian_half,
+                   _jsonable, _radial_freq, _write_csv, convolve)
 from .kernels import KernelFamily, gradient_l1
 from .littlewood_paley import (
     DyadicResolution,
@@ -53,7 +53,6 @@ __all__ = [
     "conv_eq23_case",
 ]
 
-_FAMILIES = ("gaussian_mix", "band_limited_random", "mollified_step", "oscillatory_packet")
 _RHS_FLOOR = 1e-12
 _STABILITY_TOL = 0.05
 
@@ -69,78 +68,62 @@ def _pmap(fn, items):
 
 
 # ---------------------------------------------------------------------------
-# Corpus
+# Corpus.  Each builder draws its parameters from ``rng``, in an order and
+# with values that do not depend on N, and returns the full-lattice ``_fft``
+# spectrum of its field; the corpus field is the real part of that field.
 
 
-@dataclass(frozen=True)
-class CorpusSpec:
-    """Seeded recipe for a family-stratified corpus of real band-limited
-    fields, each normalized to unit L1 mass."""
-
-    seed: int
-    count: int
-    families: tuple = _FAMILIES
-    band_limit: float = 16.0
-
-    def __post_init__(self):
-        unknown = set(self.families) - set(_FAMILIES)
-        if unknown:
-            raise ValueError(f"unknown corpus families {sorted(unknown)}")
-        if self.count < 1:
-            raise ValueError(f"count must be >= 1, got {self.count}")
-        if not self.band_limit > 0:  # written so that a NaN fails too
-            raise ValueError(f"band_limit must be positive, got {self.band_limit}")
+def _separable_spectrum(grid: Grid, weights, factors) -> np.ndarray:
+    """The ``_fft`` spectrum of sum_t weights[t] prod_a factors[t, a](x_a),
+    for one-axis factors of shape (terms, dim, N) sampled at
+    ``grid.axis_coords()``: the outer products of their 1-D spectra, from one
+    batched FFT."""
+    spectra = np.fft.fft(factors, axis=-1)
+    axes = "ijk"[: grid.dim]
+    operands = ",".join("t" + a for a in axes)
+    return np.einsum(f"t,{operands}->{axes}", weights, *np.moveaxis(spectra, 1, 0))
 
 
-def _band_project(f: SampledField, band: float) -> SampledField:
-    """Zero every spectral coefficient of ``f`` with |xi| > band."""
-    return _times(f, _radial_freq(f.grid, f.dtype) <= band)
-
-
-def _gaussian_mix(rng, grid: Grid) -> np.ndarray:
+def _gaussian_mix(rng, grid: Grid, band: float) -> np.ndarray:
     L = grid.half_width
     k = int(rng.integers(1, 5))
     centers = rng.uniform(-L / 4, L / 4, size=(k, grid.dim))
     sigmas = rng.uniform(L / 40, L / 10, size=k)
     weights = rng.uniform(0.3, 1.0, size=k)
-    mesh = grid.coord_mesh()
-    out = np.zeros(grid.shape)
-    for i in range(k):
-        r2 = sum((m - centers[i, a]) ** 2 for a, m in enumerate(mesh))
-        out += weights[i] * np.exp(-r2 / (2.0 * sigmas[i] ** 2))
-    return out
+    x = grid.axis_coords()
+    factors = np.exp(-((x - centers[..., None]) ** 2) / (2.0 * sigmas[:, None, None] ** 2))
+    return _separable_spectrum(grid, weights, factors)
 
 
-def _band_limited_random(rng, grid: Grid, band: float) -> SampledField:
+def _band_limited_random(rng, grid: Grid, band: float) -> np.ndarray:
     # Coefficients are drawn on the resolution-independent lattice pi*j/L,
     # |j| <= band*L/pi, so refined grids see the same trig polynomial.
     dxi = np.pi / grid.half_width
     jb = int(np.floor(band / dxi))
-    side = 2 * jb + 1
-    coeffs = rng.standard_normal((side,) * grid.dim) + 1j * rng.standard_normal(
-        (side,) * grid.dim
-    )
+    shape = (2 * jb + 1,) * grid.dim
+    coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     offs = np.arange(-jb, jb + 1)
     r2 = sum(o.astype(float) ** 2 for o in np.meshgrid(*([offs] * grid.dim),
                                                        indexing="ij", sparse=True))
-    # the coefficients are not Hermitian; the field is the real part of
-    # their synthesis
-    return _real_synthesis(grid, coeffs * (np.sqrt(r2) * dxi <= band))
+    # the coefficients are the unitary transform at the offsets, of a complex
+    # field centered at x = 0
+    spec = np.zeros(grid.shape, dtype=np.complex128)
+    block = np.ix_(*([offs % grid.samples_per_axis] * grid.dim))
+    spec[block] = coeffs * (np.sqrt(r2) * dxi <= band)
+    spec *= _centering_sign(grid, grid.shape, 1.0 / _fwd_scale(grid))
+    return spec
 
 
 def _mollified_step(rng, grid: Grid, band: float) -> np.ndarray:
     # analytic tanh edges at scale 1/band: jump-like through the dyadic
     # range yet resolution-independent (spectrum decayed before Nyquist)
     L = grid.half_width
-    lo = rng.uniform(-L / 2, 0.0, size=grid.dim)
-    width = rng.uniform(L / 8, L / 2, size=grid.dim)
+    lo = rng.uniform(-L / 2, 0.0, size=grid.dim)[:, None]
+    width = rng.uniform(L / 8, L / 2, size=grid.dim)[:, None]
     sigma = 1.0 / band
-    mesh = grid.coord_mesh()
-    out = np.ones(grid.shape)
-    for a, m in enumerate(mesh):
-        out = out * 0.5 * (np.tanh((m - lo[a]) / sigma)
-                           - np.tanh((m - lo[a] - width[a]) / sigma))
-    return out
+    x = grid.axis_coords()
+    window = 0.5 * (np.tanh((x - lo) / sigma) - np.tanh((x - lo - width) / sigma))
+    return _separable_spectrum(grid, np.ones(1), window[None])
 
 
 def _oscillatory_packet(rng, grid: Grid, band: float) -> np.ndarray:
@@ -151,10 +134,37 @@ def _oscillatory_packet(rng, grid: Grid, band: float) -> np.ndarray:
     phase = rng.uniform(0, 2 * np.pi)
     center = rng.uniform(-L / 4, L / 4, size=grid.dim)
     sigma = rng.uniform(L / 10, L / 4)
-    mesh = grid.coord_mesh()
-    carrier = sum(omega[a] * m for a, m in enumerate(mesh))
-    r2 = sum((m - center[a]) ** 2 for a, m in enumerate(mesh))
-    return np.cos(carrier + phase) * np.exp(-r2 / (2.0 * sigma * sigma))
+    x = grid.axis_coords()
+    # cos(omega.x + phase) e^(-|x - center|^2 / 2 sigma^2) is the real part
+    # of e^(i phase) prod_a e^(i omega_a x_a - (x_a - center_a)^2 / 2 sigma^2)
+    factors = np.exp(1j * omega[:, None] * x - (x - center[:, None]) ** 2 / (2.0 * sigma * sigma))
+    return _separable_spectrum(grid, np.exp([1j * phase]), factors[None])
+
+
+_BUILDERS = {"gaussian_mix": _gaussian_mix, "band_limited_random": _band_limited_random,
+             "mollified_step": _mollified_step, "oscillatory_packet": _oscillatory_packet}
+
+
+@dataclass(frozen=True)
+class CorpusSpec:
+    """Seeded recipe for a family-stratified corpus of real band-limited
+    fields, each normalized to unit L1 mass."""
+
+    seed: int
+    count: int
+    families: tuple = tuple(_BUILDERS)
+    band_limit: float = 16.0
+
+    def __post_init__(self):
+        if not self.families:
+            raise ValueError("families must name at least one corpus family")
+        unknown = set(self.families) - set(_BUILDERS)
+        if unknown:
+            raise ValueError(f"unknown corpus families {sorted(unknown)}")
+        if self.count < 1:
+            raise ValueError(f"count must be >= 1, got {self.count}")
+        if not self.band_limit > 0:  # written so that a NaN fails too
+            raise ValueError(f"band_limit must be positive, got {self.band_limit}")
 
 
 def generate_corpus(spec: CorpusSpec, grid: Grid) -> list:
@@ -170,22 +180,16 @@ def generate_corpus(spec: CorpusSpec, grid: Grid) -> list:
             f"band_limit {spec.band_limit:g} exceeds 2^(k_max-1) = {2.0 ** (k_max - 1):g}"
         )
     rng = np.random.default_rng(spec.seed)
+    inside = _radial_freq(grid, np.float64) <= spec.band_limit
     fields = []
     for i in range(spec.count):
-        family = spec.families[i % len(spec.families)]
-        if family == "gaussian_mix":
-            raw = SampledField(grid, _gaussian_mix(rng, grid))
-        elif family == "band_limited_random":
-            raw = _band_limited_random(rng, grid, spec.band_limit)
-        elif family == "mollified_step":
-            raw = SampledField(grid, _mollified_step(rng, grid, spec.band_limit))
-        else:
-            raw = SampledField(grid, _oscillatory_packet(rng, grid, spec.band_limit))
-        f = _band_project(raw, spec.band_limit)
-        mass = lp_norm(f, 1)
+        build = _BUILDERS[spec.families[i % len(spec.families)]]
+        # the Hermitian part of a spectrum is the spectrum of its field's
+        # real part, held on the half lattice
+        half = _hermitian_half(grid, build(rng, grid, spec.band_limit))[0] * inside
         # the field keeps only its spectrum, so no later step transforms it
         # again; its samples are synthesized if and when they are read
-        fields.append(_field(grid, f.spectrum / mass))
+        fields.append(_field(grid, half / lp_norm(_field(grid, half), 1)))
     return fields
 
 
@@ -411,12 +415,18 @@ class PowerLawFit:
     t_range: tuple
 
 
+def _check_fit_times(ts) -> None:
+    # one time repeated leaves the fit undetermined (an SVD that fails)
+    distinct = len(set(map(float, ts)))  # np.unique's first call imports numpy.ma
+    if distinct < 4:
+        raise ValueError(f"a power-law fit needs at least 4 distinct times, got {distinct}")
+
+
 def fit_power_law(ts, values) -> PowerLawFit:
-    """Fit a power law; requires >= 4 samples with positive finite values."""
+    """Fit a power law to >= 4 distinct times with positive finite values."""
     ts = np.asarray(ts, dtype=float)
     values = np.asarray(values, dtype=float)
-    if ts.size < 4:
-        raise ValueError(f"need at least 4 points, got {ts.size}")
+    _check_fit_times(ts)
     if not np.all(np.isfinite(ts) & np.isfinite(values) & (ts > 0) & (values > 0)):
         raise ValueError("power-law fit requires positive finite times and values")
     lx, ly = np.log(ts), np.log(values)
@@ -446,6 +456,7 @@ def smoothing_sweep(fam: KernelFamily, f: SampledField, base: SpaceParams,
     if not (math.isfinite(u) and u >= 0):
         raise ValueError(f"smoothing order u must be finite and >= 0, got {u}")
     ts = sorted(float(t) for t in ts)
+    _check_fit_times(ts)  # before any norm is computed
     target = base.shifted(u)
     kernel_sp = SpaceParams("B", u, 1.0, INF)
 

@@ -212,6 +212,19 @@ def test_subordinate_rejects_other_alpha(tmp_path):
     assert code == 2
 
 
+def test_subordinate_refuses_nan_alpha(tmp_path, capsys):
+    assert run_cli(["subordinate", "--alpha", "nan", "--out", tmp_path / "s"]) == 2
+    assert "alpha" in _validation_error(capsys)
+    assert not list(tmp_path.glob("s.*"))
+
+
+def test_sweep_refuses_repeated_times(tmp_path, capsys):
+    assert run_cli(["sweep", "smoothing", "--t", "1,1,1,1", "--N", 1024, "--band", 4,
+                    "--out", tmp_path / "sw"]) == 2
+    assert "4 distinct times" in _validation_error(capsys)
+    assert not list(tmp_path.glob("sw.*"))
+
+
 def test_report_aggregation(tmp_path):
     assert run_cli(["verify", "young", "--count", 4, "--N", 1024,
                     "--out", tmp_path / "ok"]) == 0

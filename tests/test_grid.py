@@ -357,7 +357,8 @@ def test_concurrent_reads_share_one_fill(grid_2d):
 
 class _FFTCounter:
     """Counts the numpy.fft calls made while it is installed: forward
-    transforms, inverse transforms and shifts apart."""
+    transforms, inverse transforms and shifts apart.  ``calls`` lists each
+    call's name and input shape in order."""
 
     FORWARD = ("fft", "rfft", "fft2", "rfft2", "fftn", "rfftn")
     INVERSE = ("ifft", "irfft", "ifft2", "irfft2", "ifftn", "irfftn")
@@ -365,16 +366,36 @@ class _FFTCounter:
 
     def __init__(self, monkeypatch):
         self.forward = self.inverse = self.shift = 0
+        self.calls = []
         for kind, names in (("forward", self.FORWARD), ("inverse", self.INVERSE),
                             ("shift", self.SHIFT)):
             for name in names:
-                monkeypatch.setattr(np.fft, name, self._counted(kind, getattr(np.fft, name)))
+                monkeypatch.setattr(np.fft, name,
+                                    self._counted(kind, name, getattr(np.fft, name)))
 
-    def _counted(self, kind, fn):
-        def counted(*args, **kwargs):
+    def _counted(self, kind, name, fn):
+        def counted(a, *args, **kwargs):
             setattr(self, kind, getattr(self, kind) + 1)
-            return fn(*args, **kwargs)
+            self.calls.append((name, np.shape(a)))
+            return fn(a, *args, **kwargs)
         return counted
+
+
+@pytest.mark.parametrize("family", ["gaussian_mix", "band_limited_random",
+                                    "mollified_step", "oscillatory_packet"])
+def test_corpus_field_takes_one_batched_1d_fft_and_its_mass_synthesis(monkeypatch, family):
+    grid = make_grid(3, 64, 4.0)
+    spec = CorpusSpec(seed=2, count=3, families=(family,), band_limit=4.0)
+    counter = _FFTCounter(monkeypatch)
+    corpus = generate_corpus(spec, grid)
+    # per field: the 1-D spectra of its (terms, dim, N) axis factors in one
+    # call (none for a coefficient block), and the irfftn of its L1 mass;
+    # no transform of an N^n array
+    per_field = [] if family == "band_limited_random" else ["fft"]
+    assert [name for name, _ in counter.calls] == (per_field + ["irfftn"]) * spec.count
+    assert all(shape[1:] == (3, 64) for name, shape in counter.calls if name == "fft")
+    assert all(shape == (64, 64, 33) for name, shape in counter.calls if name == "irfftn")
+    assert all(f.dtype == np.float64 for f in corpus)
 
 
 def test_smoothing_sweep_transforms_no_field_twice(monkeypatch):

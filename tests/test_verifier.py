@@ -96,6 +96,8 @@ def test_corpus_band_limit_validated(grid_v):
         generate_corpus(CorpusSpec(seed=1, count=2, band_limit=64.0), grid_v)
     with pytest.raises(ValueError):
         CorpusSpec(seed=1, count=2, families=("nope",))
+    with pytest.raises(ValueError, match="families"):
+        CorpusSpec(seed=1, count=2, families=(), band_limit=4.0)
 
 
 def test_mollified_step_block_decay(grid_v, res_v):
@@ -117,10 +119,18 @@ def test_mollified_step_block_decay(grid_v, res_v):
     assert -1.35 < mean_slope < -0.65
 
 
+def _old_corpus_field(raw, grid, band):
+    """An earlier corpus field from its raw real samples: band-projected
+    through an rfftn pair, then L1-normalized."""
+    half = grid.radial_freq()[..., : grid.samples_per_axis // 2 + 1]
+    vals = np.fft.irfftn(np.fft.rfftn(raw) * (half <= band), s=grid.shape,
+                         axes=range(grid.dim))
+    return vals / (grid.cell_volume * np.abs(vals).sum())
+
+
 def _old_band_limited_random(rng, grid, band):
     """The earlier construction of a band_limited_random corpus field: the
-    real part of a full complex synthesis, band-projected through an rfftn
-    pair, then L1-normalized."""
+    real part of a full complex synthesis."""
     N, n = grid.samples_per_axis, grid.dim
     dxi = np.pi / grid.half_width
     jb = int(np.floor(band / dxi))
@@ -131,29 +141,91 @@ def _old_band_limited_random(rng, grid, band):
                                                        sparse=True))
     spec = np.zeros(grid.shape, dtype=np.complex128)
     spec[np.ix_(*([offs % N] * n))] = coeffs * (np.sqrt(r2) * dxi <= band)
-    raw = inverse_transform(grid, spec).values.real
-    half = grid.radial_freq()[..., : N // 2 + 1]
-    vals = np.fft.irfftn(np.fft.rfftn(raw) * (half <= band), s=grid.shape, axes=range(n))
-    return vals / (grid.cell_volume * np.abs(vals).sum())
+    return _old_corpus_field(inverse_transform(grid, spec).values.real, grid, band)
 
 
-@pytest.mark.parametrize("grid,band", [
+# The earlier dense-mesh constructions of the separable families: each is
+# evaluated on the full coordinate mesh, with the same draws from ``rng``.
+
+
+def _old_gaussian_mix(rng, grid, band):
+    L = grid.half_width
+    k = int(rng.integers(1, 5))
+    centers = rng.uniform(-L / 4, L / 4, size=(k, grid.dim))
+    sigmas = rng.uniform(L / 40, L / 10, size=k)
+    weights = rng.uniform(0.3, 1.0, size=k)
+    mesh = grid.coord_mesh()
+    out = np.zeros(grid.shape)
+    for i in range(k):
+        r2 = sum((m - centers[i, a]) ** 2 for a, m in enumerate(mesh))
+        out += weights[i] * np.exp(-r2 / (2.0 * sigmas[i] ** 2))
+    return _old_corpus_field(out, grid, band)
+
+
+def _old_mollified_step(rng, grid, band):
+    L = grid.half_width
+    lo = rng.uniform(-L / 2, 0.0, size=grid.dim)
+    width = rng.uniform(L / 8, L / 2, size=grid.dim)
+    sigma = 1.0 / band
+    out = np.ones(grid.shape)
+    for a, m in enumerate(grid.coord_mesh()):
+        out = out * 0.5 * (np.tanh((m - lo[a]) / sigma)
+                           - np.tanh((m - lo[a] - width[a]) / sigma))
+    return _old_corpus_field(out, grid, band)
+
+
+def _old_oscillatory_packet(rng, grid, band):
+    L = grid.half_width
+    direction = rng.standard_normal(grid.dim)
+    direction /= np.linalg.norm(direction)
+    omega = rng.uniform(band / 4, 3 * band / 4) * direction
+    phase = rng.uniform(0, 2 * np.pi)
+    center = rng.uniform(-L / 4, L / 4, size=grid.dim)
+    sigma = rng.uniform(L / 10, L / 4)
+    mesh = grid.coord_mesh()
+    carrier = sum(omega[a] * m for a, m in enumerate(mesh))
+    r2 = sum((m - center[a]) ** 2 for a, m in enumerate(mesh))
+    return _old_corpus_field(np.cos(carrier + phase) * np.exp(-r2 / (2.0 * sigma * sigma)),
+                             grid, band)
+
+
+_OLD_BUILDERS = {
+    "gaussian_mix": _old_gaussian_mix,
+    "band_limited_random": _old_band_limited_random,
+    "mollified_step": _old_mollified_step,
+    "oscillatory_packet": _old_oscillatory_packet,
+}
+
+_REFERENCE_GRIDS = pytest.mark.parametrize("grid,band", [
     (make_grid(1, 2048, 40.0), 16.0),
     (make_grid(2, 128, 8.0), 4.0),
     (make_grid(3, 64, 4.0), 4.0),
 ], ids=["1d", "2d", "3d"])
-def test_band_limited_random_matches_full_lattice_construction(grid, band):
-    seed, count = 13, 3
-    corpus = generate_corpus(CorpusSpec(seed=seed, count=count,
-                                        families=("band_limited_random",),
+
+
+def _assert_matches_old_construction(grid, band, families):
+    seed, count = 13, 3 * len(families)
+    corpus = generate_corpus(CorpusSpec(seed=seed, count=count, families=families,
                                         band_limit=band), grid)
     rng = np.random.default_rng(seed)
-    for f in corpus:
-        old = _old_band_limited_random(rng, grid, band)
+    for i, f in enumerate(corpus):
+        old = _OLD_BUILDERS[families[i % len(families)]](rng, grid, band)
         assert np.abs(f.values - old).max() <= 1e-13 * np.abs(old).max()
         # the spectrum the field keeps is the one of its samples
         F = np.fft.rfftn(f.values)
         assert np.abs(f.spectrum - F).max() <= 1e-13 * np.abs(F).max()
+
+
+@_REFERENCE_GRIDS
+def test_band_limited_random_matches_full_lattice_construction(grid, band):
+    _assert_matches_old_construction(grid, band, ("band_limited_random",))
+
+
+@_REFERENCE_GRIDS
+def test_separable_families_match_dense_mesh_construction(grid, band):
+    # the families interleaved, so each builder draws its own share of rng
+    _assert_matches_old_construction(grid, band,
+                                     ("gaussian_mix", "mollified_step", "oscillatory_packet"))
 
 
 def test_refined_corpus_represents_same_fields(grid_v):
@@ -378,6 +450,9 @@ def test_fit_recovers_intercept():
 def test_fit_validation():
     with pytest.raises(ValueError):
         fit_power_law([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
+    for ts in ([1.0, 1.0, 1.0, 1.0], [1.0, 2.0, 2.0, 3.0, 3.0]):
+        with pytest.raises(ValueError, match="4 distinct times"):
+            fit_power_law(ts, [1.0] * len(ts))
     with pytest.raises(ValueError):
         fit_power_law([1.0, 2.0, 3.0, 4.0], [1.0, -2.0, 3.0, 4.0])
     for bad in (np.nan, np.inf):
@@ -425,6 +500,12 @@ def test_smoothing_sweep_refuses_bad_order(u):
     # refused before the family or field is read
     with pytest.raises(ValueError, match="finite and >= 0"):
         smoothing_sweep(None, None, SpaceParams("B", 0.0, 1.0, INF), u, [1.0], None)
+
+
+def test_smoothing_sweep_refuses_repeated_times():
+    # refused before any norm is computed, so the family and field are not read
+    with pytest.raises(ValueError, match="4 distinct times"):
+        smoothing_sweep(None, None, SpaceParams("B", 0.0, 1.0, INF), 1.0, [1.0, 2.0] * 2, None)
 
 
 def test_smoothing_sweep_stable_rate():
