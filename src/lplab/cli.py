@@ -30,6 +30,7 @@ from .kernels import (
     cauchy_poisson,
     gauss_weierstrass,
     generalized_gauss_weierstrass,
+    spectral_kernel,
     stable_exponent,
 )
 from .littlewood_paley import build_resolution, bump_profile
@@ -219,7 +220,7 @@ def _cmd_sweep(args):
     grid = make_grid(args.dim, args.N, args.L)
     ts = _parse_t_list(args.t)
     fam = KernelFamily(spec, grid)
-    fam.kernel(min(ts))  # resolvability pre-flight at the smallest t
+    spectral_kernel(spec, min(ts), grid)  # resolvability pre-flight at the smallest t
     res = build_resolution(grid)
     corpus = generate_corpus(
         CorpusSpec(seed=args.seed, count=1, families=("mollified_step",),

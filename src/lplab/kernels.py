@@ -205,8 +205,12 @@ def spectral_kernel(spec: SemigroupSpec, t: float, grid: Grid) -> SampledField:
 class KernelFamily:
     """Kernels of one semigroup on one grid, cached per time point.
 
-    The cache supports concurrent readers with single-writer insertion;
-    numeric results do not depend on cache hits.
+    The cache serves callers that read one kernel several times: the
+    ``kernel`` command's diagnostics and saved field, the semigroup bound
+    check's times and half-times, and Chapman-Kolmogorov residuals.  The
+    smoothing sweep reads each kernel once and bypasses it.  The cache
+    supports concurrent readers with single-writer insertion; numeric
+    results do not depend on cache hits.
     """
 
     def __init__(self, spec: SemigroupSpec, grid: Grid):
@@ -247,7 +251,9 @@ def gradient_l1(p: SampledField) -> float:
     sq = np.zeros(p.grid.shape)
     units = np.eye(p.grid.dim, dtype=int)
     for d in _multiplied(p, (_derivative_symbol(p.grid, e) for e in units)):
-        sq = sq + d.real**2
+        d = d.real
+        d **= 2
+        sq += d
     return float(p.grid.cell_volume * np.sqrt(sq).sum())
 
 

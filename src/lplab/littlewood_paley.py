@@ -216,15 +216,16 @@ def apply_block(res: DyadicResolution, k: int, f: SampledField) -> SampledField:
     return _times(f, res.blocks[k])
 
 
-def block_spectra(res: DyadicResolution, f: SampledField):
-    """Yield the blocks phi_k(D) f, k = 0..k_max, as space samples.
+def block_spectra(res: DyadicResolution, f: SampledField, reverse: bool = False):
+    """Yield the blocks phi_k(D) f, k = 0..k_max (k_max..0 if ``reverse``),
+    as space samples the caller may overwrite.
 
     Shares one forward transform of ``f`` across all blocks; every
     function-space norm reads its blocks from here.
     """
     if f.grid != res.grid:
         raise ValueError("field grid does not match resolution grid")
-    yield from _multiplied(f, res.blocks)
+    yield from _multiplied(f, res.blocks[::-1] if reverse else res.blocks)
 
 
 def block_l2_norms(res: DyadicResolution, f: SampledField):

@@ -178,43 +178,44 @@ def triebel_norm(f: SampledField, res: DyadicResolution, sp: SpaceParams) -> Nor
     acc = None
     terms = []
     for k, b in enumerate(block_spectra(res, f)):
-        w = 2.0 ** (k * sp.s) * np.abs(b)
+        w = np.abs(b)
+        w *= 2.0 ** (k * sp.s)
         terms.append(_lp_values(w, sp.p, res.grid))
         if sp.q == INF:
-            acc = w if acc is None else np.maximum(acc, w)
+            acc = w if acc is None else np.maximum(acc, w, out=acc)
         else:
-            wq = w**sp.q
-            acc = wq if acc is None else acc + wq
+            w **= sp.q
+            acc = w if acc is None else np.add(acc, w, out=acc)
     if sp.q != INF:
-        acc = acc ** (1.0 / sp.q)
+        acc **= 1.0 / sp.q
     return _result(_lp_values(acc, sp.p, res.grid), np.array(terms), sp,
                    "lp_of_pointwise_lq")
 
 
 def _cube_means(values: np.ndarray, grid: Grid, J: int):
     """Means of ``values`` over lattice-aligned dyadic cubes of side 2^-J
-    fully inside the box; returns the per-cube means as a flat array."""
+    fully inside the box; returns the per-cube means as a flat array.
+
+    A cube is a product of one-axis intervals, so its sum is reduced one
+    axis at a time over the samples' cube runs, with no index array of the
+    lattice's size."""
     side = 2.0**-J
-    n = grid.dim
-    ax = grid.axis_coords()
-    idx = np.floor(ax / side).astype(np.int64)
+    L = grid.half_width
+    idx = np.floor(grid.axis_coords() / side).astype(np.int64)
     # cube m spans [m*side, (m+1)*side); keep only cubes inside [-L, L]
-    ok = (idx * side >= -grid.half_width - 1e-12) & (
-        (idx + 1) * side <= grid.half_width + 1e-12
-    )
-    lo = idx.min()
-    span = idx.max() - lo + 1
-    flat_idx = np.zeros(grid.shape, dtype=np.int64)
-    inside = np.ones(grid.shape, dtype=bool)
-    for axis in range(n):
-        shape = [1] * n
-        shape[axis] = grid.samples_per_axis
-        flat_idx = flat_idx * span + (idx - lo).reshape(shape)
-        inside &= ok.reshape(shape)
-    counts = np.bincount(flat_idx[inside], minlength=span**n)
-    sums = np.bincount(flat_idx[inside], weights=values[inside], minlength=span**n)
-    nonempty = counts > 0
-    return sums[nonempty] / counts[nonempty]
+    kept = np.flatnonzero((idx * side >= -L - 1e-12) & ((idx + 1) * side <= L + 1e-12))
+    if kept.size == 0:
+        return np.empty(0)
+    # idx is nondecreasing, so the kept samples are one run per cube
+    box = slice(kept[0], kept[-1] + 1)
+    starts = np.flatnonzero(np.diff(idx[box], prepend=idx[kept[0]] - 1))
+    counts = np.diff(starts, append=kept.size)
+    sums, size = values[(box,) * grid.dim], 1
+    for axis in range(grid.dim):
+        sums = np.add.reduceat(sums, starts, axis=axis)
+        size = np.multiply.outer(size, counts)
+    sums /= size
+    return sums.ravel()
 
 
 def triebel_infty_norm(f: SampledField, res: DyadicResolution, s: float, q: float) -> NormResult:
@@ -224,6 +225,8 @@ def triebel_infty_norm(f: SampledField, res: DyadicResolution, s: float, q: floa
     the box of (mean over cube samples of sum_{k>=J} |2^{ks} phi_k(D)f|^q)^(1/q).
     J is capped at log2(1/h) so every cube holds at least one sample.  For
     q = infinity the norm is by definition the Besov (inf, inf) norm.
+    The blocks are read from k_max down, into one running tail sum whose cube
+    means are taken as soon as it reaches each J.
     """
     if not q > 0:
         raise ValueError(f"q must be > 0, got {q}")
@@ -235,19 +238,21 @@ def triebel_infty_norm(f: SampledField, res: DyadicResolution, s: float, q: floa
     if grid.spacing > 1.0:
         raise ValueError("grid spacing exceeds the unit cube: no admissible J >= 0")
     j_cap = min(int(np.floor(np.log2(1.0 / grid.spacing))), res.k_max)
-    tails = [
-        (2.0 ** (k * s) * np.abs(b)) ** q for k, b in enumerate(block_spectra(res, f))
-    ]
-    terms = [float(w.max()) ** (1.0 / q) for w in tails]
-    # suffix sums in place: tails[J] becomes the sum over k = J..k_max
-    for k in range(res.k_max - 1, -1, -1):
-        tails[k] += tails[k + 1]
+    terms = []
+    tail = None
     best = 0.0
-    for J in range(0, j_cap + 1):
-        means = _cube_means(tails[J], grid, J)
-        if means.size:
-            best = max(best, float(means.max()))
-    return _result(best ** (1.0 / q), np.array(terms), sp, "cube_sup")
+    moduli = map(np.abs, block_spectra(res, f, reverse=True))
+    for k, w in zip(range(res.k_max, -1, -1), moduli):
+        w *= 2.0 ** (k * s)
+        w **= q
+        terms.append(float(w.max()) ** (1.0 / q))
+        # the tail sum over k..k_max
+        if tail is not None:
+            w += tail
+        tail = w
+        if k <= j_cap:
+            best = max(best, float(_cube_means(tail, grid, k).max(initial=0.0)))
+    return _result(best ** (1.0 / q), np.array(terms[::-1]), sp, "cube_sup")
 
 
 def space_norm(f: SampledField, res: DyadicResolution, sp: SpaceParams) -> NormResult:
@@ -282,7 +287,7 @@ def sobolev_w1m_norm(f: SampledField, m: int) -> float:
     symbols = (_derivative_symbol(f.grid, a) for a in alphas if sum(a) <= m)
     total = np.zeros(f.grid.shape)
     for d in _multiplied(f, symbols):
-        total = total + np.abs(d)
+        total += np.abs(d)
     return float(f.grid.cell_volume * total.sum())
 
 
@@ -307,5 +312,5 @@ def hardy_norm(f: SampledField, t_nodes=None) -> float:
     rho2 = _radial_freq(f.grid, f.dtype) ** 2
     peak = np.zeros(f.grid.shape)
     for out in _multiplied(f, (np.exp(-(t * t) * rho2) for t in nodes)):
-        peak = np.maximum(peak, np.abs(out))
+        np.maximum(peak, np.abs(out), out=peak)
     return float(f.grid.cell_volume * peak.sum())

@@ -1,3 +1,7 @@
+import gc
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -23,7 +27,9 @@ from lplab import (
     triebel_norm,
 )
 from lplab.grid import _jsonable
-from lplab.norms import default_hardy_nodes
+from lplab.littlewood_paley import block_spectra
+from lplab.norms import _cube_means, default_hardy_nodes
+from lplab.verifier import CorpusSpec, generate_corpus
 
 
 def band_limited(grid, seed, band=1.0):
@@ -181,8 +187,6 @@ def test_triebel_infty_zero_field(grid_1d, res_1d):
 
 
 def _tail_sums(f, res, s, q):
-    from lplab.littlewood_paley import block_spectra
-
     weighted = [(2.0 ** (k * s) * np.abs(b)) ** q
                 for k, b in enumerate(block_spectra(res, f))]
     tails = {}
@@ -224,6 +228,120 @@ def test_cube_norm_2d_smoke(grid_2d):
     f = convolve(SampledField(grid_2d, vals), SampledField(grid_2d, vals))
     r = triebel_infty_norm(f, res, 0.5, 2.0)
     assert r.value > 0 and np.isfinite(r.value)
+
+
+def _brute_cube_means(values, grid, J):
+    # one cube at a time, in lexicographic order of the cube indices
+    side = 2.0**-J
+    L = grid.half_width
+    x = grid.axis_coords()
+    axis_cubes = []
+    for m in range(int(np.floor(-L / side)) - 1, int(np.ceil(L / side)) + 1):
+        inside_box = m * side >= -L - 1e-12 and (m + 1) * side <= L + 1e-12
+        members = np.flatnonzero((x >= m * side) & (x < (m + 1) * side))
+        if inside_box and members.size:
+            axis_cubes.append(members)
+    return np.array([values[np.ix_(*cube)].mean()
+                     for cube in itertools.product(axis_cubes, repeat=grid.dim)])
+
+
+@pytest.mark.parametrize("dim, N, L, J_max", [
+    (1, 1024, 10.7, 5),  # half-widths that are no multiple of a cube side,
+    (2, 128, 5.3, 3),    # so partial cubes at the box edges are dropped
+    (3, 64, 3.3, 2),
+    (3, 64, 4.0, 2),     # cube faces on the box faces
+])
+def test_cube_means_match_a_per_cube_loop(dim, N, L, J_max):
+    grid = make_grid(dim, N, L)
+    # nonnegative, as the tail sums are, so no mean is a cancellation
+    values = np.random.default_rng(dim).standard_exponential(grid.shape)
+    for J in range(J_max + 1):
+        got = _cube_means(values, grid, J)
+        want = _brute_cube_means(values, grid, J)
+        assert got.shape == want.shape and want.size > 0
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+
+
+def _old_cube_means(values, grid, J):
+    # full-lattice flat cube index and bincount, as before the separable sums
+    side = 2.0**-J
+    n = grid.dim
+    ax = grid.axis_coords()
+    idx = np.floor(ax / side).astype(np.int64)
+    ok = (idx * side >= -grid.half_width - 1e-12) & (
+        (idx + 1) * side <= grid.half_width + 1e-12
+    )
+    lo = idx.min()
+    span = idx.max() - lo + 1
+    flat_idx = np.zeros(grid.shape, dtype=np.int64)
+    inside = np.ones(grid.shape, dtype=bool)
+    for axis in range(n):
+        shape = [1] * n
+        shape[axis] = grid.samples_per_axis
+        flat_idx = flat_idx * span + (idx - lo).reshape(shape)
+        inside &= ok.reshape(shape)
+    counts = np.bincount(flat_idx[inside], minlength=span**n)
+    sums = np.bincount(flat_idx[inside], weights=values[inside], minlength=span**n)
+    nonempty = counts > 0
+    return sums[nonempty] / counts[nonempty]
+
+
+def _old_triebel_infty_norm(f, res, s, q):
+    # every weighted tail held at once, then summed in place from k_max down
+    grid = res.grid
+    j_cap = min(int(np.floor(np.log2(1.0 / grid.spacing))), res.k_max)
+    tails = [(2.0 ** (k * s) * np.abs(b)) ** q for k, b in enumerate(block_spectra(res, f))]
+    terms = [float(w.max()) ** (1.0 / q) for w in tails]
+    for k in range(res.k_max - 1, -1, -1):
+        tails[k] += tails[k + 1]
+    best = 0.0
+    for J in range(0, j_cap + 1):
+        means = _old_cube_means(tails[J], grid, J)
+        if means.size:
+            best = max(best, float(means.max()))
+    return best ** (1.0 / q), tuple(terms)
+
+
+def test_triebel_infty_norm_matches_the_all_tails_construction(res_1d, corpus_small, grid_2d):
+    g3 = make_grid(3, 64, 4.0)
+    fields = [
+        *corpus_small[:4],
+        *generate_corpus(CorpusSpec(seed=3, count=2, band_limit=4.0), grid_2d),
+        *generate_corpus(CorpusSpec(seed=3, count=2, band_limit=4.0), g3),
+    ]
+    resolutions = {grid: build_resolution(grid) for grid in (grid_2d, g3)}
+    resolutions[res_1d.grid] = res_1d
+    drift = 0.0
+    for f, (s, q) in itertools.product(fields, [(0.5, 2.0), (-0.25, 1.0), (1.0, 0.5)]):
+        res = resolutions[f.grid]
+        got = triebel_infty_norm(f, res, s, q)
+        value, terms = _old_triebel_infty_norm(f, res, s, q)
+        assert got.block_terms == terms
+        drift = max(drift, abs(got.value - value) / value)
+    print(f"largest relative drift of the cube norm: {drift:.2e}")
+    assert drift <= 1e-14
+
+
+def test_triebel_infty_norm_holds_one_tail_at_a_time():
+    grid = make_grid(3, 64, 4.0)
+    res = build_resolution(grid)
+    f = generate_corpus(CorpusSpec(seed=1, count=1, families=("mollified_step",),
+                                   band_limit=4.0), grid)[0]
+    _ = f.values, f.spectrum  # both kept on the field, as after a load
+    triebel_infty_norm(f, res, 0.5, 2.0)  # fill any cache
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        triebel_infty_norm(f, res, 0.5, 2.0)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    # the running tail and one block's synthesis, about 4 lattice arrays;
+    # all k_max + 1 tails at once and the cube means' full-lattice index
+    # copies peaked near 10
+    lattice = 8 * 64**3
+    assert peak <= 5 * lattice
 
 
 # ---------------------------------------------------------------------------

@@ -495,6 +495,32 @@ def test_smoothing_sweep_contraction_flat_at_u0(grid_1d, res_1d):
         assert v <= fam.l1_norm(t) * f_norm * (1 + 1e-10)
 
 
+def test_smoothing_sweep_keeps_no_kernel():
+    g = make_grid(2, 128, 8.0)
+    res = build_resolution(g)
+    f = generate_corpus(CorpusSpec(seed=5, count=1, families=("mollified_step",),
+                                   band_limit=4.0), g)[0]
+    sp = SpaceParams("F", 0.0, 2.0, 2.0)
+    ts = [2.0**j for j in range(-4, 2)]
+    smoothing_sweep(KernelFamily(gauss_weierstrass(2), g), f, sp, 1.0, ts, res)  # fill any cache
+    fam = KernelFamily(gauss_weierstrass(2), g)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        sweep = smoothing_sweep(fam, f, sp, 1.0, ts, res)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # each kernel is dropped after its time: keeping them in the family's
+    # cache held one half spectrum per time
+    half_spectrum = 16 * 128 * (128 // 2 + 1)
+    assert not fam._cache
+    assert held < half_spectrum
+    assert len(sweep.kernel_norms) == len(ts)
+
+
 @pytest.mark.parametrize("u", [-0.5, float("nan"), INF])
 def test_smoothing_sweep_refuses_bad_order(u):
     # refused before the family or field is read
