@@ -30,7 +30,7 @@ from .kernels import (
     cauchy_poisson,
     gauss_weierstrass,
     generalized_gauss_weierstrass,
-    spectral_kernel,
+    kernel_diagnostics,
     stable_exponent,
 )
 from .littlewood_paley import build_resolution, bump_profile
@@ -156,9 +156,9 @@ def _add_grid_args(p, n_default=4096, l_default=40.0, dim_default=1):
 def _cmd_kernel(args):
     spec = _family_spec(args)
     grid = make_grid(args.dim, args.N, args.L)
-    fam = KernelFamily(spec, grid)
-    diag = fam.diagnostics(args.t)
-    save_field(fam.kernel(args.t), args.out + ".field", fmt=args.format)
+    p = KernelFamily(spec, grid).kernel(args.t)
+    diag = kernel_diagnostics(p, args.t)
+    save_field(p, args.out + ".field", fmt=args.format)
     return diag, {"spectral_tail": _TAIL_TOL}, EXIT_PASS
 
 
@@ -220,7 +220,7 @@ def _cmd_sweep(args):
     grid = make_grid(args.dim, args.N, args.L)
     ts = _parse_t_list(args.t)
     fam = KernelFamily(spec, grid)
-    spectral_kernel(spec, min(ts), grid)  # resolvability pre-flight at the smallest t
+    fam.kernel(min(ts))  # resolvability pre-flight at the smallest t
     res = build_resolution(grid)
     corpus = generate_corpus(
         CorpusSpec(seed=args.seed, count=1, families=("mollified_step",),
@@ -241,7 +241,7 @@ def _cmd_subordinate(args):
     grid = make_grid(args.dim, args.N, args.L)
     dens = stable_half_density(args.t, num_nodes=args.nodes)
     kernel = subordinate_kernel(dens, grid)
-    save_field(kernel, args.out + ".field", fmt=args.format)
+    # every value is computed, and so every refusal made, before a file is written
     payload = {
         "t": args.t,
         "mass": integrate(kernel),
@@ -250,6 +250,7 @@ def _cmd_subordinate(args):
         "u": args.u,
         "laplace_check_residuals": laplace_residuals(dens),
     }
+    save_field(kernel, args.out + ".field", fmt=args.format)
     tolerances = {"mass": _MASS_TOL, "laplace": _LAPLACE_TOL, "moment_edge": _EDGE_TOL}
     return payload, tolerances, EXIT_PASS
 

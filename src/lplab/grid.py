@@ -355,11 +355,9 @@ def _shifted(grid: Grid, spec: np.ndarray, scale: float) -> SampledField:
     """The field whose samples are F^-1(scale * spec) shifted cyclically by
     N/2 on every axis, the shift that moves lattice index 0 to x = 0.  It is
     built from its spectrum, where the shift multiplies the coefficient at
-    lattice index j by (-1)^(j_1 + ... + j_n), so nothing is transformed.  A
-    float64 ``spec`` is taken to be even, as every radial multiplier is: only
-    its half lattice is kept, and the field is real."""
-    if spec.dtype == np.float64:
-        spec = spec[..., : grid.samples_per_axis // 2 + 1]
+    lattice index j by (-1)^(j_1 + ... + j_n), so nothing is transformed.
+    The shape of ``spec`` picks the lattice, as for :func:`_field`: a half
+    lattice gives a real field, the full lattice a complex one."""
     out = np.empty(spec.shape, dtype=np.complex128)
     np.multiply(spec, _centering_sign(grid, spec.shape, scale), out=out)
     return _field(grid, out)
@@ -394,8 +392,7 @@ def _hermitian_half(grid: Grid, a: np.ndarray):
 def inverse_transform(grid: Grid, F: np.ndarray) -> SampledField:
     """The field whose :func:`forward_transform` is the lattice array ``F``
     (exact discrete inverse), held as its spectrum."""
-    # complex128, so a real F that is not even keeps its full lattice
-    return _shifted(grid, np.asarray(F, dtype=np.complex128), 1.0 / _fwd_scale(grid))
+    return _shifted(grid, np.asarray(F), 1.0 / _fwd_scale(grid))
 
 
 def integrate(f: SampledField) -> float:

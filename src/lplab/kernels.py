@@ -15,7 +15,6 @@ every downstream quantity would be silently aliased.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,8 +24,10 @@ from .grid import (
     SampledField,
     _IMAG_TOL,
     _derivative_symbol,
+    _finite_real,
     _fwd_scale,
     _hermitian_half,
+    _integral,
     _multiplied,
     _radial_freq,
     _shifted,
@@ -39,6 +40,7 @@ __all__ = [
     "UnderResolvedError",
     "SemigroupSpec",
     "KernelFamily",
+    "kernel_diagnostics",
     "gauss_weierstrass",
     "generalized_gauss_weierstrass",
     "cauchy_poisson",
@@ -79,12 +81,13 @@ class SemigroupSpec:
     psi: object = None
 
     def __post_init__(self):
-        if self.dim not in (1, 2, 3):
+        if not (_integral(self.dim) and self.dim in (1, 2, 3)):
             raise ValueError(f"semigroup dim must be 1, 2 or 3, got {self.dim!r}")
+        object.__setattr__(self, "dim", int(self.dim))
         if (self.m is None) == (self.psi is None):
             raise ValueError("a semigroup needs exactly one of the order m and psi")
-        if self.m is not None and not self.m > 0:
-            raise ValueError(f"order m must be > 0, got {self.m}")
+        if self.m is not None and not (_finite_real(self.m) and self.m > 0):
+            raise ValueError(f"order m must be > 0 and finite, got {self.m!r}")
 
 
 def gauss_weierstrass(dim: int = 1) -> SemigroupSpec:
@@ -203,31 +206,19 @@ def spectral_kernel(spec: SemigroupSpec, t: float, grid: Grid) -> SampledField:
 
 
 class KernelFamily:
-    """Kernels of one semigroup on one grid, cached per time point.
+    """One semigroup on one grid, checked to share its dimension.
 
-    The cache serves callers that read one kernel several times: the
-    ``kernel`` command's diagnostics and saved field, the semigroup bound
-    check's times and half-times, and Chapman-Kolmogorov residuals.  The
-    smoothing sweep reads each kernel once and bypasses it.  The cache
-    supports concurrent readers with single-writer insertion; numeric
-    results do not depend on cache hits.
+    Each :meth:`kernel` call builds p_t afresh, so no kernel outlives the
+    caller that reads it; a caller that reads one kernel twice holds it.
     """
 
     def __init__(self, spec: SemigroupSpec, grid: Grid):
         _check_dim(spec, grid)
         self.spec = spec
         self.grid = grid
-        self._cache: dict = {}
-        self._lock = threading.Lock()
 
     def kernel(self, t: float) -> SampledField:
-        key = float(t)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        p = spectral_kernel(self.spec, key, self.grid)
-        with self._lock:
-            return self._cache.setdefault(key, p)
+        return spectral_kernel(self.spec, t, self.grid)
 
     def l1_norm(self, t: float) -> float:
         """The total-variation mass ||p_t||_L1, the right-hand factor of the
@@ -235,15 +226,16 @@ class KernelFamily:
         integral)."""
         return lp_norm(self.kernel(t), 1)
 
-    def diagnostics(self, t: float) -> dict:
-        p = self.kernel(t)
-        return {
-            "t": float(t),
-            "mass": integrate(p),
-            "l1_norm": lp_norm(p, 1),
-            "gradient_l1": gradient_l1(p),
-            "min_value": float(p.values.min()),
-        }
+
+def kernel_diagnostics(p: SampledField, t: float) -> dict:
+    """The ``kernel`` command's summary of the kernel p = p_t."""
+    return {
+        "t": float(t),
+        "mass": integrate(p),
+        "l1_norm": lp_norm(p, 1),
+        "gradient_l1": gradient_l1(p),
+        "min_value": float(p.values.min()),
+    }
 
 
 def gradient_l1(p: SampledField) -> float:

@@ -21,8 +21,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grid import (Grid, SampledField, _derivative_symbol, _fwd_scale, _jsonable,
-                   _multiplied, _radial_freq, _shifted)
+from .grid import (Grid, SampledField, _derivative_symbol, _jsonable, _multiplied,
+                   _radial_freq, inverse_transform)
 from .littlewood_paley import DyadicResolution, block_l2_norms, block_spectra
 
 __all__ = [
@@ -264,9 +264,10 @@ def space_norm(f: SampledField, res: DyadicResolution, sp: SpaceParams) -> NormR
 
 def resolution_l1_bound(res: DyadicResolution) -> float:
     """max_k || F^-1 phi_k ||_L1, an explicit computable constant dominating
-    ||f | B^0_{1,inf}|| / ||f||_L1 (block convolutions obey Young's bound)."""
-    scale = 1.0 / _fwd_scale(res.grid)
-    return max(lp_norm(_shifted(res.grid, b, scale), 1) for b in res.blocks)
+    ||f | B^0_{1,inf}|| / ||f||_L1 (block convolutions obey Young's bound).
+    Each phi_k is real and even, so its half lattice holds it."""
+    half = res.grid.samples_per_axis // 2 + 1
+    return max(lp_norm(inverse_transform(res.grid, b[..., :half]), 1) for b in res.blocks)
 
 
 def bessel_norm(f: SampledField, s: float) -> float:

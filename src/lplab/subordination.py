@@ -216,14 +216,14 @@ def subordinate_kernel(dens: SubordinatorDensity, grid: Grid) -> SampledField:
 
 
 def subordinator_moment(dens: SubordinatorDensity, u: float) -> float:
-    """Negative moment K_t = sum w_i r_i^(-u/2) rho(r_i), u >= 0.
+    """Negative moment K_t = sum w_i r_i^(-u/2) rho(r_i), finite u >= 0.
 
     The integrand peaks near r -> 0 where only the density's own decay tames
     the singularity; an edge node contributing more than 1e-6 of the total
     signals an unresolved range and raises.
     """
-    if not u >= 0:
-        raise ValueError(f"u must be >= 0, got {u}")
+    if not 0 <= u < math.inf:
+        raise ValueError(f"u must be finite and >= 0, got {u}")
     with np.errstate(under="ignore"):
         terms = dens.weights * dens.nodes ** (-u / 2.0) * dens.density
     total = float(terms.sum())

@@ -28,7 +28,7 @@ import numpy as np
 
 from .grid import (Grid, SampledField, _centering_sign, _field, _fwd_scale, _hermitian_half,
                    _jsonable, _radial_freq, _write_csv, convolve)
-from .kernels import KernelFamily, gradient_l1, spectral_kernel
+from .kernels import KernelFamily, gradient_l1
 from .littlewood_paley import (
     DyadicResolution,
     TransitionProfile,
@@ -454,8 +454,7 @@ def smoothing_sweep(fam: KernelFamily, f: SampledField, base: SpaceParams,
     """Sweep ||P_t f | A^{s+u}_{p,q}|| and the kernel norm ||p_t | B^u_{1,inf}||
     (the dominant factor of the semigroup smoothing bound) over ``ts``.
 
-    Each p_t is built for its time and dropped after it, not kept in
-    ``fam``'s cache."""
+    Each p_t is built for its time and dropped after it."""
     if not (math.isfinite(u) and u >= 0):
         raise ValueError(f"smoothing order u must be finite and >= 0, got {u}")
     ts = sorted(float(t) for t in ts)
@@ -464,7 +463,7 @@ def smoothing_sweep(fam: KernelFamily, f: SampledField, base: SpaceParams,
     kernel_sp = SpaceParams("B", u, 1.0, INF)
 
     def one(t):
-        p_t = spectral_kernel(fam.spec, t, fam.grid)
+        p_t = fam.kernel(t)
         applied = space_norm(convolve(f, p_t), res, target).value
         knorm = besov_norm(p_t, res, kernel_sp).value
         return applied, knorm

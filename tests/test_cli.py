@@ -218,6 +218,25 @@ def test_subordinate_refuses_nan_alpha(tmp_path, capsys):
     assert not list(tmp_path.glob("s.*"))
 
 
+@pytest.mark.parametrize("u", ["nan", "inf", "-1"])
+def test_subordinate_refuses_bad_order_before_writing(tmp_path, capsys, u):
+    assert run_cli(["subordinate", "--u", u, "--nodes", 512, "--N", 1024,
+                    "--out", tmp_path / "s"]) == 2
+    assert "u must be finite and >= 0" in _validation_error(capsys)
+    assert not list(tmp_path.glob("s.*"))
+
+
+@pytest.mark.parametrize("argv", [
+    ["kernel", "--family", "gen-gw", "--t", 1, "--N", 1024],
+    ["sweep", "smoothing", "--family", "gen-gw", "--N", 1024, "--band", 4],
+], ids=["kernel", "sweep"])
+@pytest.mark.parametrize("m", ["inf", "nan"])
+def test_cli_refuses_non_finite_order_before_writing(tmp_path, capsys, argv, m):
+    assert run_cli(argv + ["--m", m, "--out", tmp_path / "x"]) == 2
+    assert "order m must be > 0 and finite" in _validation_error(capsys)
+    assert not list(tmp_path.glob("x.*"))
+
+
 def test_sweep_refuses_repeated_times(tmp_path, capsys):
     assert run_cli(["sweep", "smoothing", "--t", "1,1,1,1", "--N", 1024, "--band", 4,
                     "--out", tmp_path / "sw"]) == 2

@@ -250,6 +250,13 @@ def test_spectral_derivative_2d_mixed(grid_2d):
     assert np.abs(d.values - target.values).max() < 1e-9
 
 
+@pytest.mark.parametrize("alpha", [1, (1, 0, 0), (1, -1)], ids=["too-few", "too-many", "negative"])
+def test_spectral_derivative_refuses_bad_multi_index(grid_2d, alpha):
+    f = sample(lambda x, y: np.exp(-(x**2 + y**2) / 2.0), grid_2d)
+    with pytest.raises(ValueError, match="alpha must be 2 nonnegative orders"):
+        spectral_derivative(f, alpha)
+
+
 def test_odd_derivative_is_zero_at_nyquist_for_complex_fields():
     # xi and -xi are one lattice point at index N/2, so an odd order has no
     # sign to give it: the multiplier is 0 there, for complex fields too
@@ -318,6 +325,11 @@ def test_field_refuses_non_finite_spectrum(grid_2d):
         _field(grid_2d, spec)
     with pytest.raises(ValueError, match="fits neither lattice"):
         _field(grid_2d, spec[:, :-1])
+    # a half-lattice spectrum is a real field's: its samples are real and grid-shaped
+    half = SampledField(grid_2d, np.ones(grid_2d.shape)).spectrum
+    for values in (np.ones(grid_2d.shape, dtype=complex), np.ones(grid_2d.shape[0])):
+        with pytest.raises(ValueError, match="samples do not match"):
+            _field(grid_2d, np.array(half), values)
 
 
 def test_field_of_a_spectrum_matches_its_samples(grid_2d):

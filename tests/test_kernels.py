@@ -27,7 +27,7 @@ from lplab import (
     stable_exponent,
 )
 from lplab.grid import _fwd_scale
-from lplab.kernels import SemigroupSpec, symbol_values
+from lplab.kernels import SemigroupSpec, kernel_diagnostics, symbol_values
 
 INV_SQRT_PI = 0.5641895835477563  # integral of |d/dx p_1| for the heat kernel
 
@@ -384,11 +384,10 @@ def test_second_derivative_gradient_square_bound(grid_1d):
 
 def test_kernel_family_diagnostics(grid_1d):
     fam = KernelFamily(gauss_weierstrass(1), grid_1d)
-    d = fam.diagnostics(1.0)
+    d = kernel_diagnostics(fam.kernel(1.0), 1.0)
     assert set(d) == {"t", "mass", "l1_norm", "gradient_l1", "min_value"}
     assert abs(d["mass"] - 1.0) < 1e-6
     assert abs(d["gradient_l1"] - INV_SQRT_PI) < 1e-4
-    assert fam.kernel(1.0) is fam.kernel(1.0)  # cached
 
 
 def test_two_dimensional_heat_kernel(grid_2d):
@@ -411,6 +410,16 @@ def test_spec_validation():
         char_exponent(None, 1)
     with pytest.raises(ValueError):
         KernelFamily(gauss_weierstrass(2), make_grid(1, 256, 10.0))
+    # dim follows the grid's rule: an integer, never a bool or a fraction
+    for dim in (True, 1.5, "2"):
+        with pytest.raises(ValueError, match="dim must be 1, 2 or 3"):
+            SemigroupSpec(dim, m=1.0)
+    assert SemigroupSpec(2.0, m=1.0) == gauss_weierstrass(2)
+    for m in (INF, -INF, np.nan, True):
+        with pytest.raises(ValueError, match="order m must be > 0 and finite"):
+            SemigroupSpec(1, m=m)
+    with pytest.raises(ValueError, match="order m must be > 0 and finite, got inf"):
+        generalized_gauss_weierstrass(INF)
 
 
 @pytest.mark.parametrize("alpha", [0.3, 0.5, 1.0, 1.5, 2.0])

@@ -14,7 +14,8 @@ from lplab import (
     squared_resolution,
     validate_resolution,
 )
-from lplab.littlewood_paley import DyadicResolution, TransitionProfile, block_spectra
+from lplab.littlewood_paley import (DyadicResolution, TransitionProfile, block_l2_norms,
+                                    block_spectra)
 
 
 def band_limited(grid, seed, band):
@@ -143,6 +144,8 @@ def test_blocks_refuse_mismatched_grid(res_1d):
         apply_block(res_1d, 0, f)
     with pytest.raises(ValueError, match="does not match"):
         next(block_spectra(res_1d, f))
+    with pytest.raises(ValueError, match="does not match"):
+        next(block_l2_norms(res_1d, f))
 
 
 def test_apply_block_range_check(grid_1d, res_1d):

@@ -27,7 +27,7 @@ from lplab import (
     triebel_norm,
 )
 from lplab.grid import _jsonable
-from lplab.littlewood_paley import block_spectra
+from lplab.littlewood_paley import DyadicResolution, block_spectra, bump_profile
 from lplab.norms import _cube_means, default_hardy_nodes
 from lplab.verifier import CorpusSpec, generate_corpus
 
@@ -487,6 +487,31 @@ def test_space_params_validation():
         SpaceParams("B", 0.0, 1.0, 0.0)
     assert SpaceParams("F", 0.0, 1.0, 0.5).theorem_eligible is False
     assert SpaceParams("B", 0.0, 1.0, 0.5).theorem_eligible is True
+
+
+@pytest.mark.parametrize("call, named", [
+    (lambda f, res: besov_norm(f, res, SpaceParams("F", 0.0, 1.0, 1.0)), "requires scale 'B'"),
+    (lambda f, res: triebel_norm(f, res, SpaceParams("B", 0.0, 1.0, 1.0)), "requires scale 'F'"),
+    (lambda f, res: triebel_infty_norm(f, res, 0.0, 0.0), "q must be > 0, got 0.0"),
+    (lambda f, res: triebel_infty_norm(f, res, 0.0, -1.0), "q must be > 0, got -1.0"),
+    (lambda f, res: triebel_infty_norm(f, res, 0.0, np.nan), "q must be > 0, got nan"),
+    (lambda f, res: sobolev_w1m_norm(f, -1), "order m must be >= 0, got -1"),
+], ids=["besov-F", "triebel-B", "cube-q-0", "cube-q-negative", "cube-q-nan", "sobolev-m"])
+def test_norms_refuse_invalid_arguments(res_1d, call, named):
+    f = sample(lambda x: np.exp(-(x**2)), res_1d.grid)
+    with pytest.raises(ValueError, match=named):
+        call(f, res_1d)
+
+
+def test_cube_norm_refuses_spacing_above_one():
+    # build_resolution needs nyquist >= 4, that is spacing <= pi/4, so only a
+    # hand-built resolution reaches this refusal; with no cube side 2^-J >= h
+    # the norm would otherwise read 0
+    g = make_grid(1, 64, 40.0)  # spacing 1.25
+    res = DyadicResolution(g, (np.ones(g.shape),), bump_profile())
+    f = sample(lambda x: np.exp(-(x**2) / 100.0), g)
+    with pytest.raises(ValueError, match="spacing exceeds the unit cube"):
+        triebel_infty_norm(f, res, 0.5, 2.0)
 
 
 @pytest.mark.parametrize("s", [float("nan"), INF, -INF])

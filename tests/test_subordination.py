@@ -85,6 +85,12 @@ def test_directly_built_spec_is_checked():
         user_bernstein(lambda lam: np.where(lam < 1e3, np.sqrt(lam), np.nan))
 
 
+@pytest.mark.parametrize("lam", [-1.0, [0.0, -1e-300], np.nan], ids=["negative", "one-negative", "nan"])
+def test_bernstein_eval_refuses_negative_lambda(lam):
+    with pytest.raises(ValueError, match="lambda must be >= 0"):
+        bernstein_eval(power_bernstein(0.5), lam)
+
+
 def test_power_exponent_validated():
     with pytest.raises(ValueError):
         power_bernstein(1.5)
@@ -129,6 +135,19 @@ def test_stable_half_density_refuses_infinite_input(kwargs, named):
 def test_density_node_count_floor():
     with pytest.raises(ValueError):
         stable_half_density(1.0, num_nodes=64)
+
+
+@pytest.mark.parametrize("t, bernstein, named", [
+    (0.0, power_bernstein(0.5), "t must be positive"),
+    (-1.0, power_bernstein(0.5), "t must be positive"),
+    (np.nan, power_bernstein(0.5), "t must be positive"),
+    # the alpha = 1/2 law carries unit mass but is not the gamma law's density
+    (1.0, log_bernstein(), "Laplace identity residual"),
+], ids=["t-zero", "t-negative", "t-nan", "wrong-law"])
+def test_user_density_refuses_bad_law(t, bernstein, named):
+    dens = stable_half_density(1.0, num_nodes=512)
+    with pytest.raises(ValueError, match=named):
+        user_density(t, dens.nodes, dens.density, bernstein)
 
 
 def test_user_density_refuses_bad_nodes():
@@ -285,7 +304,7 @@ def test_moment_unresolved_singularity_raises():
     assert abs(subordinator_moment(dens, 0.5) - math.gamma(0.75)) < 1e-4
     with pytest.raises(ValueError, match="edge"):
         subordinator_moment(dens, 2.0)
-    with pytest.raises(ValueError, match="u must be >= 0, got nan"):
+    with pytest.raises(ValueError, match="u must be finite and >= 0, got nan"):
         subordinator_moment(dens, np.nan)
 
 

@@ -98,6 +98,8 @@ def test_corpus_band_limit_validated(grid_v):
         CorpusSpec(seed=1, count=2, families=("nope",))
     with pytest.raises(ValueError, match="families"):
         CorpusSpec(seed=1, count=2, families=(), band_limit=4.0)
+    with pytest.raises(ValueError, match="count must be >= 1, got 0"):
+        CorpusSpec(seed=1, count=0)
 
 
 def test_mollified_step_block_decay(grid_v, res_v):
@@ -340,7 +342,16 @@ def test_semi11_2d_smoke(grid_2d):
     assert report.verdict and np.isfinite(report.empirical_C)
 
 
+@pytest.mark.parametrize("u", [0.0, -1.0, float("nan")])
+def test_semi11_refuses_non_positive_order(u):
+    # refused before the family is read
+    with pytest.raises(ValueError, match="u must be > 0"):
+        theorem_semi11_bound_check(None, u, [1.0], None)
+
+
 def test_case_validation():
+    with pytest.raises(ValueError, match="unknown case name 'conv2'"):
+        InequalityCase("conv2", p=1.0, p1=1.0, p2=1.0)
     with pytest.raises(ValueError, match="integrability"):
         InequalityCase("conv1", p=2.0, p1=2.0, p2=2.0)
     with pytest.raises(ValueError, match="summability"):
@@ -513,10 +524,9 @@ def test_smoothing_sweep_keeps_no_kernel():
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    # each kernel is dropped after its time: keeping them in the family's
-    # cache held one half spectrum per time
+    # each kernel is dropped after its time: keeping them held one half
+    # spectrum per time
     half_spectrum = 16 * 128 * (128 // 2 + 1)
-    assert not fam._cache
     assert held < half_spectrum
     assert len(sweep.kernel_norms) == len(ts)
 
