@@ -119,8 +119,9 @@ class Grid:
         return tuple(np.meshgrid(*([fx] * self.dim), indexing="ij", sparse=True))
 
     def radial_freq(self) -> np.ndarray:
-        """|xi| on the full frequency lattice."""
-        return _radial_freq(self, np.complex128)
+        """|xi| on the half lattice [..., :N//2+1], where every spectrum lives."""
+        last = self.samples_per_axis // 2 + 1
+        return np.sqrt(sum(m[..., :last] ** 2 for m in self.freq_mesh()))
 
 
 def _finite_real(v) -> bool:
@@ -142,8 +143,9 @@ class SampledField:
     missing is computed on first read and kept, so a field is transformed at
     most once.  The spectrum (``spectrum``) is the uncentered, unscaled array
     ``_fft(values)``: the Hermitian half lattice of rfftn for a real field,
-    the full fftn lattice for a complex one.  It is not the unitary
-    transform; :func:`forward_transform` returns that.
+    and for a complex field u + iv the half lattices of u and v stacked on a
+    leading axis of two.  It is not the unitary transform;
+    :func:`forward_transform` returns that.
 
     Real input is stored as float64 and complex input as complex128, so a
     real field stays real through every transform.  Values must have the
@@ -182,7 +184,7 @@ class SampledField:
         """float64 for a real field, complex128 for a complex one."""
         if self._samples is not None:
             return self._samples.dtype
-        real = self._lattice.shape[-1] < self.grid.samples_per_axis
+        real = self._lattice.ndim == self.grid.dim
         return np.dtype(np.float64 if real else np.complex128)
 
     # Each fill is taken under the field's lock, so threads that read one
@@ -216,12 +218,12 @@ def _frozen(a: np.ndarray, what: str) -> np.ndarray:
 
 def _field(grid: Grid, spectrum: np.ndarray, values=None) -> SampledField:
     """The field whose spectrum (see :class:`SampledField`) is ``spectrum``,
-    a half-lattice array for a real field or a full-lattice one for a complex
+    a half-lattice array for a real field or a pair of them for a complex
     field.  ``values``, when given, must be the samples of that spectrum.
     Both arrays are taken over and frozen, not copied."""
     half = grid.shape[:-1] + (grid.samples_per_axis // 2 + 1,)
     spec = np.asarray(spectrum, dtype=np.complex128)
-    if spec.shape not in (half, grid.shape):
+    if spec.shape not in (half, (2,) + half):
         raise ValueError(f"spectrum of shape {spec.shape} fits neither lattice of {grid}")
     f = SampledField.__new__(SampledField)
     f.grid = grid
@@ -261,31 +263,25 @@ def _fwd_scale(grid: Grid) -> float:
     return (2.0 * np.pi) ** (-grid.dim / 2.0) * grid.cell_volume
 
 
-# The package's one transform pair, uncentered (no shifts) and unscaled.  The
-# array picks the lattice: float64 samples take the Hermitian half lattice
-# [..., :N//2+1] of rfftn, half the work of a complex fftn, and complex ones the
-# full lattice; a spectrum shorter than N on its last axis inverts to float64.
+# The package's one transform pair, uncentered (no shifts) and unscaled: rfftn
+# and irfftn, whose Hermitian half lattice [..., :N//2+1] holds every spectrum,
+# a complex field u + iv's as the pair (u, v).  Every multiplier is Hermitian,
+# m(-xi) = conj m(xi), so it is given there and maps each part to a real field.
 
 
 def _fft(x: np.ndarray) -> np.ndarray:
     """Lattice spectrum of the samples ``x``: the rfftn half lattice for
-    float64 samples, the full fftn lattice for complex ones."""
-    return np.fft.rfftn(x) if x.dtype == np.float64 else np.fft.fftn(x)
+    float64 samples, the pair of its parts' half lattices for complex ones."""
+    if x.dtype == np.float64:
+        return np.fft.rfftn(x)
+    return np.fft.rfftn(np.stack((x.real, x.imag)), axes=range(1, x.ndim + 1))
 
 
 def _ifft(grid: Grid, spec: np.ndarray) -> np.ndarray:
     """Inverse of :func:`_fft`: float64 samples of a half-lattice spectrum,
-    complex samples of a full-lattice one."""
-    if spec.shape[-1] < grid.samples_per_axis:
-        return np.fft.irfftn(spec, s=grid.shape, axes=range(grid.dim))
-    return np.fft.ifftn(spec)
-
-
-def _radial_freq(grid: Grid, dtype) -> np.ndarray:
-    """|xi| on the lattice of :func:`_fft` for samples of ``dtype``: the half
-    lattice for float64, the full lattice for complex128."""
-    last = grid.samples_per_axis // 2 + 1 if dtype == np.float64 else None
-    return np.sqrt(sum(m[..., :last] ** 2 for m in grid.freq_mesh()))
+    complex samples of a pair."""
+    out = np.fft.irfftn(spec, s=grid.shape, axes=range(spec.ndim - grid.dim, spec.ndim))
+    return out if spec.ndim == grid.dim else out[0] + 1j * out[1]
 
 
 def forward_transform(f: SampledField) -> np.ndarray:
@@ -294,61 +290,65 @@ def forward_transform(f: SampledField) -> np.ndarray:
 
     The coefficient at lattice frequency xi_j equals
     (2 pi)^(-n/2) h^n sum_x e^(-i x.xi_j) f(x).  It is built from the
-    field's spectrum: a half lattice is completed by the Hermitian mirror
-    F(-xi) = conj F(xi), and the centering shift of the samples by N/2 is the
-    sign (-1)^(j_1 + ... + j_n), so a field that holds its spectrum is not
-    transformed again.
+    field's spectrum: each half lattice is completed by the Hermitian mirror
+    (see :func:`_hermitian_full`), and the centering shift of the samples by
+    N/2 is the sign (-1)^(j_1 + ... + j_n), so a field that holds its
+    spectrum is not transformed again.
     """
-    grid, spec = f.grid, f.spectrum
-    N = grid.samples_per_axis
-    full = np.empty(grid.shape, dtype=np.complex128)
-    full[..., : spec.shape[-1]] = spec
-    if spec.shape[-1] < N:
-        # index j on an axis mirrors to (-j) mod N; the last axis's N//2+1..N-1
-        # are the mirrors of N//2-1..1
-        rev = -np.arange(N) % N
-        mirror = spec[np.ix_(*([rev] * (grid.dim - 1)), np.arange(N // 2 - 1, 0, -1))]
-        np.conjugate(mirror, out=full[..., N // 2 + 1 :])
+    grid, full = f.grid, _hermitian_full(f.grid, f.spectrum)
+    if full.ndim > grid.dim:  # the pair of u + iv: Fu + i Fv
+        full = full[0] + 1j * full[1]
     full *= _centering_sign(grid, grid.shape, _fwd_scale(grid))
+    return full
+
+
+def _hermitian_full(grid: Grid, half: np.ndarray) -> np.ndarray:
+    """The full FFT-order lattice, in ``half``'s dtype, of the Hermitian array
+    a(-xi) = conj a(xi) whose half lattice is ``half`` (or of each of a pair)."""
+    N = grid.samples_per_axis
+    full = np.empty(half.shape[:-1] + (N,), dtype=half.dtype)
+    full[..., : N // 2 + 1] = half
+    # index j on an axis mirrors to (-j) mod N; the last axis's N//2+1..N-1
+    # are the mirrors of N//2-1..1
+    rev = -np.arange(N) % N
+    mirror = half[(...,) + np.ix_(*([rev] * (grid.dim - 1)), np.arange(N // 2 - 1, 0, -1))]
+    np.conjugate(mirror, out=full[..., N // 2 + 1 :])
     return full
 
 
 def _multiplied(f: SampledField, multipliers):
     """Yield the space samples of F^-1(m * Ff) for each multiplier m in turn,
-    all from ``f``'s one spectrum.  Each m is an FFT-order array on the full
-    lattice or on Ff's own (or broadcastable to one), cut to Ff's as
-    m[..., :F.shape[-1]]; for a float64 field that is the half lattice, so m
-    must be Hermitian, m(-xi) = conj m(xi), and the samples are float64.
+    all from ``f``'s one spectrum.  Each m is a Hermitian FFT-order array on
+    the half lattice (or broadcastable to it), so it maps a real field to a
+    float64 one and acts on a complex field's two parts at once.
 
     A multiplier commutes with the cyclic N/2 shift that centers the samples,
     so no shift is needed, and the transform scales cancel."""
     F = f.spectrum
     for m in multipliers:
-        yield _ifft(f.grid, m[..., : F.shape[-1]] * F)
+        yield _ifft(f.grid, m * F)
 
 
 def _times(f: SampledField, m: np.ndarray) -> SampledField:
     """The field F^-1(m * Ff), held as its spectrum (m as in
     :func:`_multiplied`); nothing is transformed until its samples are read."""
-    F = f.spectrum
-    return _field(f.grid, m[..., : F.shape[-1]] * F)
+    return _field(f.grid, m * f.spectrum)
 
 
 def _l2_norms(f: SampledField, multipliers):
     """Yield ||F^-1(m * Ff)||_L2 for each multiplier m (as in
     :func:`_multiplied`) by Parseval, with no inverse transform:
-    h^n sum_x |g(x)|^2 = h^n N^-n sum_xi |Fg(xi)|^2.  On the half lattice a
-    point off the last axis's 0 and N/2 planes also stands for its mirror
-    -xi, which m(-xi) = conj m(xi) gives the same modulus, so it counts
-    twice."""
+    h^n sum_x |g(x)|^2 = h^n N^-n sum_xi |Fg(xi)|^2, summed over both parts
+    of a complex field.  A half-lattice point off the last axis's 0 and N/2
+    planes also stands for its mirror -xi, which m(-xi) = conj m(xi) gives
+    the same modulus, so it counts twice."""
     F = f.spectrum
     power = F.real**2 + F.imag**2
     N = f.grid.samples_per_axis
-    if F.shape[-1] < N:
-        power[..., 1 : N // 2] *= 2.0
+    power[..., 1 : N // 2] *= 2.0
     scale = f.grid.cell_volume / N**f.grid.dim
     for m in multipliers:
-        yield math.sqrt(scale * np.sum(np.abs(m[..., : F.shape[-1]]) ** 2 * power))
+        yield math.sqrt(scale * np.sum(np.abs(m) ** 2 * power))
 
 
 def _shifted(grid: Grid, spec: np.ndarray, scale: float) -> SampledField:
@@ -356,10 +356,10 @@ def _shifted(grid: Grid, spec: np.ndarray, scale: float) -> SampledField:
     N/2 on every axis, the shift that moves lattice index 0 to x = 0.  It is
     built from its spectrum, where the shift multiplies the coefficient at
     lattice index j by (-1)^(j_1 + ... + j_n), so nothing is transformed.
-    The shape of ``spec`` picks the lattice, as for :func:`_field`: a half
-    lattice gives a real field, the full lattice a complex one."""
+    As for :func:`_field`, a half lattice gives a real field and a pair a
+    complex one."""
     out = np.empty(spec.shape, dtype=np.complex128)
-    np.multiply(spec, _centering_sign(grid, spec.shape, scale), out=out)
+    np.multiply(spec, _centering_sign(grid, spec.shape[spec.ndim - grid.dim :], scale), out=out)
     return _field(grid, out)
 
 
@@ -376,23 +376,25 @@ def _centering_sign(grid: Grid, shape: tuple, scale: float) -> np.ndarray:
     return sign
 
 
-def _hermitian_half(grid: Grid, a: np.ndarray):
-    """The half lattice [..., :N//2+1] of the Hermitian part
-    (a(xi) + conj a(-xi)) / 2 of the full-lattice FFT-order array ``a``, and
-    the largest modulus of its anti-Hermitian part (a(xi) - conj a(-xi)) / 2.
-    The mirror -xi is index (-j) mod N on every axis; that modulus is the
-    same at xi and -xi, so the half lattice holds its maximum too."""
+def _hermitian_parts(grid: Grid, a: np.ndarray):
+    """The half lattices [..., :N//2+1] of the Hermitian part
+    (a(xi) + conj a(-xi)) / 2 and the anti-Hermitian part
+    (a(xi) - conj a(-xi)) / 2 of the full-lattice FFT-order array ``a``.  The
+    mirror -xi is index (-j) mod N on every axis; the modulus of either part
+    is the same at xi and -xi, so the half lattice holds its maximum too."""
     N = grid.samples_per_axis
     rev = -np.arange(N) % N
     mirror = np.conj(a[np.ix_(*([rev] * (grid.dim - 1)), rev[: N // 2 + 1])])
     half = a[..., : N // 2 + 1]
-    return 0.5 * (half + mirror), 0.5 * np.abs(half - mirror).max()
+    return 0.5 * (half + mirror), 0.5 * (half - mirror)
 
 
 def inverse_transform(grid: Grid, F: np.ndarray) -> SampledField:
-    """The field whose :func:`forward_transform` is the lattice array ``F``
-    (exact discrete inverse), held as its spectrum."""
-    return _shifted(grid, np.asarray(F), 1.0 / _fwd_scale(grid))
+    """The complex field f whose :func:`forward_transform` is the full-lattice
+    ``F`` (exact discrete inverse), held as the pair (H, -iA): F's Hermitian
+    part H transforms Re f and its anti-Hermitian part A transforms i Im f."""
+    H, A = _hermitian_parts(grid, np.asarray(F))
+    return _shifted(grid, np.stack((H, -1j * A)), 1.0 / _fwd_scale(grid))
 
 
 def integrate(f: SampledField) -> float:
@@ -421,31 +423,35 @@ def convolve(f: SampledField, g: SampledField) -> SampledField:
     """
     if f.grid != g.grid:
         raise ValueError("convolve requires matching grids (dim, N, L)")
-    # both operands on one lattice: the full one if either is complex
-    dtype = np.result_type(f.dtype, g.dtype)
-    a, b = (h.spectrum if h.dtype == dtype else _fft(h.values.astype(dtype)) for h in (f, g))
+    a, b = f.spectrum, g.spectrum
+    if a.ndim == b.ndim > f.grid.dim:
+        # (u + iv) * (w + iz) = u*w - v*z + i (u*z + v*w), part by part
+        prod = np.stack((a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]))
+    else:
+        prod = a * b  # a complex operand's pair broadcasts over the real one
     # the cyclic convolution of the samples, shifted by N/2 once because
     # both boxes start at -L; (2 pi)^(n/2) times both transform scales is h^n
-    return _shifted(f.grid, a * b, f.grid.cell_volume)
+    return _shifted(f.grid, prod, f.grid.cell_volume)
 
 
 def spectral_derivative(f: SampledField, alpha) -> SampledField:
     """Partial derivative d^alpha f computed with the (i xi)^alpha multiplier.
 
     ``alpha`` is a multi-index (one integer order per axis); a bare integer is
-    accepted in one dimension.
+    accepted in one dimension.  An order that is no integer, a bool among
+    them, is refused.
     """
-    if np.isscalar(alpha):
-        alpha = (int(alpha),)
-    alpha = tuple(int(a) for a in alpha)
-    if len(alpha) != f.grid.dim or any(a < 0 for a in alpha):
-        raise ValueError(f"alpha must be {f.grid.dim} nonnegative orders, got {alpha}")
-    return _times(f, _derivative_symbol(f.grid, alpha))
+    alpha = (alpha,) if np.isscalar(alpha) else tuple(alpha)
+    if len(alpha) != f.grid.dim or not all(_integral(a) and a >= 0 for a in alpha):
+        raise ValueError(f"alpha must be {f.grid.dim} nonnegative orders, each an integer, "
+                         f"got {alpha!r}")
+    return _times(f, _derivative_symbol(f.grid, tuple(int(a) for a in alpha)))
 
 
 def _derivative_symbol(grid: Grid, alpha) -> np.ndarray:
-    """The multiplier (i xi)^alpha of the partial derivative d^alpha, as a
-    product of one broadcastable factor per differentiated axis.
+    """The multiplier (i xi)^alpha of the partial derivative d^alpha on the
+    half lattice, as a product of one broadcastable factor per differentiated
+    axis.
 
     An odd order is zero at the Nyquist index N/2, where xi and -xi are one
     lattice point: the multiplier then stays Hermitian, so the derivative of
@@ -460,7 +466,7 @@ def _derivative_symbol(grid: Grid, alpha) -> np.ndarray:
             shape = [1] * grid.dim
             shape[axis] = grid.samples_per_axis
             mult = mult * factor.reshape(shape)
-    return mult
+    return mult[..., : grid.samples_per_axis // 2 + 1]
 
 
 # ---------------------------------------------------------------------------

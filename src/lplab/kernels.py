@@ -26,10 +26,10 @@ from .grid import (
     _derivative_symbol,
     _finite_real,
     _fwd_scale,
-    _hermitian_half,
+    _hermitian_full,
+    _hermitian_parts,
     _integral,
     _multiplied,
-    _radial_freq,
     _shifted,
     convolve,
     integrate,
@@ -121,14 +121,14 @@ def _check_dim(spec: SemigroupSpec, grid: Grid) -> None:
 
 
 def symbol_values(spec: SemigroupSpec, grid: Grid) -> np.ndarray:
-    """Evaluate the characteristic exponent on the grid's frequency lattice:
-    complex128 for a caller-supplied psi, the float64 |xi|^(2m) for an
-    order."""
+    """Evaluate the characteristic exponent on the grid's full frequency
+    lattice: complex128 for a caller-supplied psi, the float64 |xi|^(2m) for
+    an order."""
     _check_dim(spec, grid)
     if spec.psi is not None:
         vals = np.asarray(spec.psi(*grid.freq_mesh()), dtype=np.complex128)
         return np.broadcast_to(vals, grid.shape)
-    return grid.radial_freq() ** (2.0 * spec.m)
+    return _hermitian_full(grid, grid.radial_freq() ** (2.0 * spec.m))
 
 
 def closed_form_kernel(spec: SemigroupSpec, t: float, grid: Grid) -> SampledField:
@@ -170,7 +170,7 @@ def spectral_kernel(spec: SemigroupSpec, t: float, grid: Grid) -> SampledField:
         raise ValueError(f"time t must be positive and finite, got {t}")
     if spec.psi is None:
         _check_dim(spec, grid)
-        psi = _radial_freq(grid, np.float64) ** (2.0 * spec.m)
+        psi = grid.radial_freq() ** (2.0 * spec.m)
     else:
         psi = symbol_values(spec, grid)
     if not psi.real.min() >= -1e-12:
@@ -194,8 +194,8 @@ def spectral_kernel(spec: SemigroupSpec, t: float, grid: Grid) -> SampledField:
         decay = np.exp(-t * psi)
     if spec.psi is not None:
         # the real part of a synthesis is the synthesis of the Hermitian part
-        decay, resid = _hermitian_half(grid, decay)
-        scale = np.abs(decay).max()
+        decay, anti = _hermitian_parts(grid, decay)
+        resid, scale = np.abs(anti).max(), np.abs(decay).max()
         if resid > _IMAG_TOL * scale:
             raise ValueError(
                 f"kernel spectrum has anti-Hermitian part {resid:.3e} (scale {scale:.3e}); "
@@ -276,7 +276,7 @@ def hartman_wintner_profile(spec: SemigroupSpec, radii, grid: Grid):
             f"radius {radii.max():g} outside the lattice (nyquist {grid.nyquist:.4g})"
         )
     psi = symbol_values(spec, grid).real.ravel()
-    rho = grid.radial_freq().ravel()
+    rho = _hermitian_full(grid, grid.radial_freq()).ravel()
     out = []
     for r in radii:
         dist = np.abs(rho - r)

@@ -8,7 +8,7 @@ base bump phi_0 with 1_{B(0,1)} <= phi_0 <= 1_{B(0,3/2)} via
 so that sum_k phi_k = 1.  Block operators phi_k(D) f = F^-1(phi_k * Ff) are
 the building blocks of every function-space norm in :mod:`lplab.norms`.
 
-Multipliers are stored sampled on the frequency lattice, never symbolically;
+Multipliers are stored sampled on the half lattice, never symbolically;
 blocks whose support exceeds the Nyquist frequency are dropped, so norms are
 norms of the band-limited projection (exact for band-limited fields).
 """
@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, SampledField, _l2_norms, _multiplied, _times, _write_csv, _write_json
+from .grid import (Grid, SampledField, _hermitian_full, _l2_norms, _multiplied, _times,
+                   _write_csv, _write_json)
 
 __all__ = [
     "TransitionProfile",
@@ -95,8 +96,10 @@ def _top_block_index(grid: Grid) -> int:
 class DyadicResolution:
     """Sampled multiplier family (phi_k), k = 0..k_max, on a grid's lattice.
 
-    ``k_max`` is ``len(blocks) - 1``; :func:`build_resolution` takes it as
-    large as the lattice allows.  Derived families such as (phi_k^2) only
+    Each block is real and even, so it is held on the half lattice of
+    :meth:`Grid.radial_freq`, which every field's spectrum shares.  ``k_max``
+    is ``len(blocks) - 1``; :func:`build_resolution` takes it as large as the
+    lattice allows.  Derived families such as (phi_k^2) only
     satisfy c <= sum phi_k <= C instead of = 1; :func:`validate_resolution`
     reports (c, C).
     """
@@ -178,23 +181,24 @@ class ResolutionReport:
 
 
 def validate_resolution(res: DyadicResolution) -> ResolutionReport:
-    """Check partition bounds, block supports, and derivative proxies."""
+    """Check partition bounds, block supports, and derivative proxies, on
+    the full lattice the half-lattice blocks stand for, one block at a
+    time."""
     grid = res.grid
-    rho = grid.radial_freq()
+    rho = _hermitian_full(grid, grid.radial_freq())
     part_min, part_max = _partition_bounds(res)
 
     violations = 0
+    dxi = np.pi / grid.half_width
+    d1 = 0.0
+    d2 = 0.0
     for k, b in enumerate(res.blocks):
+        b = _hermitian_full(grid, b)
         if k == 0:
             outside = rho >= 2.0
         else:
             outside = (rho < 2.0 ** (k - 1)) | (rho >= 2.0 ** (k + 1))
         violations += int(np.count_nonzero(np.abs(b[outside]) > 1e-15))
-
-    dxi = np.pi / grid.half_width
-    d1 = 0.0
-    d2 = 0.0
-    for k, b in enumerate(res.blocks):
         # fftshift so finite differences never straddle the FFT wrap seam
         bs = np.fft.fftshift(b)
         grads = np.gradient(bs, dxi) if grid.dim > 1 else [np.gradient(bs, dxi)]
@@ -237,9 +241,10 @@ def block_l2_norms(res: DyadicResolution, f: SampledField):
 
 
 def export_resolution(res: DyadicResolution, directory: str) -> None:
-    """Write per-block CSVs (xi index, value) plus JSON metadata."""
+    """Write per-block CSVs (full-lattice xi index, value) plus JSON metadata."""
     os.makedirs(directory, exist_ok=True)
     for k, b in enumerate(res.blocks):
+        b = _hermitian_full(res.grid, b)
         _write_csv(os.path.join(directory, f"block_{k}.csv"), ("index", "value"),
                    (range(b.size), b.ravel()))
     c, C = _partition_bounds(res)

@@ -21,8 +21,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grid import (Grid, SampledField, _derivative_symbol, _jsonable, _multiplied,
-                   _radial_freq, inverse_transform)
+from .grid import (Grid, SampledField, _derivative_symbol, _fwd_scale, _integral, _jsonable,
+                   _multiplied, _shifted)
 from .littlewood_paley import DyadicResolution, block_l2_norms, block_spectra
 
 __all__ = [
@@ -141,6 +141,16 @@ def _result(value, terms, sp, reduction) -> NormResult:
     return NormResult(float(value), tuple(float(t) for t in terms), sp, reduction)
 
 
+def _weight(k: int, s: float) -> float:
+    """The block weight 2^(ks); a weight beyond the float64 range is refused
+    by name."""
+    try:
+        return 2.0 ** (k * s)
+    except OverflowError:
+        raise ValueError(f"block weight 2^(k s) overflows float64 at k = {k}, "
+                         f"smoothness s = {s}") from None
+
+
 def _block_terms(f: SampledField, res: DyadicResolution, sp: SpaceParams) -> np.ndarray:
     """2^{ks} ||phi_k(D) f||_Lp for k = 0..k_max: by Parseval from the
     spectrum of ``f`` at p = 2, from the synthesized blocks otherwise."""
@@ -148,7 +158,7 @@ def _block_terms(f: SampledField, res: DyadicResolution, sp: SpaceParams) -> np.
         norms = block_l2_norms(res, f)
     else:
         norms = (_lp_values(b, sp.p, res.grid) for b in block_spectra(res, f))
-    return np.array([2.0 ** (k * sp.s) * x for k, x in enumerate(norms)])
+    return np.array([_weight(k, sp.s) * x for k, x in enumerate(norms)])
 
 
 def besov_norm(f: SampledField, res: DyadicResolution, sp: SpaceParams) -> NormResult:
@@ -179,7 +189,7 @@ def triebel_norm(f: SampledField, res: DyadicResolution, sp: SpaceParams) -> Nor
     terms = []
     for k, b in enumerate(block_spectra(res, f)):
         w = np.abs(b)
-        w *= 2.0 ** (k * sp.s)
+        w *= _weight(k, sp.s)
         terms.append(_lp_values(w, sp.p, res.grid))
         if sp.q == INF:
             acc = w if acc is None else np.maximum(acc, w, out=acc)
@@ -243,7 +253,7 @@ def triebel_infty_norm(f: SampledField, res: DyadicResolution, s: float, q: floa
     best = 0.0
     moduli = map(np.abs, block_spectra(res, f, reverse=True))
     for k, w in zip(range(res.k_max, -1, -1), moduli):
-        w *= 2.0 ** (k * s)
+        w *= _weight(k, s)
         w **= q
         terms.append(float(w.max()) ** (1.0 / q))
         # the tail sum over k..k_max
@@ -264,17 +274,16 @@ def space_norm(f: SampledField, res: DyadicResolution, sp: SpaceParams) -> NormR
 
 def resolution_l1_bound(res: DyadicResolution) -> float:
     """max_k || F^-1 phi_k ||_L1, an explicit computable constant dominating
-    ||f | B^0_{1,inf}|| / ||f||_L1 (block convolutions obey Young's bound).
-    Each phi_k is real and even, so its half lattice holds it."""
-    half = res.grid.samples_per_axis // 2 + 1
-    return max(lp_norm(inverse_transform(res.grid, b[..., :half]), 1) for b in res.blocks)
+    ||f | B^0_{1,inf}|| / ||f||_L1 (block convolutions obey Young's bound)."""
+    scale = 1.0 / _fwd_scale(res.grid)
+    return max(lp_norm(_shifted(res.grid, b, scale), 1) for b in res.blocks)
 
 
 def bessel_norm(f: SampledField, s: float) -> float:
     """Bessel-potential norm || F^-1((1+|xi|^2)^(s/2) Ff) ||_L1, s >= 0."""
     if not 0 <= s < math.inf:
         raise ValueError(f"smoothness s must be finite and >= 0, got {s}")
-    rho2 = _radial_freq(f.grid, f.dtype) ** 2
+    rho2 = f.grid.radial_freq() ** 2
     out = next(_multiplied(f, [(1.0 + rho2) ** (s / 2.0)]))
     return _lp_values(out, 1, f.grid)
 
@@ -282,9 +291,11 @@ def bessel_norm(f: SampledField, s: float) -> float:
 def sobolev_w1m_norm(f: SampledField, m: int) -> float:
     """Sobolev norm || sum_{|alpha| <= m} |d^alpha f| ||_L1 with spectral
     derivatives."""
+    if not _integral(m):
+        raise ValueError(f"order m must be an integer, got {m!r}")
     if m < 0:
         raise ValueError(f"order m must be >= 0, got {m}")
-    alphas = itertools.product(range(m + 1), repeat=f.grid.dim)
+    alphas = itertools.product(range(int(m) + 1), repeat=f.grid.dim)
     symbols = (_derivative_symbol(f.grid, a) for a in alphas if sum(a) <= m)
     total = np.zeros(f.grid.shape)
     for d in _multiplied(f, symbols):
@@ -310,7 +321,7 @@ def hardy_norm(f: SampledField, t_nodes=None) -> float:
         raise ValueError("t_nodes must be nonempty")
     if not (np.all(nodes > 0) and np.all(nodes < 1) and np.all(np.diff(nodes) >= 0)):
         raise ValueError(f"t_nodes must be sorted within (0, 1), got {nodes}")
-    rho2 = _radial_freq(f.grid, f.dtype) ** 2
+    rho2 = f.grid.radial_freq() ** 2
     peak = np.zeros(f.grid.shape)
     for out in _multiplied(f, (np.exp(-(t * t) * rho2) for t in nodes)):
         np.maximum(peak, np.abs(out), out=peak)

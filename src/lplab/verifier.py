@@ -26,8 +26,8 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .grid import (Grid, SampledField, _centering_sign, _field, _fwd_scale, _hermitian_half,
-                   _jsonable, _radial_freq, _write_csv, convolve)
+from .grid import (Grid, SampledField, _centering_sign, _field, _fwd_scale, _hermitian_parts,
+                   _jsonable, _write_csv, convolve)
 from .kernels import KernelFamily, gradient_l1
 from .littlewood_paley import (
     DyadicResolution,
@@ -69,12 +69,12 @@ def _pmap(fn, items):
 
 # ---------------------------------------------------------------------------
 # Corpus.  Each builder draws its parameters from ``rng``, in an order and
-# with values that do not depend on N, and returns the full-lattice ``_fft``
+# with values that do not depend on N, and returns the full-lattice fftn
 # spectrum of its field; the corpus field is the real part of that field.
 
 
 def _separable_spectrum(grid: Grid, weights, factors) -> np.ndarray:
-    """The ``_fft`` spectrum of sum_t weights[t] prod_a factors[t, a](x_a),
+    """The fftn spectrum of sum_t weights[t] prod_a factors[t, a](x_a),
     for one-axis factors of shape (terms, dim, N) sampled at
     ``grid.axis_coords()``: the outer products of their 1-D spectra, from one
     batched FFT."""
@@ -180,13 +180,13 @@ def generate_corpus(spec: CorpusSpec, grid: Grid) -> list:
             f"band_limit {spec.band_limit:g} exceeds 2^(k_max-1) = {2.0 ** (k_max - 1):g}"
         )
     rng = np.random.default_rng(spec.seed)
-    inside = _radial_freq(grid, np.float64) <= spec.band_limit
+    inside = grid.radial_freq() <= spec.band_limit
     fields = []
     for i in range(spec.count):
         build = _BUILDERS[spec.families[i % len(spec.families)]]
         # the Hermitian part of a spectrum is the spectrum of its field's
         # real part, held on the half lattice
-        half = _hermitian_half(grid, build(rng, grid, spec.band_limit))[0] * inside
+        half = _hermitian_parts(grid, build(rng, grid, spec.band_limit))[0] * inside
         # the field keeps only its spectrum, so no later step transforms it
         # again; its samples are synthesized if and when they are read
         fields.append(_field(grid, half / lp_norm(_field(grid, half), 1)))

@@ -522,6 +522,22 @@ def test_cli_refuses_non_finite_smoothness(tmp_path, capsys, small_field, argv):
     assert not (tmp_path / "x.json").exists()
 
 
+# 2^(ks) leaves the float64 range once ks passes 1024: at k = 3 for s = 400 on
+# the N=1024, L=40 grid (k_max = 4), and at k = 1 for u = 1e308
+@pytest.mark.parametrize("argv", [
+    ["norm", "--input", _FIELD, "--s", "400"],
+    ["norm", "--input", _FIELD, "--s", "400", "--space", "F", "--p", "inf", "--q", "2"],
+    ["sweep", "smoothing", "--u", "1e308", "--N", "4096", "--band", "4", "--t", "2^-2..2^1"],
+], ids=["norm-B", "norm-F-p-inf", "sweep-u"])
+def test_cli_refuses_overflowing_block_weight(tmp_path, capsys, argv):
+    wide = tmp_path / "wide"
+    assert run_cli(["kernel", "--t", 1, "--N", 1024, "--L", 40, "--out", wide]) == 0
+    argv = [str(wide) + ".field" if a is _FIELD else a for a in argv]
+    assert run_cli(argv + ["--out", tmp_path / "x"]) == 2
+    assert "overflows float64" in _validation_error(capsys)
+    assert not list(tmp_path.glob("x.*"))
+
+
 def test_verify_refuses_non_finite_config_smoothness(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"case": {"s": NaN}}')  # Python's json reads the NaN token

@@ -29,7 +29,7 @@ from lplab import (
 )
 from lplab import grid as grid_module
 from lplab.grid import _field, _fwd_scale
-from lplab.littlewood_paley import block_spectra
+from lplab.littlewood_paley import block_l2_norms, block_spectra
 from lplab.norms import INF, SpaceParams, besov_norm, resolution_l1_bound, triebel_norm
 from lplab.verifier import CorpusSpec, generate_corpus, smoothing_sweep
 
@@ -250,7 +250,9 @@ def test_spectral_derivative_2d_mixed(grid_2d):
     assert np.abs(d.values - target.values).max() < 1e-9
 
 
-@pytest.mark.parametrize("alpha", [1, (1, 0, 0), (1, -1)], ids=["too-few", "too-many", "negative"])
+@pytest.mark.parametrize("alpha", [1, (1, 0, 0), (1, -1), (1.5, 0), (True, 0), (0, 2.0000001)],
+                         ids=["too-few", "too-many", "negative", "fractional", "bool",
+                              "near-integer"])
 def test_spectral_derivative_refuses_bad_multi_index(grid_2d, alpha):
     f = sample(lambda x, y: np.exp(-(x**2 + y**2) / 2.0), grid_2d)
     with pytest.raises(ValueError, match="alpha must be 2 nonnegative orders"):
@@ -436,6 +438,56 @@ def test_norm_of_a_convolution_takes_no_forward_transform(monkeypatch, grid_2d):
     triebel_norm(h, res, SpaceParams("F", 0.5, 2.0, 2.0))
     assert counter.forward == 0
     assert counter.inverse == res.k_max + 1
+
+
+# A complex field u + iv is held as the half spectra of u and v, and every
+# operation acts on the two parts: each result must be the one on u and v,
+# recombined.
+@pytest.mark.parametrize("dim, N, L", [(1, 256, 10.0), (2, 64, 6.0), (3, 64, 4.0)])
+def test_complex_field_operations_act_on_each_part(dim, N, L):
+    grid = make_grid(dim, N, L)
+    rng = np.random.default_rng(dim)
+    u, v, w, z, r = (SampledField(grid, rng.standard_normal(grid.shape)) for _ in range(5))
+    f, g = (SampledField(grid, a.values + 1j * b.values) for a, b in ((u, v), (w, z)))
+
+    def assert_parts(op, a, b, got):
+        want = op(a) + 1j * op(b)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+    def conv(a, b):
+        return convolve(a, b).values
+
+    want = conv(u, w) - conv(v, z) + 1j * (conv(u, z) + conv(v, w))
+    assert np.abs(conv(f, g) - want).max() <= 1e-14 * np.abs(want).max()
+    assert_parts(lambda a: conv(a, r), u, v, conv(f, r))
+    assert_parts(lambda a: conv(r, a), u, v, conv(r, f))
+    res = build_resolution(grid)
+    for k in range(res.k_max + 1):
+        assert_parts(lambda a: apply_block(res, k, a).values, u, v, apply_block(res, k, f).values)
+    alpha = (1,) * dim
+    assert_parts(lambda a: spectral_derivative(a, alpha).values, u, v,
+                 spectral_derivative(f, alpha).values)
+    # ||g + ih||^2 = ||g||^2 + ||h||^2 for real g and h
+    parts = np.hypot(list(block_l2_norms(res, u)), list(block_l2_norms(res, v)))
+    assert np.abs(np.array(list(block_l2_norms(res, f))) - parts).max() <= 1e-14 * parts.max()
+    assert_parts(forward_transform, u, v, forward_transform(f))
+    assert_parts(lambda a: inverse_transform(grid, forward_transform(a)).values, u, v,
+                 inverse_transform(grid, forward_transform(f)).values)
+
+
+def test_complex_spectrum_is_one_rfftn_of_the_pair(monkeypatch, grid_2d):
+    rng = np.random.default_rng(9)
+    f = SampledField(grid_2d, rng.standard_normal(grid_2d.shape)
+                     + 1j * rng.standard_normal(grid_2d.shape))
+    r = SampledField(grid_2d, rng.standard_normal(grid_2d.shape))
+    _ = r.spectrum  # the real field's one forward transform, not counted
+    counter = _FFTCounter(monkeypatch)
+    assert f.spectrum.shape == (2, 128, 65)
+    assert counter.calls == [("rfftn", (2, 128, 128))]
+    # both operands hold their spectra, so nothing is transformed again
+    h = convolve(f, r)
+    assert counter.forward == 1 and counter.inverse == counter.shift == 0
+    assert h.dtype == np.complex128
 
 
 def test_psi_kernel_and_its_convolution_take_no_fft(monkeypatch, grid_2d):

@@ -1,4 +1,6 @@
+import gc
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -204,6 +206,33 @@ def test_nyquist_too_small_rejected():
         build_resolution(g)
 
 
+@pytest.mark.parametrize("dim, N, L", [(1, 4096, 40.0), (2, 128, 10.0), (3, 64, 4.0)])
+def test_blocks_are_held_on_the_half_lattice(dim, N, L):
+    # each block is real and even, so it is held where every spectrum lives
+    grid = make_grid(dim, N, L)
+    res = build_resolution(grid)
+    assert all(b.shape == grid.shape[:-1] + (N // 2 + 1,) for b in res.blocks)
+
+
+def test_build_resolution_working_set():
+    grid = make_grid(3, 64, 4.0)
+    build_resolution(grid)  # fill any cache
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        res = build_resolution(grid)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    # the four half-lattice blocks, |xi| and one block's temporaries: 7.4
+    # half-lattice arrays (7.65 MiB) measured; full-lattice blocks peaked at
+    # 14.4 (14.8 MiB)
+    assert len(res.blocks) == 4
+    half = 8 * 64 * 64 * 33
+    assert peak <= 9 * half
+
+
 def test_resolution_2d(grid_2d):
     res = build_resolution(grid_2d)
     rho = grid_2d.radial_freq()
@@ -222,8 +251,12 @@ def test_export_resolution(tmp_path):
     assert meta["K_max"] == res.k_max
     assert meta["c"] == 1.0 and meta["C"] == 1.0
     assert meta["admissible_general"] is False
+    # the blocks are held on the half lattice and exported on the full one,
+    # where index j and its mirror N - j hold one value
+    j = np.arange(g.samples_per_axis)
+    full = [b[np.minimum(j, g.samples_per_axis - j)] for b in res.blocks]
     data = np.loadtxt(tmp_path / "block_0.csv", delimiter=",", skiprows=1)
-    assert np.array_equal(data[:, 1], res.blocks[0])
-    flat = res.blocks[1].ravel()
+    assert np.array_equal(data[:, 1], full[0])
+    flat = full[1].ravel()
     expected = "index,value\n" + "".join(f"{i},{flat[i]:.17g}\n" for i in range(flat.size))
     assert (tmp_path / "block_1.csv").read_bytes() == expected.encode()

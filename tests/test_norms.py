@@ -389,7 +389,9 @@ def test_hardy_dominates_largest_node():
     from lplab import forward_transform, inverse_transform
 
     F = forward_transform(f)
-    rho2 = g.radial_freq() ** 2
+    # |xi| on the full lattice from its half lattice: index j mirrors to N - j
+    j = np.arange(g.samples_per_axis)
+    rho2 = g.radial_freq()[np.minimum(j, g.samples_per_axis - j)] ** 2
     t = nodes[-1]
     single = inverse_transform(g, np.exp(-(t * t) * rho2) * F)
     assert hardy_norm(f, nodes) >= lp_norm(single, 1) - 1e-12
@@ -496,7 +498,10 @@ def test_space_params_validation():
     (lambda f, res: triebel_infty_norm(f, res, 0.0, -1.0), "q must be > 0, got -1.0"),
     (lambda f, res: triebel_infty_norm(f, res, 0.0, np.nan), "q must be > 0, got nan"),
     (lambda f, res: sobolev_w1m_norm(f, -1), "order m must be >= 0, got -1"),
-], ids=["besov-F", "triebel-B", "cube-q-0", "cube-q-negative", "cube-q-nan", "sobolev-m"])
+    (lambda f, res: sobolev_w1m_norm(f, 1.5), "order m must be an integer, got 1.5"),
+    (lambda f, res: sobolev_w1m_norm(f, True), "order m must be an integer, got True"),
+], ids=["besov-F", "triebel-B", "cube-q-0", "cube-q-negative", "cube-q-nan", "sobolev-m",
+        "sobolev-m-fractional", "sobolev-m-bool"])
 def test_norms_refuse_invalid_arguments(res_1d, call, named):
     f = sample(lambda x: np.exp(-(x**2)), res_1d.grid)
     with pytest.raises(ValueError, match=named):

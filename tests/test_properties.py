@@ -178,6 +178,13 @@ def full_complex(x, m):
     return np.fft.fftshift(np.fft.ifftn(m * np.fft.fftn(np.fft.ifftshift(x)))).real
 
 
+def radial_full(grid, half):
+    """A radial array on the full lattice from its half lattice [..., :N//2+1]:
+    reflecting the last axis, index j -> N - j, leaves |xi| as it is."""
+    j = np.arange(grid.samples_per_axis)
+    return half[..., np.minimum(j, grid.samples_per_axis - j)]
+
+
 def assert_close(got, want, scale):
     assert got.dtype == np.float64
     assert np.abs(got - want).max() <= 1e-13 * scale
@@ -191,7 +198,7 @@ def test_real_block_synthesis_matches_full_complex(grid, seed):
     blocks = list(block_spectra(res, f))
     assert len(blocks) == len(res.blocks)
     for b, phi in zip(blocks, res.blocks):
-        assert_close(b, full_complex(f.values, phi), np.abs(f.values).max())
+        assert_close(b, full_complex(f.values, radial_full(grid, phi)), np.abs(f.values).max())
 
 
 @PROPERTY
@@ -219,7 +226,7 @@ def test_real_convolve_matches_full_complex(grid, s1, s2):
 def test_real_spectral_kernel_matches_full_complex(grid, m, a):
     spec = generalized_gauss_weierstrass(m, grid.dim)
     t = a * 12.0 * np.log(10.0) / grid.nyquist ** (2.0 * m) * (1.0 + 1e-9)
-    spectrum = np.exp(-t * grid.radial_freq() ** (2.0 * m))
+    spectrum = np.exp(-t * radial_full(grid, grid.radial_freq()) ** (2.0 * m))
     want = np.fft.fftshift(np.fft.ifftn(spectrum)).real / grid.cell_volume
     assert_close(spectral_kernel(spec, t, grid).values, want, np.abs(want).max())
 
@@ -246,7 +253,8 @@ def test_p2_norms_match_block_synthesis(grid, seed, complex_valued, s, q):
     f = random_field(grid, seed, complex_valued)
     res = build_resolution(grid)
     F = np.fft.fftn(f.values)
-    weighted = [2.0 ** (k * s) * np.abs(np.fft.ifftn(phi * F)) for k, phi in enumerate(res.blocks)]
+    weighted = [2.0 ** (k * s) * np.abs(np.fft.ifftn(radial_full(grid, phi) * F))
+                for k, phi in enumerate(res.blocks)]
     terms = np.array([np.sqrt(grid.cell_volume * np.sum(w * w)) for w in weighted])
     besov = besov_norm(f, res, SpaceParams("B", s, 2.0, q))
     want = terms.max() if q == INF else np.sum(terms**q) ** (1.0 / q)
