@@ -381,7 +381,9 @@ def _hermitian_parts(grid: Grid, a: np.ndarray):
     (a(xi) + conj a(-xi)) / 2 and the anti-Hermitian part
     (a(xi) - conj a(-xi)) / 2 of the full-lattice FFT-order array ``a``.  The
     mirror -xi is index (-j) mod N on every axis; the modulus of either part
-    is the same at xi and -xi, so the half lattice holds its maximum too."""
+    is the same at xi and -xi, so the half lattice holds its maximum too.
+    Its two readers are a psi-callable kernel's ``exp(-t psi)`` and
+    :func:`inverse_transform`."""
     N = grid.samples_per_axis
     rev = -np.arange(N) % N
     mirror = np.conj(a[np.ix_(*([rev] * (grid.dim - 1)), rev[: N // 2 + 1])])

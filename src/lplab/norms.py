@@ -15,6 +15,7 @@ of the continuum norm.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -22,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .grid import (Grid, SampledField, _derivative_symbol, _fwd_scale, _integral, _jsonable,
-                   _multiplied, _shifted)
+                   _l2_norms, _multiplied, _shifted)
 from .littlewood_paley import DyadicResolution, block_l2_norms, block_spectra
 
 __all__ = [
@@ -125,16 +126,34 @@ def _lp_values(values: np.ndarray, p: float, grid: Grid) -> float:
 
 
 def lp_norm(f: SampledField, p: float) -> float:
-    """(h^n sum |f|^p)^(1/p); the lattice max for p = infinity."""
+    """(h^n sum |f|^p)^(1/p); the lattice max for p = infinity.  At p = 2 it
+    is taken by Parseval from the field's spectrum, so a field that holds
+    only its spectrum is not synthesized."""
     if not p >= 1:
         raise ValueError(f"p must be >= 1, got {p}")
+    if p == 2:
+        return next(_l2_norms(f, (1.0,)))
     return _lp_values(f.values, p, f.grid)
 
 
-def _lq_reduce(terms: np.ndarray, q: float) -> float:
-    if q == INF:
+@contextlib.contextmanager
+def _overflow_refused(s: float, q: float):
+    """Weight block terms and take their powers and sums with a float64
+    overflow refused by name, as :func:`_weight` refuses a weight; every
+    finite result is unchanged."""
+    try:
+        with np.errstate(over="raise"):
+            yield
+    except (FloatingPointError, OverflowError):
+        raise ValueError(f"a weighted block term, its power or their sum overflows float64 "
+                         f"at smoothness s = {s}, q = {q}") from None
+
+
+def _lq_reduce(terms: np.ndarray, sp: SpaceParams) -> float:
+    if sp.q == INF:
         return float(terms.max()) if terms.size else 0.0
-    return float(np.sum(terms**q) ** (1.0 / q))
+    with _overflow_refused(sp.s, sp.q):
+        return float(np.sum(terms**sp.q) ** (1.0 / sp.q))
 
 
 def _result(value, terms, sp, reduction) -> NormResult:
@@ -158,7 +177,9 @@ def _block_terms(f: SampledField, res: DyadicResolution, sp: SpaceParams) -> np.
         norms = block_l2_norms(res, f)
     else:
         norms = (_lp_values(b, sp.p, res.grid) for b in block_spectra(res, f))
-    return np.array([_weight(k, sp.s) * x for k, x in enumerate(norms)])
+    weights = np.array([_weight(k, sp.s) for k in range(res.k_max + 1)])
+    with _overflow_refused(sp.s, sp.q):
+        return weights * np.fromiter(norms, float)
 
 
 def besov_norm(f: SampledField, res: DyadicResolution, sp: SpaceParams) -> NormResult:
@@ -170,7 +191,7 @@ def besov_norm(f: SampledField, res: DyadicResolution, sp: SpaceParams) -> NormR
     if sp.scale != "B":
         raise ValueError("besov_norm requires scale 'B'")
     terms = _block_terms(f, res, sp)
-    return _result(_lq_reduce(terms, sp.q), terms, sp, "lq_of_block_lp")
+    return _result(_lq_reduce(terms, sp), terms, sp, "lq_of_block_lp")
 
 
 def triebel_norm(f: SampledField, res: DyadicResolution, sp: SpaceParams) -> NormResult:
@@ -184,22 +205,23 @@ def triebel_norm(f: SampledField, res: DyadicResolution, sp: SpaceParams) -> Nor
         return triebel_infty_norm(f, res, sp.s, sp.q)
     if sp.p == 2 and sp.q == 2:
         terms = _block_terms(f, res, sp)
-        return _result(_lq_reduce(terms, 2.0), terms, sp, "lp_of_pointwise_lq")
+        return _result(_lq_reduce(terms, sp), terms, sp, "lp_of_pointwise_lq")
     acc = None
     terms = []
-    for k, b in enumerate(block_spectra(res, f)):
-        w = np.abs(b)
-        w *= _weight(k, sp.s)
-        terms.append(_lp_values(w, sp.p, res.grid))
-        if sp.q == INF:
-            acc = w if acc is None else np.maximum(acc, w, out=acc)
-        else:
-            w **= sp.q
-            acc = w if acc is None else np.add(acc, w, out=acc)
-    if sp.q != INF:
-        acc **= 1.0 / sp.q
-    return _result(_lp_values(acc, sp.p, res.grid), np.array(terms), sp,
-                   "lp_of_pointwise_lq")
+    with _overflow_refused(sp.s, sp.q):
+        for k, b in enumerate(block_spectra(res, f)):
+            w = np.abs(b)
+            w *= _weight(k, sp.s)
+            terms.append(_lp_values(w, sp.p, res.grid))
+            if sp.q == INF:
+                acc = w if acc is None else np.maximum(acc, w, out=acc)
+            else:
+                w **= sp.q
+                acc = w if acc is None else np.add(acc, w, out=acc)
+        if sp.q != INF:
+            acc **= 1.0 / sp.q
+        value = _lp_values(acc, sp.p, res.grid)
+    return _result(value, np.array(terms), sp, "lp_of_pointwise_lq")
 
 
 def _cube_means(values: np.ndarray, grid: Grid, J: int):
@@ -252,17 +274,19 @@ def triebel_infty_norm(f: SampledField, res: DyadicResolution, s: float, q: floa
     tail = None
     best = 0.0
     moduli = map(np.abs, block_spectra(res, f, reverse=True))
-    for k, w in zip(range(res.k_max, -1, -1), moduli):
-        w *= _weight(k, s)
-        w **= q
-        terms.append(float(w.max()) ** (1.0 / q))
-        # the tail sum over k..k_max
-        if tail is not None:
-            w += tail
-        tail = w
-        if k <= j_cap:
-            best = max(best, float(_cube_means(tail, grid, k).max(initial=0.0)))
-    return _result(best ** (1.0 / q), np.array(terms[::-1]), sp, "cube_sup")
+    with _overflow_refused(s, q):
+        for k, w in zip(range(res.k_max, -1, -1), moduli):
+            w *= _weight(k, s)
+            w **= q
+            terms.append(float(w.max()) ** (1.0 / q))
+            # the tail sum over k..k_max
+            if tail is not None:
+                w += tail
+            tail = w
+            if k <= j_cap:
+                best = max(best, float(_cube_means(tail, grid, k).max(initial=0.0)))
+        value = best ** (1.0 / q)
+    return _result(value, np.array(terms[::-1]), sp, "cube_sup")
 
 
 def space_norm(f: SampledField, res: DyadicResolution, sp: SpaceParams) -> NormResult:

@@ -26,8 +26,8 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .grid import (Grid, SampledField, _centering_sign, _field, _fwd_scale, _hermitian_parts,
-                   _jsonable, _write_csv, convolve)
+from .grid import (Grid, SampledField, _centering_sign, _field, _fwd_scale, _jsonable,
+                   _write_csv, convolve)
 from .kernels import KernelFamily, gradient_l1
 from .littlewood_paley import (
     DyadicResolution,
@@ -69,19 +69,21 @@ def _pmap(fn, items):
 
 # ---------------------------------------------------------------------------
 # Corpus.  Each builder draws its parameters from ``rng``, in an order and
-# with values that do not depend on N, and returns the full-lattice fftn
-# spectrum of its field; the corpus field is the real part of that field.
+# with values that do not depend on N, and returns the half-lattice rfftn
+# spectrum of its real field.
 
 
 def _separable_spectrum(grid: Grid, weights, factors) -> np.ndarray:
-    """The fftn spectrum of sum_t weights[t] prod_a factors[t, a](x_a),
+    """The half-lattice spectrum of sum_t weights[t] prod_a factors[t, a](x_a),
     for one-axis factors of shape (terms, dim, N) sampled at
-    ``grid.axis_coords()``: the outer products of their 1-D spectra, from one
-    batched FFT."""
-    spectra = np.fft.fft(factors, axis=-1)
+    ``grid.axis_coords()`` whose sum is a real field: the outer products of
+    their 1-D spectra, from one batched FFT, with the last axis's spectra cut
+    to its N//2+1 half-lattice frequencies."""
+    spectra = list(np.moveaxis(np.fft.fft(factors, axis=-1), 1, 0))
+    spectra[-1] = spectra[-1][:, : grid.samples_per_axis // 2 + 1]
     axes = "ijk"[: grid.dim]
     operands = ",".join("t" + a for a in axes)
-    return np.einsum(f"t,{operands}->{axes}", weights, *np.moveaxis(spectra, 1, 0))
+    return np.einsum(f"t,{operands}->{axes}", weights, *spectra)
 
 
 def _gaussian_mix(rng, grid: Grid, band: float) -> np.ndarray:
@@ -106,11 +108,15 @@ def _band_limited_random(rng, grid: Grid, band: float) -> np.ndarray:
     r2 = sum(o.astype(float) ** 2 for o in np.meshgrid(*([offs] * grid.dim),
                                                        indexing="ij", sparse=True))
     # the coefficients are the unitary transform at the offsets, of a complex
-    # field centered at x = 0
-    spec = np.zeros(grid.shape, dtype=np.complex128)
-    block = np.ix_(*([offs % grid.samples_per_axis] * grid.dim))
-    spec[block] = coeffs * (np.sqrt(r2) * dxi <= band)
-    spec *= _centering_sign(grid, grid.shape, 1.0 / _fwd_scale(grid))
+    # field centered at x = 0; the corpus field is its real part, whose
+    # coefficients are their Hermitian part (offset -j is the block flipped
+    # on every axis), placed at the last axis's offsets 0..jb
+    hermitian = 0.5 * (coeffs + np.conj(coeffs[(slice(None, None, -1),) * grid.dim]))
+    lattice = grid.shape[:-1] + (grid.samples_per_axis // 2 + 1,)
+    spec = np.zeros(lattice, dtype=np.complex128)
+    block = np.ix_(*([offs % grid.samples_per_axis] * (grid.dim - 1)), offs[jb:])
+    spec[block] = (hermitian * (np.sqrt(r2) * dxi <= band))[..., jb:]
+    spec *= _centering_sign(grid, lattice, 1.0 / _fwd_scale(grid))
     return spec
 
 
@@ -135,10 +141,12 @@ def _oscillatory_packet(rng, grid: Grid, band: float) -> np.ndarray:
     center = rng.uniform(-L / 4, L / 4, size=grid.dim)
     sigma = rng.uniform(L / 10, L / 4)
     x = grid.axis_coords()
-    # cos(omega.x + phase) e^(-|x - center|^2 / 2 sigma^2) is the real part
-    # of e^(i phase) prod_a e^(i omega_a x_a - (x_a - center_a)^2 / 2 sigma^2)
-    factors = np.exp(1j * omega[:, None] * x - (x - center[:, None]) ** 2 / (2.0 * sigma * sigma))
-    return _separable_spectrum(grid, np.exp([1j * phase]), factors[None])
+    # cos(omega.x + phase) e^(-|x - center|^2 / 2 sigma^2) is the mean of
+    # e^(i phase) prod_a c_a(x_a) and its conjugate, for the one-axis factors
+    # c_a(x_a) = e^(i omega_a x_a - (x_a - center_a)^2 / 2 sigma^2)
+    c = np.exp(1j * omega[:, None] * x - (x - center[:, None]) ** 2 / (2.0 * sigma * sigma))
+    return _separable_spectrum(grid, 0.5 * np.exp([1j * phase, -1j * phase]),
+                               np.stack((c, c.conj())))
 
 
 _BUILDERS = {"gaussian_mix": _gaussian_mix, "band_limited_random": _band_limited_random,
@@ -184,9 +192,7 @@ def generate_corpus(spec: CorpusSpec, grid: Grid) -> list:
     fields = []
     for i in range(spec.count):
         build = _BUILDERS[spec.families[i % len(spec.families)]]
-        # the Hermitian part of a spectrum is the spectrum of its field's
-        # real part, held on the half lattice
-        half = _hermitian_parts(grid, build(rng, grid, spec.band_limit))[0] * inside
+        half = build(rng, grid, spec.band_limit) * inside
         # the field keeps only its spectrum, so no later step transforms it
         # again; its samples are synthesized if and when they are read
         fields.append(_field(grid, half / lp_norm(_field(grid, half), 1)))

@@ -523,15 +523,23 @@ def test_cli_refuses_non_finite_smoothness(tmp_path, capsys, small_field, argv):
 
 
 # 2^(ks) leaves the float64 range once ks passes 1024: at k = 3 for s = 400 on
-# the N=1024, L=40 grid (k_max = 4), and at k = 1 for u = 1e308
+# the N=1024, L=40 grid (k_max = 4), and at k = 1 for u = 1e308.  At s = 200
+# and 250 every weight and every weighted block of the t = 1/2 kernel is
+# finite, but the blocks' squares are not.  Every warning is an error, so
+# none may precede the refusal.
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("argv", [
     ["norm", "--input", _FIELD, "--s", "400"],
     ["norm", "--input", _FIELD, "--s", "400", "--space", "F", "--p", "inf", "--q", "2"],
     ["sweep", "smoothing", "--u", "1e308", "--N", "4096", "--band", "4", "--t", "2^-2..2^1"],
-], ids=["norm-B", "norm-F-p-inf", "sweep-u"])
+    ["norm", "--input", _FIELD, "--s", "200", "--space", "F", "--p", "1", "--q", "2"],
+    ["norm", "--input", _FIELD, "--s", "250", "--space", "B", "--p", "1", "--q", "2"],
+    ["norm", "--input", _FIELD, "--s", "200", "--space", "F", "--p", "inf", "--q", "2"],
+], ids=["norm-B", "norm-F-p-inf", "sweep-u", "norm-F-p-1-q-power", "norm-B-q-power",
+        "norm-F-p-inf-q-power"])
 def test_cli_refuses_overflowing_block_weight(tmp_path, capsys, argv):
     wide = tmp_path / "wide"
-    assert run_cli(["kernel", "--t", 1, "--N", 1024, "--L", 40, "--out", wide]) == 0
+    assert run_cli(["kernel", "--t", 0.5, "--N", 1024, "--L", 40, "--out", wide]) == 0
     argv = [str(wide) + ".field" if a is _FIELD else a for a in argv]
     assert run_cli(argv + ["--out", tmp_path / "x"]) == 2
     assert "overflows float64" in _validation_error(capsys)

@@ -58,6 +58,16 @@ def test_l2_of_gaussian_is_quarter_root_pi(grid_1d):
     assert abs(lp_norm(f, 2) - np.pi**0.25) < 1e-12
 
 
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+def test_l2_by_parseval_matches_the_direct_sum(grid_2d, complex_):
+    # a field that holds only its samples, Nyquist content included
+    rng = np.random.default_rng(3)
+    v = rng.standard_normal(grid_2d.shape) + (1j * rng.standard_normal(grid_2d.shape)
+                                               if complex_ else 0.0)
+    direct = np.sqrt(grid_2d.cell_volume * np.sum(np.abs(v) ** 2))
+    assert abs(lp_norm(SampledField(grid_2d, v), 2) - direct) <= 1e-14 * direct
+
+
 def test_linf_of_cauchy_density_peak(grid_1d):
     f = sample(lambda x: (1.0 / np.pi) / (x**2 + 1.0), grid_1d)
     assert abs(lp_norm(f, INF) - 1.0 / np.pi) < 1e-12
@@ -67,6 +77,25 @@ def test_lp_rejects_p_below_one(grid_1d):
     f = sample(lambda x: np.exp(-(x**2)), grid_1d)
     with pytest.raises(ValueError):
         lp_norm(f, 0.5)
+
+
+# On the N=1024, L=40 grid (k_max = 4) every weight 2^(ks) below is finite,
+# and so is each weighted block of the t = 1/2 heat kernel; their squares
+# are not.  Scaled by 1e250, the kernel's weighted block norms at s = 100
+# leave float64 themselves.
+@pytest.mark.parametrize("sp,scale", [
+    (SpaceParams("F", 200.0, 1.0, 2.0), 1.0),
+    (SpaceParams("B", 250.0, 1.0, 2.0), 1.0),
+    (SpaceParams("F", 200.0, INF, 2.0), 1.0),
+    (SpaceParams("B", 100.0, 1.0, INF), 1e250),
+], ids=["F-p-1", "B-p-1", "F-p-inf", "B-weighted-term"])
+def test_overflowing_weighted_terms_are_refused_by_name(sp, scale):
+    g = make_grid(1, 1024, 40.0)
+    kernel = spectral_kernel(gauss_weierstrass(1), 0.5, g)
+    f = SampledField(g, scale * kernel.values)
+    with pytest.raises(ValueError, match=f"overflows float64 at smoothness s = {sp.s}, "
+                                         f"q = {sp.q}"):
+        space_norm(f, build_resolution(g), sp)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,8 @@ from lplab import (
     stable_exponent,
     theorem_semi11_bound_check,
 )
-from lplab.verifier import CorpusSpec, InequalityCase, VerificationReport, generate_corpus
+from lplab.verifier import (_BUILDERS, CorpusSpec, InequalityCase, VerificationReport,
+                            generate_corpus)
 
 
 @pytest.fixture(scope="module")
@@ -91,6 +92,26 @@ def test_corpus_fields_hold_only_their_half_spectrum():
     assert len(fields) == spec.count
 
 
+@pytest.mark.parametrize("family", sorted(_BUILDERS))
+def test_corpus_field_working_set_is_a_few_half_spectra(family):
+    # semigroup-3d's grid and band.  The field keeps a 64*64*33 complex128
+    # half spectrum (2.06 MiB) and its build takes 6.32 MiB, so one more
+    # full-lattice complex spectrum (4 MiB) anywhere in it fails the bound
+    g = make_grid(3, 64, 4.0)
+    half = g.shape[:-1] + (g.samples_per_axis // 2 + 1,)
+    assert _BUILDERS[family](np.random.default_rng(2), g, 4.0).shape == half
+    generate_corpus(CorpusSpec(seed=1, count=1, families=(family,), band_limit=4.0), g)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        generate_corpus(CorpusSpec(seed=3, count=1, families=(family,), band_limit=4.0), g)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7 * 2**20
+
+
 def test_corpus_band_limit_validated(grid_v):
     with pytest.raises(ValueError, match="band_limit"):
         generate_corpus(CorpusSpec(seed=1, count=2, band_limit=64.0), grid_v)
@@ -124,8 +145,7 @@ def test_mollified_step_block_decay(grid_v, res_v):
 def _old_corpus_field(raw, grid, band):
     """An earlier corpus field from its raw real samples: band-projected
     through an rfftn pair, then L1-normalized."""
-    half = grid.radial_freq()[..., : grid.samples_per_axis // 2 + 1]
-    vals = np.fft.irfftn(np.fft.rfftn(raw) * (half <= band), s=grid.shape,
+    vals = np.fft.irfftn(np.fft.rfftn(raw) * (grid.radial_freq() <= band), s=grid.shape,
                          axes=range(grid.dim))
     return vals / (grid.cell_volume * np.abs(vals).sum())
 
