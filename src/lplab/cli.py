@@ -139,7 +139,7 @@ def _family_spec(args):
     if fam == "gen-gw":
         return generalized_gauss_weierstrass(args.m, args.dim)
     if fam == "cauchy":
-        return cauchy_poisson()
+        return cauchy_poisson(args.dim)
     return stable_exponent(args.alpha, args.dim)
 
 

@@ -267,6 +267,8 @@ def _fwd_scale(grid: Grid) -> float:
 # and irfftn, whose Hermitian half lattice [..., :N//2+1] holds every spectrum,
 # a complex field u + iv's as the pair (u, v).  Every multiplier is Hermitian,
 # m(-xi) = conj m(xi), so it is given there and maps each part to a real field.
+# The unitary transform differs from it by the centering sign and _fwd_scale,
+# which forward_transform applies one way and _lattice_spectrum the other.
 
 
 def _fft(x: np.ndarray) -> np.ndarray:
@@ -329,12 +331,6 @@ def _multiplied(f: SampledField, multipliers):
         yield _ifft(f.grid, m * F)
 
 
-def _times(f: SampledField, m: np.ndarray) -> SampledField:
-    """The field F^-1(m * Ff), held as its spectrum (m as in
-    :func:`_multiplied`); nothing is transformed until its samples are read."""
-    return _field(f.grid, m * f.spectrum)
-
-
 def _l2_norms(f: SampledField, multipliers):
     """Yield ||F^-1(m * Ff)||_L2 for each multiplier m (as in
     :func:`_multiplied`) by Parseval, with no inverse transform:
@@ -351,22 +347,22 @@ def _l2_norms(f: SampledField, multipliers):
         yield math.sqrt(scale * np.sum(np.abs(m) ** 2 * power))
 
 
-def _shifted(grid: Grid, spec: np.ndarray, scale: float) -> SampledField:
-    """The field whose samples are F^-1(scale * spec) shifted cyclically by
-    N/2 on every axis, the shift that moves lattice index 0 to x = 0.  It is
-    built from its spectrum, where the shift multiplies the coefficient at
-    lattice index j by (-1)^(j_1 + ... + j_n), so nothing is transformed.
-    As for :func:`_field`, a half lattice gives a real field and a pair a
-    complex one."""
-    out = np.empty(spec.shape, dtype=np.complex128)
-    np.multiply(spec, _centering_sign(grid, spec.shape[spec.ndim - grid.dim :], scale), out=out)
-    return _field(grid, out)
+def _lattice_spectrum(grid: Grid, F: np.ndarray, scale: float = 1.0) -> np.ndarray:
+    """The spectrum held by the field whose unitary transform is ``scale * F``
+    (F on the half lattice, or a pair of them for a complex field): F times
+    the centering sign, as the samples start at x = -L, and over the lattice
+    transform's scale (2 pi)^(-n/2) h^n.  Nothing is transformed."""
+    out = np.empty(F.shape, dtype=np.complex128)
+    sign = _centering_sign(grid, F.shape[F.ndim - grid.dim :], scale / _fwd_scale(grid))
+    np.multiply(F, sign, out=out)
+    return out
 
 
 def _centering_sign(grid: Grid, shape: tuple, scale: float) -> np.ndarray:
     """``scale`` times (-1)^(j_1 + ... + j_n) at lattice index j, broadcastable
     to ``shape`` (either lattice): the factor by which the cyclic N/2 shift on
-    every axis multiplies a spectrum."""
+    every axis multiplies a spectrum.  Applied by :func:`_lattice_spectrum`,
+    :func:`convolve` and :func:`forward_transform` only."""
     alternating = 1.0 - 2.0 * (np.arange(grid.samples_per_axis) % 2)
     sign = np.float64(scale)
     for axis in range(grid.dim):
@@ -396,7 +392,7 @@ def inverse_transform(grid: Grid, F: np.ndarray) -> SampledField:
     ``F`` (exact discrete inverse), held as the pair (H, -iA): F's Hermitian
     part H transforms Re f and its anti-Hermitian part A transforms i Im f."""
     H, A = _hermitian_parts(grid, np.asarray(F))
-    return _shifted(grid, np.stack((H, -1j * A)), 1.0 / _fwd_scale(grid))
+    return _field(grid, _lattice_spectrum(grid, np.stack((H, -1j * A))))
 
 
 def integrate(f: SampledField) -> float:
@@ -433,7 +429,8 @@ def convolve(f: SampledField, g: SampledField) -> SampledField:
         prod = a * b  # a complex operand's pair broadcasts over the real one
     # the cyclic convolution of the samples, shifted by N/2 once because
     # both boxes start at -L; (2 pi)^(n/2) times both transform scales is h^n
-    return _shifted(f.grid, prod, f.grid.cell_volume)
+    prod *= _centering_sign(f.grid, prod.shape[prod.ndim - f.grid.dim :], f.grid.cell_volume)
+    return _field(f.grid, prod)
 
 
 def spectral_derivative(f: SampledField, alpha) -> SampledField:
@@ -447,7 +444,7 @@ def spectral_derivative(f: SampledField, alpha) -> SampledField:
     if len(alpha) != f.grid.dim or not all(_integral(a) and a >= 0 for a in alpha):
         raise ValueError(f"alpha must be {f.grid.dim} nonnegative orders, each an integer, "
                          f"got {alpha!r}")
-    return _times(f, _derivative_symbol(f.grid, tuple(int(a) for a in alpha)))
+    return _field(f.grid, _derivative_symbol(f.grid, tuple(int(a) for a in alpha)) * f.spectrum)
 
 
 def _derivative_symbol(grid: Grid, alpha) -> np.ndarray:

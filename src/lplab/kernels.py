@@ -24,13 +24,13 @@ from .grid import (
     SampledField,
     _IMAG_TOL,
     _derivative_symbol,
+    _field,
     _finite_real,
-    _fwd_scale,
     _hermitian_full,
     _hermitian_parts,
     _integral,
+    _lattice_spectrum,
     _multiplied,
-    _shifted,
     convolve,
     integrate,
 )
@@ -99,8 +99,9 @@ def generalized_gauss_weierstrass(m: float, dim: int = 1) -> SemigroupSpec:
     return SemigroupSpec(dim, m=float(m))
 
 
-def cauchy_poisson() -> SemigroupSpec:
-    return SemigroupSpec(1, m=0.5)
+def cauchy_poisson(dim: int = 1) -> SemigroupSpec:
+    """psi = |xi|, order m = 1/2; its closed form is known in dim 1 only."""
+    return SemigroupSpec(dim, m=0.5)
 
 
 def char_exponent(psi, dim: int) -> SemigroupSpec:
@@ -201,8 +202,7 @@ def spectral_kernel(spec: SemigroupSpec, t: float, grid: Grid) -> SampledField:
                 f"kernel spectrum has anti-Hermitian part {resid:.3e} (scale {scale:.3e}); "
                 "psi is not Hermitian-symmetric on the lattice"
             )
-    # the kernel is centered at x = 0, lattice index N/2
-    return _shifted(grid, decay, norm / _fwd_scale(grid))
+    return _field(grid, _lattice_spectrum(grid, decay, norm))
 
 
 class KernelFamily:

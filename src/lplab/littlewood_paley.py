@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (Grid, SampledField, _hermitian_full, _l2_norms, _multiplied, _times,
+from .grid import (Grid, SampledField, _field, _hermitian_full, _l2_norms, _multiplied,
                    _write_csv, _write_json)
 
 __all__ = [
@@ -217,7 +217,7 @@ def apply_block(res: DyadicResolution, k: int, f: SampledField) -> SampledField:
         raise ValueError(f"block index {k} outside 0..{res.k_max}")
     if f.grid != res.grid:
         raise ValueError("field grid does not match resolution grid")
-    return _times(f, res.blocks[k])
+    return _field(f.grid, res.blocks[k] * f.spectrum)
 
 
 def block_spectra(res: DyadicResolution, f: SampledField, reverse: bool = False):

@@ -22,8 +22,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grid import (Grid, SampledField, _derivative_symbol, _fwd_scale, _integral, _jsonable,
-                   _l2_norms, _multiplied, _shifted)
+from .grid import (Grid, SampledField, _derivative_symbol, _field, _integral, _jsonable,
+                   _l2_norms, _lattice_spectrum, _multiplied)
 from .littlewood_paley import DyadicResolution, block_l2_norms, block_spectra
 
 __all__ = [
@@ -299,8 +299,7 @@ def space_norm(f: SampledField, res: DyadicResolution, sp: SpaceParams) -> NormR
 def resolution_l1_bound(res: DyadicResolution) -> float:
     """max_k || F^-1 phi_k ||_L1, an explicit computable constant dominating
     ||f | B^0_{1,inf}|| / ||f||_L1 (block convolutions obey Young's bound)."""
-    scale = 1.0 / _fwd_scale(res.grid)
-    return max(lp_norm(_shifted(res.grid, b, scale), 1) for b in res.blocks)
+    return max(lp_norm(_field(res.grid, _lattice_spectrum(res.grid, b)), 1) for b in res.blocks)
 
 
 def bessel_norm(f: SampledField, s: float) -> float:

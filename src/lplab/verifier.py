@@ -26,8 +26,8 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .grid import (Grid, SampledField, _centering_sign, _field, _fwd_scale, _jsonable,
-                   _write_csv, convolve)
+from .grid import (Grid, SampledField, _field, _jsonable, _lattice_spectrum, _write_csv,
+                   convolve)
 from .kernels import KernelFamily, gradient_l1
 from .littlewood_paley import (
     DyadicResolution,
@@ -116,8 +116,7 @@ def _band_limited_random(rng, grid: Grid, band: float) -> np.ndarray:
     spec = np.zeros(lattice, dtype=np.complex128)
     block = np.ix_(*([offs % grid.samples_per_axis] * (grid.dim - 1)), offs[jb:])
     spec[block] = (hermitian * (np.sqrt(r2) * dxi <= band))[..., jb:]
-    spec *= _centering_sign(grid, lattice, 1.0 / _fwd_scale(grid))
-    return spec
+    return _lattice_spectrum(grid, spec)
 
 
 def _mollified_step(rng, grid: Grid, band: float) -> np.ndarray:

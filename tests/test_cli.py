@@ -288,6 +288,16 @@ def test_kernel_csv_format(tmp_path):
     assert field.grid.samples_per_axis == 1024
 
 
+def test_cauchy_family_takes_dim(tmp_path):
+    # Cauchy-Poisson is the stable semigroup of index 1, in any dimension
+    grid = ["--t", 2, "--dim", 2, "--N", 256, "--L", 20]
+    assert run_cli(["kernel", "--family", "cauchy", *grid, "--out", tmp_path / "c"]) == 0
+    assert run_cli(["kernel", "--family", "stable", "--alpha", 1, *grid,
+                    "--out", tmp_path / "s"]) == 0
+    for suffix in (".json", ".field.json", ".field.bin"):
+        assert (tmp_path / ("c" + suffix)).read_bytes() == (tmp_path / ("s" + suffix)).read_bytes()
+
+
 def test_threads_env_does_not_change_results(tmp_path, monkeypatch):
     args = ["verify", "conv1", "--count", 6, "--N", 1024, "--band", 8]
     assert run_cli(args + ["--out", tmp_path / "serial"]) == 0

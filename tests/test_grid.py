@@ -1,4 +1,5 @@
 import copy
+import importlib
 import json
 import pickle
 import threading
@@ -345,11 +346,27 @@ def test_field_of_a_spectrum_matches_its_samples(grid_2d):
 
 
 def test_field_copies_and_pickles_in_either_form(grid_2d):
+    def copies(g):
+        return [copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))]
+
     f = SampledField(grid_2d, np.random.default_rng(4).standard_normal(grid_2d.shape))
-    for g in (f, convolve(f, f)):
-        for h in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
-            assert np.array_equal(h.values, g.values)
-            assert np.array_equal(h.spectrum, g.spectrum)
+    # samples only: a copy holds no spectrum until one is read
+    fresh = copies(f)
+    assert f._lattice is None and all(h._lattice is None for h in fresh)
+    g = convolve(f, f)  # held as its spectrum; f now holds both forms
+    cases = [(f, fresh), (g, copies(g)), (f, copies(f))]
+    assert g._samples is None and f._lattice is not None
+    for orig, made in cases:
+        for h in made:
+            assert np.array_equal(h.values, orig.values)
+            assert np.array_equal(h.spectrum, orig.spectrum)
+
+
+@pytest.mark.parametrize("module", ["kernels", "norms", "verifier", "littlewood_paley"])
+def test_only_grid_applies_the_lattice_transform_convention(module):
+    # the centering sign and the transform scale are grid.py's alone
+    names = {"_fwd_scale", "_centering_sign", "_shifted", "_times"}
+    assert not names & set(vars(importlib.import_module("lplab." + module)))
 
 
 def test_concurrent_reads_share_one_fill(grid_2d):

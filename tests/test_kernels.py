@@ -65,6 +65,13 @@ def test_closed_form_validation(grid_1d):
         closed_form_kernel(cauchy_poisson_2d, 1.0, grid_1d)
 
 
+def test_cauchy_poisson_has_a_closed_form_in_1d_only():
+    spec = cauchy_poisson(2)
+    assert spec == stable_exponent(1.0, 2)
+    with pytest.raises(ValueError, match="no closed form"):
+        closed_form_kernel(spec, 2.0, make_grid(2, 64, 8.0))
+
+
 def test_spectral_matches_closed_form_gw(grid_1d):
     spec = spectral_kernel(gauss_weierstrass(1), 1.0, grid_1d)
     closed = closed_form_kernel(gauss_weierstrass(1), 1.0, grid_1d)

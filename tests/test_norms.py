@@ -279,6 +279,7 @@ def _brute_cube_means(values, grid, J):
     (2, 128, 5.3, 3),    # so partial cubes at the box edges are dropped
     (3, 64, 3.3, 2),
     (3, 64, 4.0, 2),     # cube faces on the box faces
+    (1, 64, 0.4, 2),     # no cube of side 1 or 1/2 fits in the box
 ])
 def test_cube_means_match_a_per_cube_loop(dim, N, L, J_max):
     grid = make_grid(dim, N, L)
@@ -287,8 +288,24 @@ def test_cube_means_match_a_per_cube_loop(dim, N, L, J_max):
     for J in range(J_max + 1):
         got = _cube_means(values, grid, J)
         want = _brute_cube_means(values, grid, J)
-        assert got.shape == want.shape and want.size > 0
+        # a level is empty exactly when its cube side exceeds L
+        assert got.shape == want.shape and (want.size == 0) == (2.0**-J > L)
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+
+
+def test_triebel_infty_norm_skips_levels_with_no_cube():
+    # on [-0.4, 0.4] the levels J = 0 and 1 hold no cube, so with k_max = 2
+    # the norm is the largest cube mean of the J = 2 tail
+    grid = make_grid(1, 64, 0.4)
+    res = build_resolution(grid)
+    res = DyadicResolution(grid, res.blocks[:3], res.profile)
+    f = sample(lambda x: np.exp(-(x / 0.1) ** 2) * np.cos(20.0 * x), grid)
+    s, q = 0.5, 2.0
+    tail = (2.0 ** (2 * s) * np.abs(list(block_spectra(res, f))[2])) ** q
+    want = _brute_cube_means(tail, grid, 2).max() ** (1.0 / q)
+    got = triebel_infty_norm(f, res, s, q)
+    assert got.reduction == "cube_sup"
+    assert got.value == pytest.approx(want, rel=1e-14)
 
 
 def _old_cube_means(values, grid, J):
