@@ -511,8 +511,9 @@ def _write_json(path: str, obj) -> None:
     _write_file(path, ((_canonical(obj) + "\n").encode("ascii"),))
 
 
-# Rows per formatted piece of a CSV: large enough that the per-chunk overhead
-# vanishes, small enough that no piece nears the size of a field's text.
+# Rows per formatted piece of a CSV, and samples per piece of a binary field:
+# large enough that the per-chunk overhead vanishes, small enough that no
+# piece nears the size of a field's text or bytes.
 _CSV_CHUNK = 32768
 
 # Magnitudes whose %.17g digits are computed below; smaller and larger ones,
@@ -740,7 +741,9 @@ def save_field(fld: SampledField, basepath: str, fmt: str = "binary") -> None:
         raise ValueError(f"unknown format {fmt!r}")
     v = fld.values.ravel()
     if fmt == "binary":
-        _write_file(basepath + ".bin", (v.astype("<c16"),))
+        # _CSV_CHUNK samples a piece: no copy of the whole field as <c16
+        _write_file(basepath + ".bin", (v[i:i + _CSV_CHUNK].astype("<c16")
+                                        for i in range(0, v.size, _CSV_CHUNK)))
     else:
         _write_csv(basepath + ".csv", ("index", "re", "im"), (range(v.size), v.real, v.imag))
     _write_json(basepath + ".json", {
@@ -773,6 +776,11 @@ def load_field(basepath: str) -> SampledField:
             raise ValueError(f"field sidecar {key!r} {meta[key]!r} is not {kind}")
     grid = make_grid(meta["dim"], meta["N"], meta["L"])
     if meta["format"] == "binary":
+        # fromfile would drop trailing bytes that make no whole sample
+        want, got = 16 * math.prod(grid.shape), os.path.getsize(basepath + ".bin")
+        if got != want:
+            raise ValueError(
+                f"{basepath}.bin holds {got} bytes, not the {want} of grid {grid.shape}")
         vals = np.fromfile(basepath + ".bin", dtype="<c16")
         if not vals.imag.any():
             vals = vals.real

@@ -144,10 +144,10 @@ def closed_form_kernel(spec: SemigroupSpec, t: float, grid: Grid) -> SampledFiel
         raise ValueError(f"time t must be positive and finite, got {t}")
     _check_dim(spec, grid)
     if spec.m == 1.0:
-        r2 = sum(m**2 for m in grid.coord_mesh())
+        r2 = sum(np.ix_(*[grid.axis_coords() ** 2] * grid.dim))
         vals = (4.0 * np.pi * t) ** (-grid.dim / 2.0) * np.exp(-r2 / (4.0 * t))
     elif spec.m == 0.5 and spec.dim == 1:
-        x = grid.coord_mesh()[0]
+        x = grid.axis_coords()
         vals = (1.0 / np.pi) * t / (x**2 + t**2)
     else:
         raise ValueError(f"no closed form for {spec}: only m = 1, and m = 1/2 in dim 1")

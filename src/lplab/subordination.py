@@ -7,8 +7,10 @@ probability measures (rho_t) on [0, infinity) through the Laplace identity
 
 and averaging Gaussian heat kernels against rho_t produces the subordinate
 semigroup kernel p_t(x) = integral (4 pi r)^(-n/2) e^(-|x|^2/4r) rho_t(dr).
-The mixture is evaluated once per distinct lattice radius |x|^2 and scattered
-back to the grid.
+The mixture is evaluated once per distinct lattice radius |x|^2.  Those radii
+come from the distinct squares x_j^2 on one axis: their n-tuples, summed in
+the lattice's axis order, hold exactly the lattice's floats, and one gather by
+each axis's square index builds the field.
 
 Only the alpha = 1/2 stable subordinator ships with a built-in density; any
 other density must be supplied by the caller and is accepted only after it
@@ -191,6 +193,12 @@ def user_density(t: float, nodes, density, bernstein: BernsteinSpec) -> Subordin
 def subordinate_kernel(dens: SubordinatorDensity, grid: Grid) -> SampledField:
     """Gaussian scale mixture sum_i w_i rho(r_i) (4 pi r_i)^(-n/2) e^(-|x|^2/4 r_i).
 
+    The mixture is summed once per distinct |x|^2 among the n-tuples of
+    distinct axis squares, each summed in the lattice's axis order, so every
+    value is bitwise the one a dense lattice of |x|^2 gives.  The field is
+    then one gather: the tuple values indexed by each axis's square index.
+    Apart from the field, no array has the lattice's size.
+
     Warns when the node range does not cover [1e-4, 1e4] * t^2, the scales
     that carry the bulk of the law.
     """
@@ -201,18 +209,19 @@ def subordinate_kernel(dens: SubordinatorDensity, grid: Grid) -> SampledField:
             f"cover [1e-4, 1e4] * t^2; kernel quadrature may be under-resolved",
             stacklevel=2,
         )
-    r2, inv = np.unique(sum(m**2 for m in grid.coord_mesh()).ravel(), return_inverse=True)
+    n = grid.dim
+    sq, ax = np.unique(grid.axis_coords() ** 2, return_inverse=True)
+    r2, inv = np.unique(sum(np.ix_(*[sq] * n)).ravel(), return_inverse=True)
     out = np.zeros(r2.size)
     coeff = dens.weights * dens.density
-    n = grid.dim
     # chunks sized by the whole lattice keep the dense summation order bit for bit
-    step = max(1, int(2**22 // max(inv.size, 1)))
+    step = max(1, 2**22 // math.prod(grid.shape))
     with np.errstate(under="ignore"):
         for i in range(0, dens.nodes.size, step):
             r = dens.nodes[i:i + step, None]
             c = (coeff[i:i + step, None] * (4.0 * np.pi * r) ** (-n / 2.0))
             out += np.einsum("ij->j", c * np.exp(-r2[None, :] / (4.0 * r)))
-    return SampledField(grid, out[inv].reshape(grid.shape))
+    return SampledField(grid, out[inv].reshape((sq.size,) * n)[np.ix_(*[ax] * n)])
 
 
 def subordinator_moment(dens: SubordinatorDensity, u: float) -> float:

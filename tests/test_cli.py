@@ -71,8 +71,13 @@ def test_norm_refuses_wrong_data_size(tmp_path, capsys):
     assert run_cli(["kernel", "--family", "gw", "--t", 1, "--N", 1024,
                     "--L", 40, "--out", kout]) == 0
     data = tmp_path / "k.field.bin"
-    data.write_bytes(data.read_bytes()[:-16])  # one complex sample short
-    assert run_cli(["norm", "--input", kout + ".field", "--out", tmp_path / "n"]) == 2
+    raw = data.read_bytes()
+    # one complex sample short, and three stray bytes after the last sample
+    for cut in (raw[:-16], raw + b"abc"):
+        data.write_bytes(cut)
+        capsys.readouterr()
+        assert run_cli(["norm", "--input", kout + ".field", "--out", tmp_path / "n"]) == 2
+        assert f"holds {len(cut)} bytes, not the {len(raw)}" in _validation_error(capsys)
     # a CSV cut down to index,re, and one that holds only its header line
     cout = str(tmp_path / "c")
     assert run_cli(["kernel", "--family", "gw", "--t", 1, "--N", 64, "--L", 8,

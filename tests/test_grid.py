@@ -1,8 +1,10 @@
 import copy
+import gc
 import importlib
 import json
 import pickle
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -720,6 +722,45 @@ def test_binary_field_write_is_atomic(tmp_path, monkeypatch):
     assert written == [np.ones(64).astype("<c16").tobytes()]
     assert sorted(p.name for p in tmp_path.iterdir()) == ["field.bin", "field.json"]
     assert np.array_equal(load_field(base).values, f.values)
+
+
+@pytest.mark.parametrize("dim,N", [(1, 64), (1, 32768), (3, 64)],
+                         ids=["below-chunk", "one-chunk", "chunk-multiple"])
+def test_binary_field_bytes_are_its_c16_samples(tmp_path, dim, N):
+    g = make_grid(dim, N, 5.0)
+    vals = np.random.default_rng(7).standard_normal(g.shape)
+    for name, v in (("real", vals), ("complex", vals * (1.0 - 0.5j))):
+        save_field(SampledField(g, v), str(tmp_path / name))
+        assert (tmp_path / f"{name}.bin").read_bytes() == v.astype("<c16").tobytes()
+
+
+def test_binary_field_write_holds_no_copy_of_the_field(tmp_path):
+    f = SampledField(make_grid(3, 64, 5.0), np.random.default_rng(8).standard_normal((64,) * 3))
+    base = str(tmp_path / "field")
+    save_field(f, base)  # fill any cache
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        save_field(f, base)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    # one 512 KiB piece of <c16 bytes at a time; the whole field's were 4 MiB
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("cut", ["stray-bytes", "truncated"])
+def test_load_field_refuses_a_binary_file_of_the_wrong_size(tmp_path, cut):
+    base = str(tmp_path / "field")
+    save_field(SampledField(make_grid(1, 64, 5.0), np.arange(64.0)), base)
+    data = tmp_path / "field.bin"
+    raw = data.read_bytes()
+    # fromfile reads the whole samples of either and drops the rest
+    data.write_bytes(raw + b"abc" if cut == "stray-bytes" else raw[:-3])
+    got = len(raw) + 3 if cut == "stray-bytes" else len(raw) - 3
+    with pytest.raises(ValueError, match=f"field.bin holds {got} bytes, not the 1024 of"):
+        load_field(base)
 
 
 def test_real_csv_rows_have_a_zero_imaginary_column(tmp_path):

@@ -244,18 +244,22 @@ def test_spectral_kernel_refuses_non_finite_time(grid_1d, t):
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_closed_form_keys_on_order(dim):
-    g = make_grid(dim, 64, 8.0)
     t = 0.5
-    gw = closed_form_kernel(stable_exponent(2.0, dim), t, g)
-    r2 = sum(m**2 for m in g.coord_mesh())
-    assert np.array_equal(gw.values, (4.0 * np.pi * t) ** (-dim / 2.0) * np.exp(-r2 / (4.0 * t)))
-    if dim == 1:
-        cp = closed_form_kernel(stable_exponent(1.0, 1), t, g)
-        x = g.coord_mesh()[0]
-        assert np.array_equal(cp.values, (1.0 / np.pi) * t / (x**2 + t**2))
-    else:
-        with pytest.raises(ValueError, match="no closed form"):
-            closed_form_kernel(stable_exponent(1.0, dim), t, g)
+    # the kernel sums |x|^2 from one axis; the dense meshes give the same bits,
+    # also at L = 5.7, where mirrored points' squares need not be equal
+    for L in (8.0, 5.7):
+        g = make_grid(dim, 64, L)
+        gw = closed_form_kernel(stable_exponent(2.0, dim), t, g)
+        r2 = sum(m**2 for m in g.coord_mesh())
+        want = (4.0 * np.pi * t) ** (-dim / 2.0) * np.exp(-r2 / (4.0 * t))
+        assert np.array_equal(gw.values, want)
+        if dim == 1:
+            cp = closed_form_kernel(stable_exponent(1.0, 1), t, g)
+            x = g.coord_mesh()[0]
+            assert np.array_equal(cp.values, (1.0 / np.pi) * t / (x**2 + t**2))
+        else:
+            with pytest.raises(ValueError, match="no closed form"):
+                closed_form_kernel(stable_exponent(1.0, dim), t, g)
 
 
 def test_hartman_wintner_quadratic(grid_1d):

@@ -1,4 +1,6 @@
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -251,13 +253,38 @@ def _dense_subordinate_kernel(dens, grid):
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_subordinate_kernel_radial_route_is_bitwise_dense(dim):
-    # 512 nodes in 32 chunks of 16 on 64^3 keep the dense reference affordable
-    g = make_grid(dim, 64, 10.0)
+    # 512 nodes in 32 chunks of 16 on 64^3 keep the dense reference affordable.
+    # At L = 5.7 and 8.3 the squares of mirrored points need not be equal, so
+    # an axis holds more than N/2 + 1 distinct squares.
+    stable = stable_half_density(1.0, num_nodes=512)
     nodes = np.geomspace(1e-8, 1e4, 512)
     gamma = user_density(1.0, nodes, np.exp(-nodes), log_bernstein())
-    for dens in (stable_half_density(1.0, num_nodes=512), gamma):
+    cases = {1: [(10.0, gamma), (10.0, stable)],
+             2: [(10.0, gamma), (10.0, stable), (5.7, stable)],
+             3: [(10.0, gamma), (10.0, stable), (8.0, stable), (8.3, stable)]}[dim]
+    for L, dens in cases:
+        g = make_grid(dim, 64, L)
         assert np.array_equal(subordinate_kernel(dens, g).values,
                               _dense_subordinate_kernel(dens, g))
+
+
+def test_subordinate_kernel_holds_no_lattice_sized_temporary():
+    g = make_grid(3, 64, 8.0)
+    dens = stable_half_density(1.0, num_nodes=512)
+    subordinate_kernel(dens, g)  # fill any cache
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        kern = subordinate_kernel(dens, g)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    # the 2 MiB gather, the field's own 2 MiB copy of it and the sort of the
+    # 33^3 tuples of axis squares (about 4.6 MiB); the three dense |x|^2
+    # meshes and their sort peaked at 12.3 MiB
+    assert kern.values.shape == g.shape
+    assert peak <= 6 * 2**20
 
 
 # ---------------------------------------------------------------------------
