@@ -225,15 +225,30 @@ def _field(grid: Grid, spectrum: np.ndarray, values=None) -> SampledField:
     spec = np.asarray(spectrum, dtype=np.complex128)
     if spec.shape not in (half, (2,) + half):
         raise ValueError(f"spectrum of shape {spec.shape} fits neither lattice of {grid}")
-    f = SampledField.__new__(SampledField)
-    f.grid = grid
-    f._lattice = _frozen(spec, "field spectrum")
-    f._samples = None
-    f._fill = threading.Lock()
+    f = _held(grid, None, _frozen(spec, "field spectrum"))
     if values is not None:
         if values.shape != grid.shape or values.dtype != f.dtype:
             raise ValueError("samples do not match the spectrum's lattice")
         f._samples = _frozen(values, "field")
+    return f
+
+
+def _sampled(grid: Grid, values: np.ndarray) -> SampledField:
+    """The field whose samples are ``values``, a C-ordered float64 or
+    complex128 array of the grid's size that the caller has just built and
+    keeps no other use of.  It is taken over and frozen, not copied: the
+    samples twin of :func:`_field`."""
+    if (values.size != math.prod(grid.shape) or not values.flags.c_contiguous
+            or values.dtype not in (np.float64, np.complex128)):
+        raise ValueError(f"samples of shape {values.shape} and dtype {values.dtype} "
+                         f"are no field on {grid}")
+    return _held(grid, _frozen(values.reshape(grid.shape), "field"), None)
+
+
+def _held(grid: Grid, samples, lattice) -> SampledField:
+    # a field built around frozen arrays, without the copy __init__ makes
+    f = SampledField.__new__(SampledField)
+    f.grid, f._samples, f._lattice, f._fill = grid, samples, lattice, threading.Lock()
     return f
 
 
@@ -269,21 +284,69 @@ def _fwd_scale(grid: Grid) -> float:
 # m(-xi) = conj m(xi), so it is given there and maps each part to a real field.
 # The unitary transform differs from it by the centering sign and _fwd_scale,
 # which forward_transform applies one way and _lattice_spectrum the other.
+# Both write into an array the transform owns (out=), so no pass allocates a
+# temporary: _fft is rfftn itself, and _ifft runs irfftn's one-axis passes in
+# irfftn's own axis order, so its results are irfftn's bit for bit.  _ifft
+# also takes a spectrum held on a box (see _box), such as a dyadic block's
+# product: it zero-extends each axis just before that axis's pass, so lines
+# that are all zero are never transformed (FFT pruning).
 
 
 def _fft(x: np.ndarray) -> np.ndarray:
     """Lattice spectrum of the samples ``x``: the rfftn half lattice for
     float64 samples, the pair of its parts' half lattices for complex ones."""
-    if x.dtype == np.float64:
-        return np.fft.rfftn(x)
-    return np.fft.rfftn(np.stack((x.real, x.imag)), axes=range(1, x.ndim + 1))
+    lead = 0
+    if x.dtype != np.float64:
+        x, lead = np.stack((x.real, x.imag)), 1
+    out = np.empty(x.shape[:-1] + (x.shape[-1] // 2 + 1,), dtype=np.complex128)
+    return np.fft.rfftn(x, axes=tuple(range(lead, x.ndim)), out=out)
 
 
 def _ifft(grid: Grid, spec: np.ndarray) -> np.ndarray:
     """Inverse of :func:`_fft`: float64 samples of a half-lattice spectrum,
-    complex samples of a pair."""
-    out = np.fft.irfftn(spec, s=grid.shape, axes=range(spec.ndim - grid.dim, spec.ndim))
+    complex samples of a pair.  ``spec`` may also be held on a box, which
+    stands for the half lattice that is zero off it; ``spec`` is never
+    written to."""
+    N = grid.samples_per_axis
+    a = spec
+    # irfftn's passes: ifft on every axis but the last, first to last, then
+    # irfft on the last, which pads a box's last axis with zeros itself
+    for axis in range(spec.ndim - grid.dim, spec.ndim - 1):
+        if a.shape[axis] < N:
+            a = _zero_extended(a, axis, N)
+        a = np.fft.ifft(a, axis=axis, out=None if a is spec else a)
+    out = np.fft.irfft(a, n=N, axis=-1)
     return out if spec.ndim == grid.dim else out[0] + 1j * out[1]
+
+
+def _zero_extended(a: np.ndarray, axis: int, N: int) -> np.ndarray:
+    """A box's full ``axis``, frequencies 0..J then -J..-1 in FFT order,
+    extended with zeros to all N frequencies, as a new complex array."""
+    J = a.shape[axis] // 2
+    out = np.zeros(a.shape[:axis] + (N,) + a.shape[axis + 1 :], dtype=np.complex128)
+    to, frm = np.moveaxis(out, axis, 0), np.moveaxis(a, axis, 0)
+    to[: J + 1] = frm[: J + 1]
+    to[N - J :] = frm[J + 1 :]
+    return out
+
+
+def _box(grid: Grid, J: int) -> tuple:
+    """Open-mesh index of the box of extent ``J`` in the half lattice: the
+    frequencies 0..J and -J..-1 (2J + 1 of them, in FFT order) on each full
+    axis and 0..J on the last.  It is the smallest such sub-lattice that
+    holds every |xi| < pi (J + 1) / L.  An array held on a box has the box's
+    shape, so its last axis gives J."""
+    N = grid.samples_per_axis
+    full = np.r_[0 : J + 1, N - J : N]
+    return np.ix_(*[full] * (grid.dim - 1), np.arange(J + 1))
+
+
+def _embedded(grid: Grid, box: np.ndarray) -> np.ndarray:
+    """The half-lattice array that equals ``box`` on its box (see :func:`_box`)
+    and is zero off it."""
+    half = np.zeros(grid.shape[:-1] + (grid.samples_per_axis // 2 + 1,), dtype=box.dtype)
+    half[_box(grid, box.shape[-1] - 1)] = box
+    return half
 
 
 def forward_transform(f: SampledField) -> np.ndarray:
@@ -318,33 +381,43 @@ def _hermitian_full(grid: Grid, half: np.ndarray) -> np.ndarray:
     return full
 
 
-def _multiplied(f: SampledField, multipliers):
+def _multiplied(f: SampledField, multipliers, boxed: bool = False):
     """Yield the space samples of F^-1(m * Ff) for each multiplier m in turn,
     all from ``f``'s one spectrum.  Each m is a Hermitian FFT-order array on
-    the half lattice (or broadcastable to it), so it maps a real field to a
-    float64 one and acts on a complex field's two parts at once.
+    the half lattice (or broadcastable to it), or with ``boxed`` on its box
+    (see :func:`_box`), where the product is formed and transformed.  So it
+    maps a real field to a float64 one and acts on a complex field's two
+    parts at once.
 
     A multiplier commutes with the cyclic N/2 shift that centers the samples,
     so no shift is needed, and the transform scales cancel."""
     F = f.spectrum
     for m in multipliers:
-        yield _ifft(f.grid, m * F)
+        yield _ifft(f.grid, m * (F[(...,) + _box(f.grid, m.shape[-1] - 1)] if boxed else F))
 
 
-def _l2_norms(f: SampledField, multipliers):
+def _l2_norms(f: SampledField, multipliers, boxed: bool = False):
     """Yield ||F^-1(m * Ff)||_L2 for each multiplier m (as in
     :func:`_multiplied`) by Parseval, with no inverse transform:
     h^n sum_x |g(x)|^2 = h^n N^-n sum_xi |Fg(xi)|^2, summed over both parts
     of a complex field.  A half-lattice point off the last axis's 0 and N/2
     planes also stands for its mirror -xi, which m(-xi) = conj m(xi) gives
-    the same modulus, so it counts twice."""
+    the same modulus, so it counts twice.  The sum runs over the whole half
+    lattice for a boxed m too, so its order, and every bit of the norm, do
+    not depend on how m is held."""
     F = f.spectrum
     power = F.real**2 + F.imag**2
     N = f.grid.samples_per_axis
     power[..., 1 : N // 2] *= 2.0
     scale = f.grid.cell_volume / N**f.grid.dim
     for m in multipliers:
-        yield math.sqrt(scale * np.sum(np.abs(m) ** 2 * power))
+        if boxed:
+            box = (...,) + _box(f.grid, m.shape[-1] - 1)
+            terms = np.zeros(power.shape)
+            terms[box] = np.abs(m) ** 2 * power[box]
+        else:
+            terms = np.abs(m) ** 2 * power
+        yield math.sqrt(scale * np.sum(terms))
 
 
 def _lattice_spectrum(grid: Grid, F: np.ndarray, scale: float = 1.0) -> np.ndarray:
@@ -511,10 +584,13 @@ def _write_json(path: str, obj) -> None:
     _write_file(path, ((_canonical(obj) + "\n").encode("ascii"),))
 
 
-# Rows per formatted piece of a CSV, and samples per piece of a binary field:
-# large enough that the per-chunk overhead vanishes, small enough that no
-# piece nears the size of a field's text or bytes.
-_CSV_CHUNK = 32768
+# Rows per formatted piece of a CSV, and samples per piece of a binary field
+# written or read: large enough that the per-piece overhead vanishes, small
+# enough that no piece nears the size of a field's text or bytes.  Formatting
+# a CSV row takes about 400 bytes of work arrays, a binary sample 16, so the
+# CSV pieces are the smaller.
+_CSV_CHUNK = 8192
+_BIN_CHUNK = 32768
 
 # Magnitudes whose %.17g digits are computed below; smaller and larger ones,
 # subnormals among them, would take the scaled products out of the normal
@@ -697,7 +773,8 @@ def _write_csv(path: str, header, columns) -> None:
     """Write the column names ``header`` and then one line per row of the
     equal-length ``columns`` (arrays, lists or ranges): a range column's
     values are printed ``%d`` and every other value byte for byte as
-    ``%.17g`` would print it.
+    ``%.17g`` would print it.  A ``bytes`` column is the cell that every one
+    of its rows holds.
 
     The bytes are computed with numpy, ``_CSV_CHUNK`` rows at a time, into
     one byte matrix per chunk: each value's 17 correctly rounded digits come
@@ -708,14 +785,15 @@ def _write_csv(path: str, header, columns) -> None:
     within 1e-9 of a rounding tie, with a log10 that misses the decimal
     exponent, or with seventeen 9s that would round up) are formatted one at
     a time by ``%``."""
-    n = len(columns[0])
-    if any(len(c) != n for c in columns):
+    sized = [c for c in columns if not isinstance(c, bytes)]
+    n = len(sized[0])
+    if any(len(c) != n for c in sized):
         raise ValueError("CSV columns differ in length")
     if len(header) != len(columns):
         raise ValueError(f"CSV header names {len(header)} columns, not {len(columns)}")
     cols = []
     for c in columns:
-        if not isinstance(c, range):
+        if not isinstance(c, (range, bytes)):
             c = np.asarray(c, dtype=np.float64)
             bits = c.view(np.uint64)
             if n and (bits == bits[0]).all():
@@ -741,11 +819,13 @@ def save_field(fld: SampledField, basepath: str, fmt: str = "binary") -> None:
         raise ValueError(f"unknown format {fmt!r}")
     v = fld.values.ravel()
     if fmt == "binary":
-        # _CSV_CHUNK samples a piece: no copy of the whole field as <c16
-        _write_file(basepath + ".bin", (v[i:i + _CSV_CHUNK].astype("<c16")
-                                        for i in range(0, v.size, _CSV_CHUNK)))
+        # _BIN_CHUNK samples a piece: no copy of the whole field as <c16
+        _write_file(basepath + ".bin", (v[i:i + _BIN_CHUNK].astype("<c16")
+                                        for i in range(0, v.size, _BIN_CHUNK)))
     else:
-        _write_csv(basepath + ".csv", ("index", "re", "im"), (range(v.size), v.real, v.imag))
+        # a real field's imaginary parts are one cell, "0", with no array of them
+        im = v.imag if np.iscomplexobj(v) else b"0"
+        _write_csv(basepath + ".csv", ("index", "re", "im"), (range(v.size), v.real, im))
     _write_json(basepath + ".json", {
         "dim": fld.grid.dim,
         "N": fld.grid.samples_per_axis,
@@ -753,6 +833,23 @@ def save_field(fld: SampledField, basepath: str, fmt: str = "binary") -> None:
         "domain_tag": "space",
         "format": fmt,
     })
+
+
+def _read_samples(path: str, size: int) -> np.ndarray:
+    """The ``size`` ``<c16`` samples of a binary field file, read
+    ``_BIN_CHUNK`` at a time into one float64 array while every imaginary
+    part is zero, and read again whole as complex128 once one is not."""
+    vals = np.empty(size)
+    piece = np.empty(min(size, _BIN_CHUNK), dtype="<c16")
+    with open(path, "rb") as fh:
+        for i in range(0, size, _BIN_CHUNK):
+            chunk = piece[: min(_BIN_CHUNK, size - i)]
+            if fh.readinto(chunk) != chunk.nbytes:
+                raise ValueError(f"{path} ends before its {size} samples")
+            if chunk.imag.any():
+                return np.fromfile(path, dtype="<c16").astype(np.complex128, copy=False)
+            vals[i : i + chunk.size] = chunk.real
+    return vals
 
 
 def load_field(basepath: str) -> SampledField:
@@ -776,26 +873,24 @@ def load_field(basepath: str) -> SampledField:
             raise ValueError(f"field sidecar {key!r} {meta[key]!r} is not {kind}")
     grid = make_grid(meta["dim"], meta["N"], meta["L"])
     if meta["format"] == "binary":
-        # fromfile would drop trailing bytes that make no whole sample
+        # refused before any read: a reader stops at the samples it expects
+        # and would drop stray trailing bytes
         want, got = 16 * math.prod(grid.shape), os.path.getsize(basepath + ".bin")
         if got != want:
             raise ValueError(
                 f"{basepath}.bin holds {got} bytes, not the {want} of grid {grid.shape}")
-        vals = np.fromfile(basepath + ".bin", dtype="<c16")
-        if not vals.imag.any():
-            vals = vals.real
-    else:
-        with warnings.catch_warnings():
-            # a file without data rows is refused below, like a short row
-            warnings.simplefilter("ignore", UserWarning)
-            raw = np.loadtxt(basepath + ".csv", delimiter=",", skiprows=1, ndmin=2)
-        if raw.shape[1] != 3:
-            raise ValueError(f"{basepath}.csv does not hold rows of three columns index,re,im")
-        # a row out of place would load as a silently permuted field
-        if not np.array_equal(raw[:, 0], np.arange(len(raw))):
-            raise ValueError(f"{basepath}.csv index column is not 0..{len(raw) - 1} in order")
-        # a real field's all-zero imaginary column builds no complex array
-        vals = raw[:, 1] + 1j * raw[:, 2] if raw[:, 2].any() else raw[:, 1]
+        return _sampled(grid, _read_samples(basepath + ".bin", math.prod(grid.shape)))
+    with warnings.catch_warnings():
+        # a file without data rows is refused below, like a short row
+        warnings.simplefilter("ignore", UserWarning)
+        raw = np.loadtxt(basepath + ".csv", delimiter=",", skiprows=1, ndmin=2)
+    if raw.shape[1] != 3:
+        raise ValueError(f"{basepath}.csv does not hold rows of three columns index,re,im")
+    # a row out of place would load as a silently permuted field
+    if not np.array_equal(raw[:, 0], np.arange(len(raw))):
+        raise ValueError(f"{basepath}.csv index column is not 0..{len(raw) - 1} in order")
+    # a real field's all-zero imaginary column builds no complex array
+    vals = raw[:, 1] + 1j * raw[:, 2] if raw[:, 2].any() else raw[:, 1]
     if vals.size != np.prod(grid.shape):
         raise ValueError(f"data size {vals.size} does not match grid {grid.shape}")
     return SampledField(grid, vals.reshape(grid.shape))

@@ -246,7 +246,8 @@ def gradient_l1(p: SampledField) -> float:
         d = d.real
         d **= 2
         sq += d
-    return float(p.grid.cell_volume * np.sqrt(sq).sum())
+        del d  # not held while the next component is synthesized
+    return float(p.grid.cell_volume * np.sqrt(sq, out=sq).sum())
 
 
 def chapman_kolmogorov_residual(fam: KernelFamily, t: float, s: float) -> float:

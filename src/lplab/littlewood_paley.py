@@ -8,9 +8,11 @@ base bump phi_0 with 1_{B(0,1)} <= phi_0 <= 1_{B(0,3/2)} via
 so that sum_k phi_k = 1.  Block operators phi_k(D) f = F^-1(phi_k * Ff) are
 the building blocks of every function-space norm in :mod:`lplab.norms`.
 
-Multipliers are stored sampled on the half lattice, never symbolically;
-blocks whose support exceeds the Nyquist frequency are dropped, so norms are
-norms of the band-limited projection (exact for band-limited fields).
+Multipliers are stored sampled on the lattice, never symbolically: each
+block on the smallest box of the half lattice that holds its support (see
+:class:`DyadicResolution`).  Blocks whose support exceeds the Nyquist
+frequency are dropped, so norms are norms of the band-limited projection
+(exact for band-limited fields).
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (Grid, SampledField, _field, _hermitian_full, _l2_norms, _multiplied,
-                   _write_csv, _write_json)
+from .grid import (Grid, SampledField, _box, _embedded, _field, _hermitian_full, _l2_norms,
+                   _multiplied, _write_csv, _write_json)
 
 __all__ = [
     "TransitionProfile",
@@ -96,17 +98,28 @@ def _top_block_index(grid: Grid) -> int:
 class DyadicResolution:
     """Sampled multiplier family (phi_k), k = 0..k_max, on a grid's lattice.
 
-    Each block is real and even, so it is held on the half lattice of
-    :meth:`Grid.radial_freq`, which every field's spectrum shares.  ``k_max``
-    is ``len(blocks) - 1``; :func:`build_resolution` takes it as large as the
-    lattice allows.  Derived families such as (phi_k^2) only
-    satisfy c <= sum phi_k <= C instead of = 1; :func:`validate_resolution`
-    reports (c, C).
+    Each block is real and even, and vanishes for |xi| >= 1.5 * 2^k, so it is
+    held on the box of the half lattice (see :func:`lplab.grid._box`) of
+    extent J_k = the largest lattice index with pi J_k / L < 1.5 * 2^k: the
+    frequencies -J_k..J_k on each full axis and 0..J_k on the last, in FFT
+    order.  The block's shape is its box's, (2 J_k + 1,) * (n - 1) +
+    (J_k + 1,), and it stands for the half-lattice array that is zero off
+    it.  ``k_max`` is ``len(blocks) - 1``; :func:`build_resolution` takes it
+    as large as the lattice allows.  Derived families such as (phi_k^2)
+    only satisfy c <= sum phi_k <= C instead of = 1;
+    :func:`validate_resolution` reports (c, C).
     """
 
     grid: Grid
     blocks: tuple
     profile: TransitionProfile
+
+    def __post_init__(self):
+        N = self.grid.samples_per_axis
+        for k, b in enumerate(self.blocks):
+            J = b.shape[-1] - 1
+            if not (0 <= J < N // 2 and b.shape == (2 * J + 1,) * (self.grid.dim - 1) + (J + 1,)):
+                raise ValueError(f"block {k} of shape {b.shape} is held on no box of {self.grid}")
 
     @property
     def k_max(self) -> int:
@@ -130,22 +143,28 @@ def build_resolution(grid: Grid, profile: TransitionProfile | None = None) -> Dy
 
     phi_0 equals 1 on |xi| <= 1, 0 on |xi| >= 3/2, and ramps in between;
     higher blocks follow by the dyadic difference.  Requires nyquist >= 4
-    (below that there are no blocks beyond k = 1).
+    (below that there are no blocks beyond k = 1).  Each block is computed
+    on its box only, where it takes the values that the same formula gives
+    on the whole lattice.
     """
     profile = profile or bump_profile()
     if grid.nyquist < 4.0:
         raise ValueError(
             f"nyquist {grid.nyquist:.3g} < 4: grid too coarse for a dyadic resolution"
         )
-    rho = grid.radial_freq()
-    blocks = [_phi0(rho, profile)]
-    prev = blocks[0]
-    for k in range(1, _top_block_index(grid) + 1):
-        cur = _phi0(rho * 2.0**-k, profile)
-        blocks.append(cur - prev)
-        prev = cur
-    for b in blocks:
+    N = grid.samples_per_axis
+    freq = grid.freq_axis()
+    blocks = []
+    for k in range(_top_block_index(grid) + 1):
+        # |xi| >= |xi_axis| on every axis, so off this box |xi| 2^-k >= 1.5
+        # and both terms of the block vanish
+        J = int(np.count_nonzero(freq[: N // 2] * 2.0**-k < 1.5)) - 1
+        rho = np.sqrt(sum(freq[i] ** 2 for i in _box(grid, J)))
+        b = _phi0(rho * 2.0**-k, profile)
+        if k:
+            b = b - _phi0(rho * 2.0 ** -(k - 1), profile)
         b.setflags(write=False)
+        blocks.append(b)
     return DyadicResolution(grid, tuple(blocks), profile)
 
 
@@ -159,7 +178,7 @@ def squared_resolution(res: DyadicResolution) -> DyadicResolution:
 
 def _partition_bounds(res: DyadicResolution) -> tuple:
     """(c, C): the extremes of sum_k phi_k over |xi| <= band_radius."""
-    total = sum(res.blocks)
+    total = sum(_embedded(res.grid, b) for b in res.blocks)
     band = total[res.grid.radial_freq() <= res.band_radius()]
     return float(band.min()), float(band.max())
 
@@ -182,8 +201,7 @@ class ResolutionReport:
 
 def validate_resolution(res: DyadicResolution) -> ResolutionReport:
     """Check partition bounds, block supports, and derivative proxies, on
-    the full lattice the half-lattice blocks stand for, one block at a
-    time."""
+    the full lattice the boxed blocks stand for, one block at a time."""
     grid = res.grid
     rho = _hermitian_full(grid, grid.radial_freq())
     part_min, part_max = _partition_bounds(res)
@@ -193,7 +211,7 @@ def validate_resolution(res: DyadicResolution) -> ResolutionReport:
     d1 = 0.0
     d2 = 0.0
     for k, b in enumerate(res.blocks):
-        b = _hermitian_full(grid, b)
+        b = _hermitian_full(grid, _embedded(grid, b))
         if k == 0:
             outside = rho >= 2.0
         else:
@@ -217,19 +235,20 @@ def apply_block(res: DyadicResolution, k: int, f: SampledField) -> SampledField:
         raise ValueError(f"block index {k} outside 0..{res.k_max}")
     if f.grid != res.grid:
         raise ValueError("field grid does not match resolution grid")
-    return _field(f.grid, res.blocks[k] * f.spectrum)
+    return _field(f.grid, _embedded(f.grid, res.blocks[k]) * f.spectrum)
 
 
 def block_spectra(res: DyadicResolution, f: SampledField, reverse: bool = False):
     """Yield the blocks phi_k(D) f, k = 0..k_max (k_max..0 if ``reverse``),
     as space samples the caller may overwrite.
 
-    Shares one forward transform of ``f`` across all blocks; every
+    Shares one forward transform of ``f`` across all blocks; each block's
+    product is formed and transformed on the block's box.  Every
     function-space norm reads its blocks from here.
     """
     if f.grid != res.grid:
         raise ValueError("field grid does not match resolution grid")
-    yield from _multiplied(f, res.blocks[::-1] if reverse else res.blocks)
+    yield from _multiplied(f, res.blocks[::-1] if reverse else res.blocks, boxed=True)
 
 
 def block_l2_norms(res: DyadicResolution, f: SampledField):
@@ -237,14 +256,14 @@ def block_l2_norms(res: DyadicResolution, f: SampledField):
     of ``f``: no block is synthesized."""
     if f.grid != res.grid:
         raise ValueError("field grid does not match resolution grid")
-    yield from _l2_norms(f, res.blocks)
+    yield from _l2_norms(f, res.blocks, boxed=True)
 
 
 def export_resolution(res: DyadicResolution, directory: str) -> None:
     """Write per-block CSVs (full-lattice xi index, value) plus JSON metadata."""
     os.makedirs(directory, exist_ok=True)
     for k, b in enumerate(res.blocks):
-        b = _hermitian_full(res.grid, b)
+        b = _hermitian_full(res.grid, _embedded(res.grid, b))
         _write_csv(os.path.join(directory, f"block_{k}.csv"), ("index", "value"),
                    (range(b.size), b.ravel()))
     c, C = _partition_bounds(res)

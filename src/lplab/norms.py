@@ -22,8 +22,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grid import (Grid, SampledField, _derivative_symbol, _field, _integral, _jsonable,
-                   _l2_norms, _lattice_spectrum, _multiplied)
+from .grid import (Grid, SampledField, _derivative_symbol, _embedded, _field, _integral,
+                   _jsonable, _l2_norms, _lattice_spectrum, _multiplied)
 from .littlewood_paley import DyadicResolution, block_l2_norms, block_spectra
 
 __all__ = [
@@ -299,7 +299,9 @@ def space_norm(f: SampledField, res: DyadicResolution, sp: SpaceParams) -> NormR
 def resolution_l1_bound(res: DyadicResolution) -> float:
     """max_k || F^-1 phi_k ||_L1, an explicit computable constant dominating
     ||f | B^0_{1,inf}|| / ||f||_L1 (block convolutions obey Young's bound)."""
-    return max(lp_norm(_field(res.grid, _lattice_spectrum(res.grid, b)), 1) for b in res.blocks)
+    grid = res.grid
+    return max(lp_norm(_field(grid, _lattice_spectrum(grid, _embedded(grid, b))), 1)
+               for b in res.blocks)
 
 
 def bessel_norm(f: SampledField, s: float) -> float:

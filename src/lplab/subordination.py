@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Grid, SampledField
+from .grid import Grid, SampledField, _sampled
 
 __all__ = [
     "BernsteinSpec",
@@ -221,7 +221,8 @@ def subordinate_kernel(dens: SubordinatorDensity, grid: Grid) -> SampledField:
             r = dens.nodes[i:i + step, None]
             c = (coeff[i:i + step, None] * (4.0 * np.pi * r) ** (-n / 2.0))
             out += np.einsum("ij->j", c * np.exp(-r2[None, :] / (4.0 * r)))
-    return SampledField(grid, out[inv].reshape((sq.size,) * n)[np.ix_(*[ax] * n)])
+    # the gather is a fresh array, which the field takes over
+    return _sampled(grid, out[inv].reshape((sq.size,) * n)[np.ix_(*[ax] * n)])
 
 
 def subordinator_moment(dens: SubordinatorDensity, u: float) -> float:

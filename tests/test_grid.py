@@ -32,7 +32,7 @@ from lplab import (
 )
 from lplab import grid as grid_module
 from lplab.grid import _field, _fwd_scale
-from lplab.littlewood_paley import block_l2_norms, block_spectra
+from lplab.littlewood_paley import DyadicResolution, block_l2_norms, block_spectra
 from lplab.norms import INF, SpaceParams, besov_norm, resolution_l1_bound, triebel_norm
 from lplab.verifier import CorpusSpec, generate_corpus, smoothing_sweep
 
@@ -389,9 +389,12 @@ def test_concurrent_reads_share_one_fill(grid_2d):
 
 
 class _FFTCounter:
-    """Counts the numpy.fft calls made while it is installed: forward
-    transforms, inverse transforms and shifts apart.  ``calls`` lists each
-    call's name and input shape in order."""
+    """Counts the transforms made while it is installed: forward transforms,
+    inverse transforms and shifts apart.  A lattice transform, ``grid._fft``
+    or ``grid._ifft``, counts once, named "rfftn" or "irfftn" after the numpy
+    transform it computes, however many one-axis passes it runs; a numpy.fft
+    call counts when no lattice transform makes it.  ``calls`` lists each
+    counted call's name and the shape of the array it transforms, in order."""
 
     FORWARD = ("fft", "rfft", "fft2", "rfft2", "fftn", "rfftn")
     INVERSE = ("ifft", "irfft", "ifft2", "irfft2", "ifftn", "irfftn")
@@ -400,17 +403,36 @@ class _FFTCounter:
     def __init__(self, monkeypatch):
         self.forward = self.inverse = self.shift = 0
         self.calls = []
+        self._depth = 0  # lattice transforms under way
         for kind, names in (("forward", self.FORWARD), ("inverse", self.INVERSE),
                             ("shift", self.SHIFT)):
             for name in names:
                 monkeypatch.setattr(np.fft, name,
                                     self._counted(kind, name, getattr(np.fft, name)))
+        monkeypatch.setattr(grid_module, "_fft", self._lattice(
+            "forward", "rfftn", grid_module._fft, lambda x: x))
+        monkeypatch.setattr(grid_module, "_ifft", self._lattice(
+            "inverse", "irfftn", grid_module._ifft, lambda grid, spec: spec))
+
+    def _count(self, kind, name, a):
+        setattr(self, kind, getattr(self, kind) + 1)
+        self.calls.append((name, np.shape(a)))
 
     def _counted(self, kind, name, fn):
         def counted(a, *args, **kwargs):
-            setattr(self, kind, getattr(self, kind) + 1)
-            self.calls.append((name, np.shape(a)))
+            if not self._depth:
+                self._count(kind, name, a)
             return fn(a, *args, **kwargs)
+        return counted
+
+    def _lattice(self, kind, name, fn, transformed):
+        def counted(*args):
+            self._count(kind, name, transformed(*args))
+            self._depth += 1
+            try:
+                return fn(*args)
+            finally:
+                self._depth -= 1
         return counted
 
 
@@ -502,7 +524,7 @@ def test_complex_spectrum_is_one_rfftn_of_the_pair(monkeypatch, grid_2d):
     _ = r.spectrum  # the real field's one forward transform, not counted
     counter = _FFTCounter(monkeypatch)
     assert f.spectrum.shape == (2, 128, 65)
-    assert counter.calls == [("rfftn", (2, 128, 128))]
+    assert counter.calls == [("rfftn", (128, 128))]
     # both operands hold their spectra, so nothing is transformed again
     h = convolve(f, r)
     assert counter.forward == 1 and counter.inverse == counter.shift == 0
@@ -616,7 +638,8 @@ def test_csv_bytes_across_chunks(tmp_path, field):
     assert (tmp_path / "field.csv").read_bytes() == _csv_reference(f).encode()
 
 
-@pytest.mark.parametrize("rows", [0, 1, grid_module._CSV_CHUNK, 2 * grid_module._CSV_CHUNK + 3])
+@pytest.mark.parametrize("rows", [0, 1] + [m * grid_module._CSV_CHUNK + r
+                                           for m, r in ((1, 0), (2, 3), (4, 0), (8, 3))])
 def test_csv_table_bytes_at_chunk_edges(tmp_path, rows):
     ratios = np.random.default_rng(6).uniform(0.1, 2.0, rows)
     path = str(tmp_path / "table.csv")
@@ -750,13 +773,100 @@ def test_binary_field_write_holds_no_copy_of_the_field(tmp_path):
     assert peak < 2**20
 
 
+def _peak_above_held(fn):
+    """The result of ``fn()`` and the tracemalloc peak it reached above what
+    was held before it ran."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+def test_csv_field_write_builds_no_imaginary_column(tmp_path):
+    f = SampledField(make_grid(3, 64, 5.0), np.random.default_rng(8).standard_normal((64,) * 3))
+    base = str(tmp_path / "field")
+    save_field(f, base, fmt="csv")  # fill any cache
+    _, peak = _peak_above_held(lambda: save_field(f, base, fmt="csv"))
+    # one piece of 8,192 formatted rows (about 3.2 MiB); a real field's
+    # all-zero imaginary parts (2 MiB) and 32,768-row pieces peaked 14.9 MiB
+    assert peak <= 4 * 2**20
+    assert np.array_equal(load_field(base).values, f.values)
+
+
+def test_binary_field_read_fills_the_fields_one_array(tmp_path):
+    g = make_grid(3, 64, 5.0)
+    vals = np.random.default_rng(9).standard_normal(g.shape)
+    base = str(tmp_path / "field")
+    save_field(SampledField(g, vals), base)
+    load_field(base)  # fill any cache
+    f, peak = _peak_above_held(lambda: load_field(base))
+    # the 2 MiB field and one 512 KiB piece of <c16 bytes; reading the whole
+    # file, keeping it as the view .real and copying that peaked 6.25 MiB
+    assert peak <= 2.75 * 2**20
+    assert f.dtype == np.float64 and np.array_equal(f.values, vals)
+    assert not f.values.flags.writeable
+
+
+@pytest.mark.parametrize("where", [0, 2**15, 64**3 - 1], ids=["first", "second-piece", "last"])
+def test_binary_field_with_one_imaginary_part_loads_complex(tmp_path, where):
+    g = make_grid(3, 64, 5.0)
+    vals = np.random.default_rng(10).standard_normal(g.shape).astype(np.complex128)
+    vals.flat[where] += 1e-300j
+    base = str(tmp_path / "field")
+    save_field(SampledField(g, vals), base)
+    f = load_field(base)
+    assert f.dtype == np.complex128 and np.array_equal(f.values, vals)
+
+
+def test_load_field_refuses_a_binary_file_that_ends_while_read(tmp_path, monkeypatch):
+    base = str(tmp_path / "field")
+    save_field(SampledField(make_grid(1, 64, 5.0), np.arange(64.0)), base)
+    data = tmp_path / "field.bin"
+    data.write_bytes(data.read_bytes()[:-16])
+    # the file shrinks between the size check and the read
+    monkeypatch.setattr(grid_module.os.path, "getsize", lambda path: 1024)
+    with pytest.raises(ValueError, match="field.bin ends before its 64 samples"):
+        load_field(base)
+
+
+def test_sampled_refuses_samples_that_fit_no_field():
+    g = make_grid(2, 64, 5.0)
+    for bad in (np.zeros(63 * 64), np.zeros(g.shape, np.float32), np.zeros((64, 128))[:, ::2]):
+        with pytest.raises(ValueError, match="are no field on"):
+            grid_module._sampled(g, bad)
+    vals = np.arange(64.0 * 64)
+    f = grid_module._sampled(g, vals)
+    assert f.values.base is vals and not f.values.flags.writeable
+
+
+def test_block_synthesis_holds_no_half_lattice_temporary():
+    grid = make_grid(3, 64, 4.0)
+    res = build_resolution(grid)
+    f = SampledField(grid, np.random.default_rng(11).standard_normal(grid.shape))
+    _ = f.spectrum  # held, as in every norm
+    list(block_spectra(res, f))  # fill any cache
+    for k in range(res.k_max + 1):
+        one = DyadicResolution(grid, res.blocks[k : k + 1], res.profile)
+        b, peak = _peak_above_held(lambda: next(block_spectra(one, f)))
+        # the 2 MiB block and its product's extensions on the box, at most
+        # 1 MiB for k = 3 (3.24 MiB measured); the product on the half lattice
+        # and irfftn's two passes peaked 6.19 MiB for every k
+        assert b.shape == grid.shape
+        assert peak <= 3.5 * 2**20
+
+
 @pytest.mark.parametrize("cut", ["stray-bytes", "truncated"])
 def test_load_field_refuses_a_binary_file_of_the_wrong_size(tmp_path, cut):
     base = str(tmp_path / "field")
     save_field(SampledField(make_grid(1, 64, 5.0), np.arange(64.0)), base)
     data = tmp_path / "field.bin"
     raw = data.read_bytes()
-    # fromfile reads the whole samples of either and drops the rest
+    # a reader would take the whole samples of either and drop the rest
     data.write_bytes(raw + b"abc" if cut == "stray-bytes" else raw[:-3])
     got = len(raw) + 3 if cut == "stray-bytes" else len(raw) - 3
     with pytest.raises(ValueError, match=f"field.bin holds {got} bytes, not the 1024 of"):

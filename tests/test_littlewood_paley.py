@@ -16,8 +16,14 @@ from lplab import (
     squared_resolution,
     validate_resolution,
 )
-from lplab.littlewood_paley import (DyadicResolution, TransitionProfile, block_l2_norms,
-                                    block_spectra)
+from lplab.grid import _embedded
+from lplab.littlewood_paley import (DyadicResolution, TransitionProfile, _phi0,
+                                    block_l2_norms, block_spectra)
+
+
+def half_lattice_blocks(res):
+    """Each block on the half lattice, zero off its box."""
+    return [_embedded(res.grid, b) for b in res.blocks]
 
 
 def band_limited(grid, seed, band):
@@ -43,14 +49,14 @@ def test_k_max_follows_nyquist(grid_1d, res_1d):
 
 def test_partition_of_unity_on_band(grid_1d, res_1d):
     rho = grid_1d.radial_freq()
-    total = sum(res_1d.blocks)
+    total = sum(half_lattice_blocks(res_1d))
     band = rho <= res_1d.band_radius()
     assert np.abs(total[band] - 1.0).max() < 1e-14
 
 
 def test_phi0_sandwich(grid_1d, res_1d):
     rho = grid_1d.radial_freq()
-    phi0 = res_1d.blocks[0]
+    phi0 = half_lattice_blocks(res_1d)[0]
     assert np.all(phi0[rho <= 1.0] == 1.0)
     assert np.all(phi0[rho >= 1.5] == 0.0)
     mid = (rho > 1.0) & (rho < 1.5)
@@ -59,7 +65,7 @@ def test_phi0_sandwich(grid_1d, res_1d):
 
 def test_block_3_support(grid_1d, res_1d):
     rho = grid_1d.radial_freq()
-    phi3 = res_1d.blocks[3]
+    phi3 = half_lattice_blocks(res_1d)[3]
     outside = (rho < 4.0) | (rho >= 16.0)
     assert np.abs(phi3[outside]).max() == 0.0
 
@@ -74,9 +80,10 @@ def test_defining_difference_identity(grid_1d, res_1d):
         out[mid] = res_1d.profile.ramp((1.5 - r[mid]) / 0.5)
         return out
 
+    blocks = half_lattice_blocks(res_1d)
     for k in (1, 3, res_1d.k_max):
         direct = phi0_at(rho * 2.0**-k) - phi0_at(rho * 2.0 ** -(k - 1))
-        assert np.abs(res_1d.blocks[k] - direct).max() < 1e-15
+        assert np.abs(blocks[k] - direct).max() < 1e-15
 
 
 def test_validate_default_resolution(res_1d):
@@ -101,10 +108,9 @@ def test_validate_squared_resolution(res_1d, tmp_path):
 
 def test_validate_counts_corrupted_block(grid_1d, res_1d):
     blocks = [b.copy() for b in res_1d.blocks]
-    rho = grid_1d.radial_freq()
-    bad = blocks[3].copy()
-    bad[rho > 32.0] = 0.5  # mass far outside the k = 3 annulus
-    blocks[3] = bad
+    bad = blocks[3]
+    # mass on the block's box but below the k = 3 annulus 4 <= |xi| < 16
+    bad[np.abs(grid_1d.freq_axis()[: bad.size]) < 2.0] = 0.5
     corrupted = DyadicResolution(grid_1d, tuple(blocks), res_1d.profile)
     assert validate_resolution(corrupted).support_violations > 0
 
@@ -208,10 +214,45 @@ def test_nyquist_too_small_rejected():
 
 @pytest.mark.parametrize("dim, N, L", [(1, 4096, 40.0), (2, 128, 10.0), (3, 64, 4.0)])
 def test_blocks_are_held_on_the_half_lattice(dim, N, L):
-    # each block is real and even, so it is held where every spectrum lives
+    # each block is real and even, so it is held where every spectrum lives,
+    # on the box of the half lattice that holds |xi| < 1.5 * 2^k: frequencies
+    # -J..J on each full axis and 0..J on the last, J the largest index with
+    # pi J / L < 1.5 * 2^k
     grid = make_grid(dim, N, L)
     res = build_resolution(grid)
-    assert all(b.shape == grid.shape[:-1] + (N // 2 + 1,) for b in res.blocks)
+    for k, b in enumerate(res.blocks):
+        J = b.shape[-1] - 1
+        assert b.shape == (2 * J + 1,) * (dim - 1) + (J + 1,)
+        assert np.pi * J / L < 1.5 * 2.0**k <= np.pi * (J + 1) / L
+    if (dim, N, L) == (3, 64, 4.0):
+        assert [b.shape[-1] - 1 for b in res.blocks] == [1, 3, 7, 15]
+        assert sum(b.size for b in res.blocks) == 17390
+
+
+@pytest.mark.parametrize("dim, N, L", [(1, 4096, 40.0), (1, 64, 1.0), (2, 128, 10.0),
+                                       (2, 64, 2.0), (3, 64, 4.0), (3, 64, 13.0)])
+def test_every_nonzero_of_a_block_lies_on_its_box(dim, N, L):
+    # phi_k computed on the whole half lattice by its defining formula is
+    # zero off the box it is held on, and equals the boxed block on it
+    grid = make_grid(dim, N, L)
+    res = build_resolution(grid)
+    rho = grid.radial_freq()
+    blocks = half_lattice_blocks(res)
+    for k, b in enumerate(blocks):
+        full = _phi0(rho * 2.0**-k, res.profile)
+        if k:
+            full = full - _phi0(rho * 2.0 ** -(k - 1), res.profile)
+        assert np.array_equal(b, full)
+        assert np.count_nonzero(full) == np.count_nonzero(res.blocks[k])
+
+
+def test_resolution_refuses_a_block_held_on_no_box():
+    grid = make_grid(2, 64, 4.0)
+    res = build_resolution(grid)
+    half = _embedded(grid, res.blocks[1])  # the half-lattice layout
+    for b in (half, res.blocks[1][:, :-1], np.ones((65, 33)), np.ones(7)):
+        with pytest.raises(ValueError, match="is held on no box"):
+            DyadicResolution(grid, (res.blocks[0], b), res.profile)
 
 
 def test_build_resolution_working_set():
@@ -225,18 +266,35 @@ def test_build_resolution_working_set():
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    # the four half-lattice blocks, |xi| and one block's temporaries: 7.4
-    # half-lattice arrays (7.65 MiB) measured; full-lattice blocks peaked at
-    # 14.4 (14.8 MiB)
+    # the four boxed blocks and the largest box's |xi| and temporaries: 0.69
+    # MiB measured; half-lattice blocks peaked at 7.65 MiB and full-lattice
+    # ones at 14.8 MiB
     assert len(res.blocks) == 4
     half = 8 * 64 * 64 * 33
-    assert peak <= 9 * half
+    assert peak <= half
+
+
+def test_resolution_holds_its_blocks_on_their_boxes():
+    grid = make_grid(3, 64, 4.0)
+    build_resolution(grid)  # fill any cache
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        res = build_resolution(grid)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # 17,390 float64 values (0.13 MiB); on the half lattice the four blocks
+    # held 4 x 135,168 (4.1 MiB)
+    assert sum(b.nbytes for b in res.blocks) == 8 * 17390
+    assert held < 0.5 * 2**20
 
 
 def test_resolution_2d(grid_2d):
     res = build_resolution(grid_2d)
     rho = grid_2d.radial_freq()
-    total = sum(res.blocks)
+    total = sum(half_lattice_blocks(res))
     band = rho <= res.band_radius()
     assert np.abs(total[band] - 1.0).max() < 1e-14
     rep = validate_resolution(res)
@@ -251,10 +309,10 @@ def test_export_resolution(tmp_path):
     assert meta["K_max"] == res.k_max
     assert meta["c"] == 1.0 and meta["C"] == 1.0
     assert meta["admissible_general"] is False
-    # the blocks are held on the half lattice and exported on the full one,
+    # the blocks are held on their boxes and exported on the full lattice,
     # where index j and its mirror N - j hold one value
     j = np.arange(g.samples_per_axis)
-    full = [b[np.minimum(j, g.samples_per_axis - j)] for b in res.blocks]
+    full = [b[np.minimum(j, g.samples_per_axis - j)] for b in half_lattice_blocks(res)]
     data = np.loadtxt(tmp_path / "block_0.csv", delimiter=",", skiprows=1)
     assert np.array_equal(data[:, 1], full[0])
     flat = full[1].ravel()

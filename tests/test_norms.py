@@ -559,7 +559,7 @@ def test_cube_norm_refuses_spacing_above_one():
     # hand-built resolution reaches this refusal; with no cube side 2^-J >= h
     # the norm would otherwise read 0
     g = make_grid(1, 64, 40.0)  # spacing 1.25
-    res = DyadicResolution(g, (np.ones(g.shape),), bump_profile())
+    res = DyadicResolution(g, (np.ones(g.samples_per_axis // 2),), bump_profile())
     f = sample(lambda x: np.exp(-(x**2) / 100.0), g)
     with pytest.raises(ValueError, match="spacing exceeds the unit cube"):
         triebel_infty_norm(f, res, 0.5, 2.0)

@@ -32,6 +32,7 @@ from lplab import (
     triebel_norm,
 )
 from lplab import grid as grid_module
+from lplab.grid import _embedded
 from lplab.littlewood_paley import block_spectra
 from lplab.norms import default_hardy_nodes
 
@@ -109,7 +110,7 @@ def test_partition_of_unity_any_sharpness(sharpness, dim):
     grid = make_grid(dim, 256 if dim == 1 else 64, 20.0)
     res = build_resolution(grid, bump_profile(sharpness))
     band = grid.radial_freq() <= res.band_radius()
-    assert np.abs(sum(res.blocks)[band] - 1.0).max() < 1e-14
+    assert np.abs(sum(_embedded(grid, b) for b in res.blocks)[band] - 1.0).max() < 1e-14
     assert all(b.min() >= 0.0 for b in res.blocks)
 
 
@@ -198,7 +199,8 @@ def test_real_block_synthesis_matches_full_complex(grid, seed):
     blocks = list(block_spectra(res, f))
     assert len(blocks) == len(res.blocks)
     for b, phi in zip(blocks, res.blocks):
-        assert_close(b, full_complex(f.values, radial_full(grid, phi)), np.abs(f.values).max())
+        want = full_complex(f.values, radial_full(grid, _embedded(grid, phi)))
+        assert_close(b, want, np.abs(f.values).max())
 
 
 @PROPERTY
@@ -253,7 +255,7 @@ def test_p2_norms_match_block_synthesis(grid, seed, complex_valued, s, q):
     f = random_field(grid, seed, complex_valued)
     res = build_resolution(grid)
     F = np.fft.fftn(f.values)
-    weighted = [2.0 ** (k * s) * np.abs(np.fft.ifftn(radial_full(grid, phi) * F))
+    weighted = [2.0 ** (k * s) * np.abs(np.fft.ifftn(radial_full(grid, _embedded(grid, phi)) * F))
                 for k, phi in enumerate(res.blocks)]
     terms = np.array([np.sqrt(grid.cell_volume * np.sum(w * w)) for w in weighted])
     besov = besov_norm(f, res, SpaceParams("B", s, 2.0, q))
@@ -280,3 +282,37 @@ def test_csv_cells_match_per_value_formatting(tmp_path_factory, values, start, s
                            (index, values, np.array(values[::-1], dtype=float)))
     want = "".join("%d,%.17g,%.17g\n" % row for row in zip(index, values, values[::-1]))
     assert path.read_bytes() == ("i,list,array\n" + want).encode()
+
+
+# The transform pair writes into arrays it owns, and the inverse runs numpy's
+# one-axis passes itself; a box spectrum stands for the half lattice that is
+# zero off the box.  Every result must be numpy's rfftn or irfftn bit for bit.
+@PROPERTY
+@given(st.sampled_from([1, 2, 3]), st.sampled_from([64, 128]), st.floats(1.0, 20.0), seeds)
+def test_pass_transforms_are_numpys_rfftn_and_irfftn(dim, N, L, seed):
+    grid = make_grid(dim, 64 if dim == 3 else N, L)
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(grid.shape)
+    z = x + 1j * rng.standard_normal(grid.shape)
+    real = np.fft.rfftn(x, axes=range(dim))
+    pair = np.fft.rfftn(np.stack((z.real, z.imag)), axes=range(1, dim + 1))
+    assert np.array_equal(grid_module._fft(x), real)
+    assert np.array_equal(grid_module._fft(z), pair)
+
+    def irfftn(spec):
+        out = np.fft.irfftn(spec, s=grid.shape, axes=range(spec.ndim - dim, spec.ndim))
+        return out if spec.ndim == dim else out[0] + 1j * out[1]
+
+    def assert_inverse(spec, want):
+        spec.setflags(write=False)
+        kept = spec.copy()
+        got = grid_module._ifft(grid, spec)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert np.array_equal(spec, kept)
+
+    res = build_resolution(grid)
+    for F in (real, pair):
+        assert_inverse(F, irfftn(F))
+        for b in res.blocks:
+            box = (...,) + grid_module._box(grid, b.shape[-1] - 1)
+            assert_inverse(b * F[box], irfftn(_embedded(grid, b) * F))

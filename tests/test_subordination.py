@@ -280,11 +280,29 @@ def test_subordinate_kernel_holds_no_lattice_sized_temporary():
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    # the 2 MiB gather, the field's own 2 MiB copy of it and the sort of the
-    # 33^3 tuples of axis squares (about 4.6 MiB); the three dense |x|^2
-    # meshes and their sort peaked at 12.3 MiB
+    # the 2 MiB gather, which the field takes over, and the sort of the 33^3
+    # tuples of axis squares (about 2.8 MiB); the three dense |x|^2 meshes
+    # and their sort peaked at 12.3 MiB
     assert kern.values.shape == g.shape
     assert peak <= 6 * 2**20
+
+
+def test_subordinate_kernel_field_is_its_gather():
+    g = make_grid(3, 64, 8.0)
+    dens = stable_half_density(1.0, num_nodes=512)
+    subordinate_kernel(dens, g)  # fill any cache
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        kern = subordinate_kernel(dens, g)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    # one 2 MiB field and the small arrays of the distinct radii (2.78 MiB
+    # measured); a field that copied the gather held it twice, 4.56 MiB
+    assert kern.dtype == np.float64 and not kern.values.flags.writeable
+    assert peak <= 3 * 2**20
 
 
 # ---------------------------------------------------------------------------
