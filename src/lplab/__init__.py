@@ -76,11 +76,11 @@ from .verifier import (
     SmoothingSweep,
     VerificationReport,
     check_inequality,
-    check_with_refinement,
     conv_eq23_case,
     fit_power_law,
     generate_corpus,
     profile_equivalence,
+    refined,
     smoothing_sweep,
     theorem_semi11_bound_check,
 )

@@ -49,9 +49,9 @@ from .verifier import (
     CorpusSpec,
     InequalityCase,
     check_inequality,
-    check_with_refinement,
     conv_eq23_case,
     generate_corpus,
+    refined,
     smoothing_sweep,
 )
 
@@ -204,15 +204,18 @@ def _cmd_verify(args):
     case = _build_case(args.case, cfg.get("case", {}))
     spec_f = CorpusSpec(seed=seed_f, count=count, band_limit=band)
     spec_g = CorpusSpec(seed=seed_g, count=count, band_limit=band)
-    if _config_value(cfg, "refine", args.refine):
-        report = check_with_refinement(case, spec_f, spec_g, grid)
-    else:
-        res = build_resolution(grid)
-        report = check_inequality(case, generate_corpus(spec_f, grid),
-                                  generate_corpus(spec_g, grid), res)
+
+    def check(g):
+        res = build_resolution(g)
+        return check_inequality(case, generate_corpus(spec_f, g), generate_corpus(spec_g, g), res)
+
+    refine = _config_value(cfg, "refine", args.refine)
+    report = refined(check, grid) if refine else check(grid)
     report.write_ratios_csv(args.out + ".ratios.csv")
-    return (report.to_json_dict(), {"ratio_tolerance": report.tolerance, "rhs_floor": _RHS_FLOOR},
-            EXIT_PASS if report.verdict else EXIT_FAIL)
+    tolerances = {"ratio_tolerance": report.tolerance, "rhs_floor": _RHS_FLOOR}
+    if refine:
+        tolerances["stability_tol"] = report.details["stability_tol"]
+    return report.to_json_dict(), tolerances, EXIT_PASS if report.verdict else EXIT_FAIL
 
 
 def _cmd_sweep(args):

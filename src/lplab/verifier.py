@@ -10,7 +10,9 @@ and the single-norm convolution estimate, whose constant is 1 for p1 finite
 and 2^n otherwise) the verdict asserts it; where the constant is an
 existence statement (the two-norm estimate) the assertable property is
 finiteness plus stability under grid refinement, and that is what verdicts
-encode.
+encode.  Every check returns a ``VerificationReport``, and
+``refined(check, grid)`` runs any ``check(grid)`` at N and 2N and attaches
+the relative change of its empirical constant.
 
 Corpora are deterministic functions of (seed, L, band_limit) only - not of
 the grid resolution - so the same continuum objects can be re-sampled on a
@@ -22,7 +24,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -45,7 +47,7 @@ __all__ = [
     "SmoothingSweep",
     "generate_corpus",
     "check_inequality",
-    "check_with_refinement",
+    "refined",
     "fit_power_law",
     "smoothing_sweep",
     "theorem_semi11_bound_check",
@@ -289,17 +291,18 @@ def conv_eq23_case(scale: str, s: float, u: float, p: float, q: float,
 
 @dataclass
 class VerificationReport:
-    """Per-pair ratio statistics and the verdict for one inequality check.
+    """Per-pair ratio statistics and the verdict for one check.
 
+    ``case`` is a plain dict naming the check and its parameters.
     ``tolerance`` is None for a report whose verdict never reads one."""
 
-    case: object
+    case: dict
     ratios: tuple
-    skipped: int
-    tolerance: float | None
-    constant_claim: float | None
-    refinement_delta: float | None
-    details: dict
+    skipped: int = 0
+    tolerance: float | None = None
+    constant_claim: float | None = None
+    refinement_delta: float | None = None
+    details: dict = field(default_factory=dict)
 
     @property
     def max_ratio(self) -> float:
@@ -322,9 +325,8 @@ class VerificationReport:
         return math.isfinite(self.max_ratio) and stable
 
     def to_json_dict(self) -> dict:
-        case = asdict(self.case) if hasattr(self.case, "__dataclass_fields__") else dict(self.case)
         return {
-            "case": {k: _jsonable(v) for k, v in case.items()},
+            "case": {k: _jsonable(v) for k, v in self.case.items()},
             "n_pairs": len(self.ratios) + self.skipped,
             "skipped": self.skipped,
             "max_ratio": self.max_ratio,
@@ -374,36 +376,28 @@ def check_inequality(case: InequalityCase, corpus_f, corpus_g,
             ratios.append(lhs / rhs)
     claim = case.effective_claim(res.grid.dim)
     return VerificationReport(
-        case=case,
+        case=asdict(case),
         ratios=tuple(ratios),
         skipped=skipped,
         # without a claimed constant the verdict reads no tolerance
         tolerance=None if claim is None else case.effective_tolerance(),
         constant_claim=claim,
-        refinement_delta=None,
         details={"dim": res.grid.dim, "N": res.grid.samples_per_axis,
                  "L": res.grid.half_width},
     )
 
 
-def check_with_refinement(case: InequalityCase, spec_f: CorpusSpec, spec_g: CorpusSpec,
-                          grid: Grid) -> VerificationReport:
-    """Run a check at N and 2N with corpora representing the same continuum
-    fields, and attach the relative change of the empirical constant; without
-    a claimed constant the verdict requires that change to be at most 5%."""
-    fine = Grid(grid.dim, 2 * grid.samples_per_axis, grid.half_width)
-    reports = []
-    for g in (grid, fine):
-        res = build_resolution(g)
-        reports.append(
-            check_inequality(case, generate_corpus(spec_f, g), generate_corpus(spec_g, g), res)
-        )
-    coarse, refined = reports
-    delta = abs(refined.empirical_C / coarse.empirical_C - 1.0) if coarse.empirical_C else 0.0
-    refined.refinement_delta = delta
-    refined.details["coarse_empirical_C"] = coarse.empirical_C
-    refined.details["stability_tol"] = _STABILITY_TOL
-    return refined
+def refined(check, grid: Grid) -> VerificationReport:
+    """Run ``check(g)`` on ``grid`` and on its 2N twin (same dim and L) and
+    return the fine report with the relative change of the empirical constant
+    attached; with no claimed constant the verdict then requires a change of
+    at most 5%."""
+    coarse = check(grid)
+    fine = check(Grid(grid.dim, 2 * grid.samples_per_axis, grid.half_width))
+    c = coarse.empirical_C
+    fine.refinement_delta = abs(fine.empirical_C / c - 1.0) if c else 0.0
+    fine.details.update(coarse_empirical_C=c, stability_tol=_STABILITY_TOL)
+    return fine
 
 
 # ---------------------------------------------------------------------------
@@ -510,26 +504,28 @@ def theorem_semi11_bound_check(fam: KernelFamily, u: float, ts,
         lhs = besov_norm(fam.kernel(t), res, kernel_sp).value
         ratios.append(lhs / rhs)
         rows.append({"t": t, "lhs": lhs, "rhs_sup": rhs})
-    return VerificationReport(
-        case={"name": "semi11", "u": u, "m": fam.spec.m},
-        ratios=tuple(ratios),
-        skipped=0,
-        tolerance=None,  # no claimed constant, so the verdict reads no tolerance
-        constant_claim=None,
-        refinement_delta=None,
-        details={"rows": rows, "window_monotone": monotone},
-    )
+    return VerificationReport(case={"name": "semi11", "u": u, "m": fam.spec.m},
+                              ratios=tuple(ratios),
+                              details={"rows": rows, "window_monotone": monotone})
 
 
 def profile_equivalence(corpus, grid: Grid, profile_a: TransitionProfile,
-                        profile_b: TransitionProfile, sp: SpaceParams):
-    """Besov-norm ratios under two transition profiles and the equivalence
-    constant c = max(max ratio, 1/min ratio), so all ratios lie in [1/c, c]."""
+                        profile_b: TransitionProfile, sp: SpaceParams) -> VerificationReport:
+    """Besov-norm equivalence under two transition profiles: each field's
+    ratio is the two-sided factor max(r, 1/r) of its two norms' quotient r,
+    so the empirical constant c, which no claim bounds, puts every r in [1/c, c]."""
     res_a = build_resolution(grid, profile_a)
     res_b = build_resolution(grid, profile_b)
-    ratios = np.array(
-        _pmap(lambda f: besov_norm(f, res_a, sp).value / besov_norm(f, res_b, sp).value,
-              corpus)
-    )
-    c = float(max(ratios.max(), 1.0 / ratios.min()))
-    return ratios, c
+
+    def factor(f):
+        r = besov_norm(f, res_a, sp).value / besov_norm(f, res_b, sp).value
+        return max(r, 1.0 / r)
+
+    ratios = tuple(_pmap(factor, corpus))
+    if not ratios:  # an empty corpus would pass with max_ratio 0
+        raise ValueError("profile_equivalence needs a nonempty corpus, got an empty one")
+    return VerificationReport(
+        case={"name": "profile_equivalence", "profiles": [profile_a.name, profile_b.name],
+              **asdict(sp)},
+        ratios=ratios,
+        details={"dim": grid.dim, "N": grid.samples_per_axis, "L": grid.half_width})

@@ -21,7 +21,6 @@ from lplab import (
     cauchy_poisson,
     chapman_kolmogorov_residual,
     check_inequality,
-    check_with_refinement,
     closed_form_kernel,
     conv_eq23_case,
     fit_power_law,
@@ -31,6 +30,7 @@ from lplab import (
     lp_norm,
     make_grid,
     profile_equivalence,
+    refined,
     resolution_l1_bound,
     spectral_derivative,
     stable_exponent,
@@ -196,7 +196,9 @@ def test_c09_conv3_empirical_constant_stability():
     spec_g = CorpusSpec(seed=11, count=50, band_limit=16.0)
     rows = []
     for case in CONV3_CONFIGS:
-        rep = check_with_refinement(case, spec_f, spec_g, grid)
+        rep = refined(lambda g: check_inequality(case, generate_corpus(spec_f, g),
+                                                 generate_corpus(spec_g, g),
+                                                 build_resolution(g)), grid)
         rows.append((case.name, case.scale, rep.empirical_C, rep.refinement_delta))
         assert rep.verdict
     ok = all(math.isfinite(c) and d <= 0.05 for _, _, c, d in rows)
@@ -243,15 +245,13 @@ def test_c13_profile_equivalence_stability():
     spec = CorpusSpec(seed=13, count=40, band_limit=16.0)
     sp = SpaceParams("B", 0.5, 1.0, 1.0)
     pa, pb = bump_profile(1.0), bump_profile(2.0, name="steep")
-    cs = []
-    for n in (2048, 4096):
-        grid = make_grid(1, n, 40.0)
-        ratios, c = profile_equivalence(generate_corpus(spec, grid), grid, pa, pb, sp)
-        assert np.all(ratios >= 1.0 / c - 1e-12) and np.all(ratios <= c + 1e-12)
-        cs.append(c)
-    delta = abs(cs[1] / cs[0] - 1.0)
-    report(13, delta < 0.05,
-           f"equivalence constants c: N=2048 -> {cs[0]:.5f}, N=4096 -> {cs[1]:.5f} "
+    rep = refined(lambda g: profile_equivalence(generate_corpus(spec, g), g, pa, pb, sp),
+                  make_grid(1, 2048, 40.0))
+    # each ratio is a two-sided factor max(r, 1/r), so r lies in [1/c, c]
+    assert len(rep.ratios) == 40 and min(rep.ratios) >= 1.0
+    c0, delta = rep.details["coarse_empirical_C"], rep.refinement_delta
+    report(13, delta < 0.05 and rep.verdict,
+           f"equivalence constants c: N=2048 -> {c0:.5f}, N=4096 -> {rep.empirical_C:.5f} "
            f"(delta {delta:.4f}, tol 5%)")
 
 

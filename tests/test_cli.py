@@ -9,7 +9,7 @@ from lplab import load_field, lp_norm
 from lplab.cli import main
 from lplab.kernels import _TAIL_TOL
 from lplab.subordination import _EDGE_TOL, _LAPLACE_TOL, _MASS_TOL
-from lplab.verifier import _RHS_FLOOR
+from lplab.verifier import _RHS_FLOOR, _STABILITY_TOL
 
 
 def run_cli(args):
@@ -475,6 +475,37 @@ def test_manifest_tolerances_are_the_enforced_constants(tmp_path):
     report = json.loads((tmp_path / "v.report.json").read_text())
     assert verify["tolerances"] == {"ratio_tolerance": report["tolerance"],
                                     "rhs_floor": _RHS_FLOOR}
+
+
+@pytest.fixture(scope="module")
+def conv3_runs(tmp_path_factory):
+    """The report and manifest of one verify conv3 command, with and without
+    --refine."""
+    d = tmp_path_factory.mktemp("conv3")
+    argv = ["verify", "conv3", "--count", 8, "--N", 1024, "--band", 8]
+    runs = {}
+    for name, extra in (("plain", []), ("refined", ["--refine"])):
+        assert run_cli([*argv, *extra, "--out", d / name]) == 0
+        runs[name] = tuple(json.loads((d / (name + suffix)).read_text())
+                           for suffix in (".report.json", ".manifest.json"))
+    return runs
+
+
+def test_verify_refine_manifest_records_the_stability_tolerance(conv3_runs):
+    # a refined run's verdict reads the stability tolerance, so its manifest
+    # records it; a plain run's verdict does not
+    plain, refined = conv3_runs["plain"][1], conv3_runs["refined"][1]
+    assert plain["tolerances"] == {"ratio_tolerance": None, "rhs_floor": _RHS_FLOOR}
+    assert refined["tolerances"] == {"ratio_tolerance": None, "rhs_floor": _RHS_FLOOR,
+                                     "stability_tol": _STABILITY_TOL}
+
+
+def test_verify_refine_coarse_constant_is_the_plain_runs(conv3_runs):
+    # both paths run one check, so the refined run's coarse constant is, bit
+    # for bit, the empirical constant of the same command without --refine
+    plain, refined = conv3_runs["plain"][0], conv3_runs["refined"][0]
+    assert refined["details"]["coarse_empirical_C"] == plain["empirical_C"]
+    assert refined["details"]["N"] == 2 * plain["details"]["N"]
 
 
 _FIELD = object()

@@ -1,5 +1,6 @@
 import gc
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from lplab import (
     bump_profile,
     char_exponent,
     check_inequality,
-    check_with_refinement,
     conv_eq23_case,
     fit_power_law,
     gauss_weierstrass,
@@ -24,6 +24,7 @@ from lplab import (
     lp_norm,
     make_grid,
     profile_equivalence,
+    refined,
     sample,
     smoothing_sweep,
     stable_exponent,
@@ -302,7 +303,9 @@ def test_conv3_empirical_constant_refinement_stable():
                           s=0.5, u=0.5, q=1.0, q1=2.0, q2=2.0)
     spec_f = CorpusSpec(seed=7, count=12, band_limit=8.0)
     spec_g = CorpusSpec(seed=11, count=12, band_limit=8.0)
-    report = check_with_refinement(case, spec_f, spec_g, grid)
+    report = refined(lambda g: check_inequality(case, generate_corpus(spec_f, g),
+                                                generate_corpus(spec_g, g),
+                                                build_resolution(g)), grid)
     assert np.isfinite(report.empirical_C)
     assert report.refinement_delta <= 0.05
     assert report.verdict
@@ -432,7 +435,7 @@ def test_ratios_csv_bytes_keep_row_format(tmp_path):
 
 
 def test_report_derives_its_summaries():
-    case = InequalityCase("conv3", p=1.0, p1=1.0, p2=1.0)
+    case = asdict(InequalityCase("conv3", p=1.0, p1=1.0, p2=1.0))
     rep = VerificationReport(case=case, ratios=(0.5, 2.0), skipped=1, tolerance=1e-6,
                              constant_claim=None, refinement_delta=None, details={})
     assert rep.max_ratio == rep.empirical_C == 2.0 and rep.verdict
@@ -575,17 +578,14 @@ def test_smoothing_sweep_stable_rate():
     assert abs(sweep.kernel_fit.exponent + 0.5) < 0.05
 
 
-def test_semi11_bound_heat_kernel(grid_1d, res_1d):
-    fam = KernelFamily(gauss_weierstrass(1), grid_1d)
+def test_semi11_bound_heat_kernel(grid_1d):
     ts = [4.0**-j for j in range(0, 4)]
-    report = theorem_semi11_bound_check(fam, 1.0, ts, res_1d)
+    # N-doubling stability of the empirical constant, N = 4096 -> 8192
+    report = refined(lambda g: theorem_semi11_bound_check(
+        KernelFamily(gauss_weierstrass(1), g), 1.0, ts, build_resolution(g)), grid_1d)
     assert np.isfinite(report.empirical_C) and report.verdict
     assert report.details["window_monotone"]
-    # N-doubling stability of the empirical constant
-    g2 = make_grid(1, 8192, 40.0)
-    report2 = theorem_semi11_bound_check(KernelFamily(gauss_weierstrass(1), g2),
-                                         1.0, ts, build_resolution(g2))
-    assert abs(report2.empirical_C / report.empirical_C - 1.0) < 0.05
+    assert report.refinement_delta < 0.05
 
 
 def test_semi11_rates_match_at_u_half(grid_1d, res_1d):
@@ -647,10 +647,47 @@ def test_profile_equivalence_stable_under_refinement():
     spec = CorpusSpec(seed=13, count=12, band_limit=8.0)
     sp = SpaceParams("B", 0.5, 1.0, 1.0)
     pa, pb = bump_profile(1.0), bump_profile(2.0, name="steep")
-    cs = []
-    for n in (1024, 2048):
-        grid = make_grid(1, n, 40.0)
-        ratios, c = profile_equivalence(generate_corpus(spec, grid), grid, pa, pb, sp)
-        assert np.all(ratios >= 1.0 / c - 1e-12) and np.all(ratios <= c + 1e-12)
-        cs.append(c)
-    assert abs(cs[1] / cs[0] - 1.0) < 0.05
+    report = refined(lambda g: profile_equivalence(generate_corpus(spec, g), g, pa, pb, sp),
+                     make_grid(1, 1024, 40.0))
+    assert len(report.ratios) == 12 and min(report.ratios) >= 1.0  # two-sided factors
+    assert report.refinement_delta < 0.05 and report.verdict
+
+
+def test_profile_equivalence_factor_is_two_sided(grid_v, res_v, corpora):
+    # the profiles' order does not move the factors, and the record names both
+    sp = SpaceParams("B", 0.5, 1.0, 1.0)
+    pa, pb = bump_profile(1.0), bump_profile(2.0, name="steep")
+    ab = profile_equivalence(corpora[0][:4], grid_v, pa, pb, sp)
+    ba = profile_equivalence(corpora[0][:4], grid_v, pb, pa, sp)
+    res_b = build_resolution(grid_v, pb)
+    quotients = [besov_norm(f, res_v, sp).value / besov_norm(f, res_b, sp).value
+                 for f in corpora[0][:4]]
+    assert ab.ratios == tuple(max(r, 1.0 / r) for r in quotients)
+    assert np.allclose(ab.ratios, ba.ratios, rtol=1e-14, atol=0.0)
+    assert ab.to_json_dict()["case"] == {"name": "profile_equivalence",
+                                         "profiles": [pa.name, "steep"],
+                                         "scale": "B", "s": 0.5, "p": 1.0, "q": 1.0}
+
+
+def test_profile_equivalence_refuses_an_empty_corpus(grid_v):
+    sp = SpaceParams("B", 0.5, 1.0, 1.0)
+    with pytest.raises(ValueError, match="nonempty corpus"):
+        profile_equivalence([], grid_v, bump_profile(1.0), bump_profile(2.0), sp)
+
+
+def test_refined_runs_the_check_at_n_and_2n_once_each():
+    seen = []
+
+    def check(g):
+        seen.append((g.dim, g.samples_per_axis, g.half_width))
+        return VerificationReport(case={"name": "probe"},
+                                  ratios=(2.0 if len(seen) == 1 else 2.1,))
+
+    report = refined(check, make_grid(2, 64, 3.0))
+    assert seen == [(2, 64, 3.0), (2, 128, 3.0)]
+    assert report.empirical_C == 2.1 and report.details == {
+        "coarse_empirical_C": 2.0, "stability_tol": 0.05}
+    assert report.refinement_delta == pytest.approx(0.05, rel=1e-12)
+    # a coarse constant of 0 (every pair skipped) attaches a zero delta
+    assert refined(lambda g: VerificationReport(case={}, ratios=()),
+                   make_grid(1, 64, 3.0)).refinement_delta == 0.0
