@@ -13,7 +13,6 @@ Exit codes: 0 pass, 2 validation error, 3 under-resolution, 4 verdict fail.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import re
 import sys
@@ -355,6 +354,23 @@ def build_parser() -> argparse.ArgumentParser:
 _PAYLOAD_SUFFIX = {"verify": ".report.json"}
 
 
+def _sha256_hex(data: bytes) -> str:
+    """The SHA-256 hex digest of ``data``.  hashlib loads OpenSSL's
+    libcrypto, a few MB of a process's peak, so it is used only where it is
+    loaded already (numpy.random imports it); elsewhere the interpreter's
+    built-in SHA-256 gives the same digest."""
+    if "hashlib" in sys.modules:
+        return sys.modules["hashlib"].sha256(data).hexdigest()
+    try:
+        from _sha2 import sha256  # Python 3.12+
+    except ImportError:
+        try:
+            from _sha256 import sha256  # Python 3.10-3.11
+        except ImportError:
+            from hashlib import sha256
+    return sha256(data).hexdigest()
+
+
 def main(argv=None) -> int:
     """Run one command, then write its payload JSON, its manifest and the
     payload on stdout.  The manifest's config is every parsed option except
@@ -368,7 +384,7 @@ def main(argv=None) -> int:
         run = {"command": args.command,
                "config": {k: v for k, v in vars(args).items()
                           if k not in ("command", "fn", "out")}}
-        manifest = {**run, "config_hash": hashlib.sha256(_canonical(run).encode()).hexdigest(),
+        manifest = {**run, "config_hash": _sha256_hex(_canonical(run).encode()),
                     "tolerances": tolerances,
                     "versions": {"lplab": __version__, "numpy": np.__version__,
                                  "python": ".".join(map(str, sys.version_info[:3]))}}

@@ -302,11 +302,12 @@ def _fft(x: np.ndarray) -> np.ndarray:
     return np.fft.rfftn(x, axes=tuple(range(lead, x.ndim)), out=out)
 
 
-def _ifft(grid: Grid, spec: np.ndarray) -> np.ndarray:
+def _ifft(grid: Grid, spec: np.ndarray, overwrite: bool = False) -> np.ndarray:
     """Inverse of :func:`_fft`: float64 samples of a half-lattice spectrum,
     complex samples of a pair.  ``spec`` may also be held on a box, which
-    stands for the half lattice that is zero off it; ``spec`` is never
-    written to."""
+    stands for the half lattice that is zero off it.  ``spec`` is written
+    to only with ``overwrite``, which lets a complex128 ``spec`` the caller
+    drops afterwards hold the first pass."""
     N = grid.samples_per_axis
     a = spec
     # irfftn's passes: ifft on every axis but the last, first to last, then
@@ -314,7 +315,7 @@ def _ifft(grid: Grid, spec: np.ndarray) -> np.ndarray:
     for axis in range(spec.ndim - grid.dim, spec.ndim - 1):
         if a.shape[axis] < N:
             a = _zero_extended(a, axis, N)
-        a = np.fft.ifft(a, axis=axis, out=None if a is spec else a)
+        a = np.fft.ifft(a, axis=axis, out=None if a is spec and not overwrite else a)
     out = np.fft.irfft(a, n=N, axis=-1)
     return out if spec.ndim == grid.dim else out[0] + 1j * out[1]
 
@@ -393,7 +394,9 @@ def _multiplied(f: SampledField, multipliers, boxed: bool = False):
     so no shift is needed, and the transform scales cancel."""
     F = f.spectrum
     for m in multipliers:
-        yield _ifft(f.grid, m * (F[(...,) + _box(f.grid, m.shape[-1] - 1)] if boxed else F))
+        # the product is a fresh array, so the first pass may overwrite it
+        yield _ifft(f.grid, m * (F[(...,) + _box(f.grid, m.shape[-1] - 1)] if boxed else F),
+                    overwrite=True)
 
 
 def _l2_norms(f: SampledField, multipliers, boxed: bool = False):
@@ -410,14 +413,16 @@ def _l2_norms(f: SampledField, multipliers, boxed: bool = False):
     N = f.grid.samples_per_axis
     power[..., 1 : N // 2] *= 2.0
     scale = f.grid.cell_volume / N**f.grid.dim
+    terms = np.zeros(power.shape) if boxed else None
     for m in multipliers:
         if boxed:
             box = (...,) + _box(f.grid, m.shape[-1] - 1)
-            terms = np.zeros(power.shape)
             terms[box] = np.abs(m) ** 2 * power[box]
+            total = np.sum(terms)
+            terms[box] = 0.0
         else:
-            terms = np.abs(m) ** 2 * power
-        yield math.sqrt(scale * np.sum(terms))
+            total = np.sum(np.abs(m) ** 2 * power)
+        yield math.sqrt(scale * total)
 
 
 def _lattice_spectrum(grid: Grid, F: np.ndarray, scale: float = 1.0) -> np.ndarray:
@@ -475,13 +480,15 @@ def integrate(f: SampledField) -> float:
     convention bug and raises.
     """
     total = f.grid.cell_volume * np.sum(f.values)
-    # Scale guard keeps legitimate near-zero integrals (odd fields) passing.
-    scale = max(abs(total.real), 1e-6 * f.grid.cell_volume * np.abs(f.values).sum())
-    if abs(total.imag) > _IMAG_TOL * scale:
-        raise ValueError(
-            f"integral has imaginary residual {total.imag:.3e} "
-            f"(result {total.real:.3e}); check transform conventions"
-        )
+    # Scale guard keeps legitimate near-zero integrals (odd fields) passing;
+    # a real field's total has no imaginary part, so it never builds |f|.
+    if total.imag != 0:
+        scale = max(abs(total.real), 1e-6 * f.grid.cell_volume * np.abs(f.values).sum())
+        if abs(total.imag) > _IMAG_TOL * scale:
+            raise ValueError(
+                f"integral has imaginary residual {total.imag:.3e} "
+                f"(result {total.real:.3e}); check transform conventions"
+            )
     return float(total.real)
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -7,6 +8,7 @@ import pytest
 
 from lplab import load_field, lp_norm
 from lplab.cli import main
+from lplab.grid import _canonical
 from lplab.kernels import _TAIL_TOL
 from lplab.subordination import _EDGE_TOL, _LAPLACE_TOL, _MASS_TOL
 from lplab.verifier import _RHS_FLOOR, _STABILITY_TOL
@@ -274,6 +276,39 @@ def test_console_script_installed(tmp_path):
     )
     assert proc.returncode == 0
     assert "gradient_l1" in proc.stdout
+
+
+def _assert_config_hash_is_the_sha256_of_the_canonical_run(manifest_path):
+    manifest = json.loads(manifest_path.read_text())
+    run = {"command": manifest["command"], "config": manifest["config"]}
+    assert manifest["config_hash"] == hashlib.sha256(_canonical(run).encode()).hexdigest()
+    # the README's recipe for the same digest
+    assert _canonical(run) == json.dumps(run, sort_keys=True)
+
+
+def test_cli_loads_no_openssl(tmp_path):
+    # hashlib loads OpenSSL's libcrypto, a few MB of every command's peak;
+    # only modules the import and the run add count, so a site hook that
+    # loaded them first does not fail this
+    out = tmp_path / "k"
+    code = ("import sys; before = set(sys.modules); import lplab.cli; "
+            "modules = set(sys.modules); "
+            "lplab.cli.main(['kernel', '--family', 'gw', '--t', '1', '--N', '1024', "
+            f"'--L', '40', '--out', {str(out)!r}]); "
+            "print(sorted({'hashlib', '_hashlib'} & (modules - before)), "
+            "sorted({'hashlib', '_hashlib'} & (set(sys.modules) - before)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[] []"
+    # the interpreter's built-in SHA-256 wrote the manifest's digest
+    _assert_config_hash_is_the_sha256_of_the_canonical_run(tmp_path / "k.manifest.json")
+
+
+def test_config_hash_is_the_sha256_of_the_canonical_run(tmp_path):
+    # this module imports hashlib, so the run hashes with it
+    assert run_cli(["kernel", "--family", "gw", "--t", 1, "--N", 1024, "--L", 40,
+                    "--out", tmp_path / "k"]) == 0
+    _assert_config_hash_is_the_sha256_of_the_canonical_run(tmp_path / "k.manifest.json")
 
 
 def test_time_list_parsing():

@@ -188,6 +188,14 @@ def test_integrate_flags_imaginary_mass(grid_1d):
         integrate(f)
 
 
+def test_integrate_builds_no_field_sized_temporary_for_a_real_field():
+    f = SampledField(make_grid(3, 64, 5.0), np.random.default_rng(8).standard_normal((64,) * 3))
+    total, peak = _peak_above_held(lambda: integrate(f))
+    assert total == float(f.grid.cell_volume * np.sum(f.values))
+    # a real total has no imaginary part to guard; its |f| was a 2 MiB array
+    assert peak < 2**18
+
+
 def test_convolution_of_gaussian_densities(grid_1d):
     f = gaussian_density(grid_1d, var=1.0)
     conv = convolve(f, f)
@@ -426,11 +434,11 @@ class _FFTCounter:
         return counted
 
     def _lattice(self, kind, name, fn, transformed):
-        def counted(*args):
+        def counted(*args, **kwargs):
             self._count(kind, name, transformed(*args))
             self._depth += 1
             try:
-                return fn(*args)
+                return fn(*args, **kwargs)
             finally:
                 self._depth -= 1
         return counted
@@ -796,6 +804,23 @@ def test_csv_field_write_builds_no_imaginary_column(tmp_path):
     # all-zero imaginary parts (2 MiB) and 32,768-row pieces peaked 14.9 MiB
     assert peak <= 4 * 2**20
     assert np.array_equal(load_field(base).values, f.values)
+
+
+def test_boxed_l2_norms_hold_one_zero_half_lattice():
+    grid = make_grid(3, 64, 4.0)
+    f = SampledField(grid, np.random.default_rng(8).standard_normal(grid.shape))
+    res = build_resolution(grid)
+    f.spectrum  # fill the spectrum
+    _, peak = _peak_above_held(lambda: list(block_l2_norms(res, f)))
+    # largest box first, so a box left in the shared lattice would count
+    # again in the next norm; each norm has the bits of one taken alone
+    blocks = res.blocks[::-1]
+    alone = [next(grid_module._l2_norms(f, (b,), boxed=True)) for b in blocks]
+    assert list(grid_module._l2_norms(f, blocks, boxed=True)) == alone
+    # the 1 MiB power, one zero half lattice (1 MiB) and the largest box's
+    # products (2.49 MiB measured); a zero half lattice per block, two of
+    # them live while the next replaced the last, peaked 3.10 MiB
+    assert peak <= 2.75 * 2**20
 
 
 def test_binary_field_read_fills_the_fields_one_array(tmp_path):
