@@ -355,12 +355,9 @@ _PAYLOAD_SUFFIX = {"verify": ".report.json"}
 
 
 def _sha256_hex(data: bytes) -> str:
-    """The SHA-256 hex digest of ``data``.  hashlib loads OpenSSL's
-    libcrypto, a few MB of a process's peak, so it is used only where it is
-    loaded already (numpy.random imports it); elsewhere the interpreter's
-    built-in SHA-256 gives the same digest."""
-    if "hashlib" in sys.modules:
-        return sys.modules["hashlib"].sha256(data).hexdigest()
+    """The SHA-256 hex digest of ``data``, from the interpreter's built-in
+    SHA-256: hashlib is pretty heavy to load (OpenSSL's libcrypto, a few MB
+    of a process's peak), so it is only the last fallback."""
     try:
         from _sha2 import sha256  # Python 3.12+
     except ImportError:
