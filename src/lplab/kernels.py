@@ -229,11 +229,13 @@ class KernelFamily:
 
 def kernel_diagnostics(p: SampledField, t: float) -> dict:
     """The ``kernel`` command's summary of the kernel p = p_t."""
+    # before integrate synthesizes p's samples, which the field then keeps
+    grad = gradient_l1(p)
     return {
         "t": float(t),
         "mass": integrate(p),
         "l1_norm": lp_norm(p, 1),
-        "gradient_l1": gradient_l1(p),
+        "gradient_l1": grad,
         "min_value": float(p.values.min()),
     }
 

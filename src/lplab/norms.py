@@ -114,8 +114,14 @@ class NormResult:
         }
 
 
-def _lp_values(values: np.ndarray, p: float, grid: Grid) -> float:
-    a = np.abs(values)
+def _modulus(values: np.ndarray) -> np.ndarray:
+    """|values|, written over ``values`` when they are float64 samples the
+    caller has no further use of (a block from :func:`block_spectra`, say)."""
+    return np.abs(values, out=values if values.dtype == np.float64 else None)
+
+
+def _lp_values(a: np.ndarray, p: float, grid: Grid) -> float:
+    """(h^n sum a^p)^(1/p) of the moduli ``a``; their max for p = infinity."""
     if p == INF:
         return float(a.max())
     if p == 1:
@@ -133,7 +139,7 @@ def lp_norm(f: SampledField, p: float) -> float:
         raise ValueError(f"p must be >= 1, got {p}")
     if p == 2:
         return next(_l2_norms(f, (1.0,)))
-    return _lp_values(f.values, p, f.grid)
+    return _lp_values(np.abs(f.values), p, f.grid)
 
 
 @contextlib.contextmanager
@@ -176,7 +182,8 @@ def _block_terms(f: SampledField, res: DyadicResolution, sp: SpaceParams) -> np.
     if sp.p == 2:
         norms = block_l2_norms(res, f)
     else:
-        norms = (_lp_values(b, sp.p, res.grid) for b in block_spectra(res, f))
+        # map drops each block before it asks for the next one
+        norms = map(lambda b: _lp_values(_modulus(b), sp.p, res.grid), block_spectra(res, f))
     weights = np.array([_weight(k, sp.s) for k in range(res.k_max + 1)])
     with _overflow_refused(sp.s, sp.q):
         return weights * np.fromiter(norms, float)
@@ -209,8 +216,11 @@ def triebel_norm(f: SampledField, res: DyadicResolution, sp: SpaceParams) -> Nor
     acc = None
     terms = []
     with _overflow_refused(sp.s, sp.q):
-        for k, b in enumerate(block_spectra(res, f)):
-            w = np.abs(b)
+        # not enumerate or zip: each holds its last item while it asks for
+        # the next, so two blocks would be live at once
+        blocks = map(_modulus, block_spectra(res, f))
+        for k in range(res.k_max + 1):
+            w = next(blocks)
             w *= _weight(k, sp.s)
             terms.append(_lp_values(w, sp.p, res.grid))
             if sp.q == INF:
@@ -218,6 +228,7 @@ def triebel_norm(f: SampledField, res: DyadicResolution, sp: SpaceParams) -> Nor
             else:
                 w **= sp.q
                 acc = w if acc is None else np.add(acc, w, out=acc)
+            del w  # before the next block is synthesized
         if sp.q != INF:
             acc **= 1.0 / sp.q
         value = _lp_values(acc, sp.p, res.grid)
@@ -230,7 +241,8 @@ def _cube_means(values: np.ndarray, grid: Grid, J: int):
 
     A cube is a product of one-axis intervals, so its sum is reduced one
     axis at a time over the samples' cube runs, with no index array of the
-    lattice's size."""
+    lattice's size.  Where each cube holds one sample, the means are those
+    samples, read from ``values`` with no copy where the cubes fill the box."""
     side = 2.0**-J
     L = grid.half_width
     idx = np.floor(grid.axis_coords() / side).astype(np.int64)
@@ -241,6 +253,8 @@ def _cube_means(values: np.ndarray, grid: Grid, J: int):
     # idx is nondecreasing, so the kept samples are one run per cube
     box = slice(kept[0], kept[-1] + 1)
     starts = np.flatnonzero(np.diff(idx[box], prepend=idx[kept[0]] - 1))
+    if starts.size == kept.size:  # one sample per cube: the means are the samples
+        return values[(box,) * grid.dim].ravel()
     counts = np.diff(starts, append=kept.size)
     sums, size = values[(box,) * grid.dim], 1
     for axis in range(grid.dim):
@@ -273,7 +287,7 @@ def triebel_infty_norm(f: SampledField, res: DyadicResolution, s: float, q: floa
     terms = []
     tail = None
     best = 0.0
-    moduli = map(np.abs, block_spectra(res, f, reverse=True))
+    moduli = map(_modulus, block_spectra(res, f, reverse=True))
     with _overflow_refused(s, q):
         for k, w in zip(range(res.k_max, -1, -1), moduli):
             w *= _weight(k, s)
@@ -310,7 +324,7 @@ def bessel_norm(f: SampledField, s: float) -> float:
         raise ValueError(f"smoothness s must be finite and >= 0, got {s}")
     rho2 = f.grid.radial_freq() ** 2
     out = next(_multiplied(f, [(1.0 + rho2) ** (s / 2.0)]))
-    return _lp_values(out, 1, f.grid)
+    return _lp_values(_modulus(out), 1, f.grid)
 
 
 def sobolev_w1m_norm(f: SampledField, m: int) -> float:

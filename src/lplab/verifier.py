@@ -21,8 +21,11 @@ refined grid for stability checks.
 
 from __future__ import annotations
 
+import importlib
 import math
 import os
+import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
@@ -176,6 +179,33 @@ class CorpusSpec:
             raise ValueError(f"band_limit must be positive, got {self.band_limit}")
 
 
+_RNG_IMPORT = threading.Lock()
+
+
+def _rng(seed: int) -> np.random.Generator:
+    """``np.random.default_rng(seed)``.  Its first call imports numpy.random
+    without OpenSSL: numpy.random imports ``secrets``, whose ``hmac`` and
+    ``hashlib`` load OpenSSL's libcrypto (a few MB of a process's peak) that
+    a seeded stream never calls.  With ``_hashlib`` blocked they fall back to
+    the interpreter's built-in hashes, and ``secrets.compare_digest`` to
+    ``_operator._compare_digest``, which is as constant-time; the ``hashlib``
+    and ``hmac`` so built are then dropped from sys.modules, so a later import
+    gets the usual OpenSSL-backed ones (a thread that first imports hashlib
+    during that import gets the fallback too).  Where numpy.random or
+    ``_hashlib`` is loaded already, nothing is blocked."""
+    with _RNG_IMPORT:
+        if "numpy.random" not in sys.modules and "_hashlib" not in sys.modules:
+            added = {"hashlib", "hmac"} - set(sys.modules)
+            sys.modules["_hashlib"] = None
+            try:
+                importlib.import_module("numpy.random")
+            finally:
+                del sys.modules["_hashlib"]
+                for name in added:
+                    sys.modules.pop(name, None)
+    return np.random.default_rng(seed)
+
+
 def generate_corpus(spec: CorpusSpec, grid: Grid) -> list:
     """Deterministic corpus of real fields, band-limited below
     ``spec.band_limit`` (spectrum zeroed outside) and L1-normalized.
@@ -188,7 +218,7 @@ def generate_corpus(spec: CorpusSpec, grid: Grid) -> list:
         raise ValueError(
             f"band_limit {spec.band_limit:g} exceeds 2^(k_max-1) = {2.0 ** (k_max - 1):g}"
         )
-    rng = np.random.default_rng(spec.seed)
+    rng = _rng(spec.seed)
     inside = grid.radial_freq() <= spec.band_limit
     fields = []
     for i in range(spec.count):
@@ -453,7 +483,8 @@ def smoothing_sweep(fam: KernelFamily, f: SampledField, base: SpaceParams,
     """Sweep ||P_t f | A^{s+u}_{p,q}|| and the kernel norm ||p_t | B^u_{1,inf}||
     (the dominant factor of the semigroup smoothing bound) over ``ts``.
 
-    Each p_t is built for its time and dropped after it."""
+    Each p_t is built for its time and dropped once its norm is taken and
+    P_t f is formed, before P_t f's norm is taken."""
     if not (math.isfinite(u) and u >= 0):
         raise ValueError(f"smoothing order u must be finite and >= 0, got {u}")
     ts = sorted(float(t) for t in ts)
@@ -463,9 +494,10 @@ def smoothing_sweep(fam: KernelFamily, f: SampledField, base: SpaceParams,
 
     def one(t):
         p_t = fam.kernel(t)
-        applied = space_norm(convolve(f, p_t), res, target).value
         knorm = besov_norm(p_t, res, kernel_sp).value
-        return applied, knorm
+        applied = convolve(f, p_t)
+        del p_t  # before P_t f's norm synthesizes its blocks
+        return space_norm(applied, res, target).value, knorm
 
     rows = _pmap(one, ts)
     applied = tuple(r[0] for r in rows)

@@ -1,7 +1,9 @@
+import gc
 import hashlib
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -280,24 +282,72 @@ def test_console_script_installed(tmp_path):
 
 def test_cli_loads_no_openssl(tmp_path):
     # hashlib loads OpenSSL's libcrypto, a few MB of every command's peak;
-    # only modules the import and the run add count, so a site hook that
-    # loaded them first does not fail this
+    # sweep and verify import numpy.random, which reaches it through
+    # `secrets`.  Only modules the import and the runs add count, so a site
+    # hook that loaded them first does not fail this
     out = tmp_path / "k"
-    code = ("import sys; before = set(sys.modules); import lplab.cli; "
-            "modules = set(sys.modules); "
-            "lplab.cli.main(['kernel', '--family', 'gw', '--t', '1', '--N', '1024', "
-            f"'--L', '40', '--out', {str(out)!r}]); "
-            "print(sorted({'hashlib', '_hashlib'} & (modules - before)), "
-            "sorted({'hashlib', '_hashlib'} & (set(sys.modules) - before)))")
+    commands = [
+        ["kernel", "--family", "gw", "--t", "1", "--N", "1024", "--L", "40", "--out", str(out)],
+        ["sweep", "smoothing", "--N", "1024", "--band", "8", "--t", "2^-2..2^1",
+         "--out", str(tmp_path / "s")],
+        ["verify", "young", "--count", "2", "--out", str(tmp_path / "v")],
+    ]
+    code = ("import sys\n"
+            "before = set(sys.modules)\n"
+            "import lplab.cli\n"
+            "added = lambda: sorted({'hashlib', '_hashlib'} & (set(sys.modules) - before))\n"
+            "print('added', added())\n"
+            f"for argv in {commands!r}:\n"
+            "    print('added', lplab.cli.main(argv), added())\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[] []"
+    added = [line for line in proc.stdout.splitlines() if line.startswith("added ")]
+    assert added == ["added []"] + ["added 0 []"] * len(commands)
     # the interpreter's built-in SHA-256 wrote hashlib's digest of the canonical run
     manifest = json.loads((tmp_path / "k.manifest.json").read_text())
     run = {"command": manifest["command"], "config": manifest["config"]}
     assert manifest["config_hash"] == hashlib.sha256(_canonical(run).encode()).hexdigest()
     # the README's recipe for the same digest
     assert _canonical(run) == json.dumps(run, sort_keys=True)
+
+
+def _peak_above_held(fn):
+    """The tracemalloc peak ``fn()`` reached above what was held before it ran."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+_SEMIGROUP_3D_GRID = ["--dim", 3, "--N", 64, "--L", 4]
+
+
+def test_kernel_command_takes_the_gradient_before_the_samples(tmp_path):
+    argv = ["kernel", "--family", "gw", "--t", 0.05, *_SEMIGROUP_3D_GRID,
+            "--format", "csv", "--out", tmp_path / "gw"]
+    assert run_cli(argv) == 0  # fill any cache
+    peak = _peak_above_held(lambda: run_cli(argv))
+    # gradient_l1's components while the kernel holds only its spectrum
+    # (8.2 MiB measured); taken after integrate kept the 2 MiB samples, 10.2
+    assert peak <= 9 * 2**20
+
+
+def test_sweep_command_holds_one_block_at_a_time(tmp_path, monkeypatch):
+    # one time at a time: with LPLAB_THREADS=2 two times run at once
+    monkeypatch.setenv("LPLAB_THREADS", "1")
+    argv = ["sweep", "smoothing", "--family", "gw", *_SEMIGROUP_3D_GRID, "--band", 4,
+            "--t", "2^-4..2^1", "--space", "F", "--p", 2, "--q", 2, "--out", tmp_path / "s"]
+    assert run_cli(argv) == 0  # fill any cache
+    peak = _peak_above_held(lambda: run_cli(argv))
+    # a kernel norm's blocks, each modulus taken in place and dropped before
+    # the next block, and no kernel held through P_t f's norm (7.6 MiB
+    # measured); a new modulus per block and the last block held while the
+    # next was synthesized peaked 9.6
+    assert peak <= 8.25 * 2**20
 
 
 def test_time_list_parsing():

@@ -823,6 +823,15 @@ def test_boxed_l2_norms_hold_one_zero_half_lattice():
     assert peak <= 2.75 * 2**20
 
 
+def test_box_index_is_built_once_per_grid_and_extent_and_read_only():
+    index = grid_module._box(make_grid(3, 64, 4.0), 7)
+    # an equal grid shares it, so no caller may write to it
+    assert index is grid_module._box(make_grid(3, 64, 4.0), 7)
+    assert not any(a.flags.writeable for a in index)
+    full = [*range(8), *range(57, 64)]
+    assert [a.ravel().tolist() for a in index] == [full, full, list(range(8))]
+
+
 def test_binary_field_read_fills_the_fields_one_array(tmp_path):
     g = make_grid(3, 64, 5.0)
     vals = np.random.default_rng(9).standard_normal(g.shape)

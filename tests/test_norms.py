@@ -368,6 +368,18 @@ def test_triebel_infty_norm_matches_the_all_tails_construction(res_1d, corpus_sm
     assert drift <= 1e-14
 
 
+def _peak_above_held(fn):
+    """The tracemalloc peak ``fn()`` reached above what was held before it ran."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
 def test_triebel_infty_norm_holds_one_tail_at_a_time():
     grid = make_grid(3, 64, 4.0)
     res = build_resolution(grid)
@@ -375,19 +387,41 @@ def test_triebel_infty_norm_holds_one_tail_at_a_time():
                                    band_limit=4.0), grid)[0]
     _ = f.values, f.spectrum  # both kept on the field, as after a load
     triebel_infty_norm(f, res, 0.5, 2.0)  # fill any cache
-    gc.collect()
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        triebel_infty_norm(f, res, 0.5, 2.0)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
+    peak = _peak_above_held(lambda: triebel_infty_norm(f, res, 0.5, 2.0))
     # the running tail and one block's synthesis, about 4 lattice arrays;
     # all k_max + 1 tails at once and the cube means' full-lattice index
     # copies peaked near 10
     lattice = 8 * 64**3
     assert peak <= 5 * lattice
+
+
+def test_triebel_infty_norm_of_a_loaded_kernel_takes_moduli_in_place():
+    # the semigroup-3d norm: F(0.5, inf, 2) of the gw t = 0.05 kernel, read
+    # as load_field gives it, with its samples only
+    grid = make_grid(3, 64, 4.0)
+    res = build_resolution(grid)
+    p = spectral_kernel(gauss_weierstrass(3), 0.05, grid)
+    triebel_infty_norm(SampledField(grid, p.values), res, 0.5, 2.0)  # fill any cache
+    f = SampledField(grid, p.values)
+    peak = _peak_above_held(lambda: triebel_infty_norm(f, res, 0.5, 2.0))
+    # the spectrum the field keeps, the running tail and one block's
+    # synthesis, whose modulus overwrites it (6.6 MiB measured); a new array
+    # per modulus and the unit cubes' reduceat copies and int64 sizes at
+    # J = 3 peaked 8.2
+    assert peak <= 7.25 * 2**20
+
+
+def test_triebel_norm_holds_one_block_at_a_time():
+    grid = make_grid(3, 64, 4.0)
+    res = build_resolution(grid)
+    f = spectral_kernel(gauss_weierstrass(3), 0.05, grid)
+    sp = SpaceParams("F", 0.5, 1.0, 2.0)
+    triebel_norm(f, res, sp)  # fill any cache
+    peak = _peak_above_held(lambda: triebel_norm(f, res, sp))
+    # the 2 MiB accumulator and one block's synthesis, whose modulus
+    # overwrites it (5.24 MiB measured); a new modulus per block, kept with
+    # its block while the next was synthesized, peaked 9.24
+    assert peak <= 6.25 * 2**20
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
 import gc
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import asdict
 
@@ -111,6 +113,52 @@ def test_corpus_field_working_set_is_a_few_half_spectra(family):
     finally:
         tracemalloc.stop()
     assert peak <= 7 * 2**20
+
+
+def _python_lines(code):
+    """The stdout lines of ``code`` run in a fresh interpreter."""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+def test_corpus_leaves_hashlib_openssl_backed():
+    # the corpus imports numpy.random with OpenSSL's _hashlib blocked; a
+    # later import of hashlib or hmac is the usual OpenSSL-backed one
+    lines = _python_lines(
+        "import sys\n"
+        "from lplab import make_grid\n"
+        "from lplab.verifier import CorpusSpec, generate_corpus\n"
+        "before = set(sys.modules)\n"
+        "generate_corpus(CorpusSpec(seed=1, count=4, band_limit=8.0), make_grid(1, 1024, 40.0))\n"
+        "print(sorted({'hashlib', '_hashlib', 'hmac'} & (set(sys.modules) - before)))\n"
+        "import hashlib, hmac\n"
+        "print('_hashlib' in sys.modules, hasattr(hashlib, 'pbkdf2_hmac'),\n"
+        "      hmac.compare_digest is sys.modules['_hashlib'].compare_digest)\n")
+    assert lines == ["[]", "True True True"]
+
+
+def test_corpus_rng_changes_no_module_once_openssl_is_loaded():
+    # with _hashlib loaded first, numpy.random is imported the plain way:
+    # every module already loaded stays, and hashlib and hmac stay loaded
+    lines = _python_lines(
+        "import sys, _hashlib\n"
+        "from lplab.verifier import _rng\n"
+        "before = dict(sys.modules)\n"
+        "_rng(0)\n"
+        "print(all(sys.modules.get(k) is v for k, v in before.items()),\n"
+        "      {'numpy.random', 'hashlib', 'hmac'} <= set(sys.modules),\n"
+        "      sys.modules['hmac'].compare_digest is _hashlib.compare_digest)\n")
+    assert lines == ["True True True"]
+
+
+def test_corpus_rng_draws_are_default_rngs():
+    # in a fresh interpreter, where _rng imports numpy.random itself
+    draws = "print(g.standard_normal(64).tobytes().hex(), g.integers(0, 2**62, 8).tobytes().hex())"
+    lines = _python_lines(f"from lplab.verifier import _rng\ng = _rng(5)\n{draws}")
+    g = np.random.default_rng(5)
+    assert lines == [f"{g.standard_normal(64).tobytes().hex()} "
+                     f"{g.integers(0, 2**62, 8).tobytes().hex()}"]
 
 
 def test_corpus_band_limit_validated(grid_v):
