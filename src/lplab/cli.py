@@ -21,7 +21,8 @@ from dataclasses import asdict
 import numpy as np
 
 from . import __version__
-from .grid import _canonical, _write_csv, _write_json, integrate, load_field, make_grid, save_field
+from .grid import (_canonical, _field, _write_csv, _write_json, integrate, load_field, make_grid,
+                   save_field)
 from .kernels import (
     _TAIL_TOL,
     KernelFamily,
@@ -163,6 +164,8 @@ def _cmd_kernel(args):
 
 def _cmd_norm(args):
     fld = load_field(args.input)
+    # the norm reads the spectrum only, so the samples are not kept beside it
+    fld = _field(fld.grid, fld.spectrum)
     res = build_resolution(fld.grid, bump_profile(args.profile_sharpness))
     sp = SpaceParams(args.space, args.s, _parse_ext(args.p), _parse_ext(args.q))
     return space_norm(fld, res, sp).to_json_dict(), {}, EXIT_PASS

@@ -144,8 +144,11 @@ class SampledField:
     most once.  The spectrum (``spectrum``) is the uncentered, unscaled array
     ``_fft(values)``: the Hermitian half lattice of rfftn for a real field,
     and for a complex field u + iv the half lattices of u and v stacked on a
-    leading axis of two.  It is not the unitary transform;
-    :func:`forward_transform` returns that.
+    leading axis of two.  A band-limited field, such as a corpus field or a
+    convolution with one, holds its spectrum on a box instead (see
+    :func:`_box`): the box's shape, (2J + 1,) * (n - 1) + (J + 1,) with
+    J < N/2, standing for the half lattice that is zero off it.  It is not
+    the unitary transform; :func:`forward_transform` returns that.
 
     Real input is stored as float64 and complex input as complex128, so a
     real field stays real through every transform.  Values must have the
@@ -219,11 +222,14 @@ def _frozen(a: np.ndarray, what: str) -> np.ndarray:
 def _field(grid: Grid, spectrum: np.ndarray, values=None) -> SampledField:
     """The field whose spectrum (see :class:`SampledField`) is ``spectrum``,
     a half-lattice array for a real field or a pair of them for a complex
-    field.  ``values``, when given, must be the samples of that spectrum.
-    Both arrays are taken over and frozen, not copied."""
-    half = grid.shape[:-1] + (grid.samples_per_axis // 2 + 1,)
+    field, either of them possibly held on a box of extent J < N/2 (see
+    :func:`_box`).  ``values``, when given, must be the samples of that
+    spectrum.  Both arrays are taken over and frozen, not copied."""
     spec = np.asarray(spectrum, dtype=np.complex128)
-    if spec.shape not in (half, (2,) + half):
+    lattices = [_half_shape(grid)]
+    if spec.ndim and 0 < spec.shape[-1] <= grid.samples_per_axis // 2:
+        lattices.append(_box_shape(grid, spec.shape[-1] - 1))
+    if spec.shape not in lattices + [(2,) + s for s in lattices]:
         raise ValueError(f"spectrum of shape {spec.shape} fits neither lattice of {grid}")
     f = _held(grid, None, _frozen(spec, "field spectrum"))
     if values is not None:
@@ -287,9 +293,10 @@ def _fwd_scale(grid: Grid) -> float:
 # Both write into an array the transform owns (out=), so no pass allocates a
 # temporary: _fft is rfftn itself, and _ifft runs irfftn's one-axis passes in
 # irfftn's own axis order, so its results are irfftn's bit for bit.  _ifft
-# also takes a spectrum held on a box (see _box), such as a dyadic block's
-# product: it zero-extends each axis just before that axis's pass, so lines
-# that are all zero are never transformed (FFT pruning).
+# also takes a spectrum held on a box (see _box), such as a band-limited
+# field's or a dyadic block's product: it zero-extends each axis just before
+# that axis's pass, so lines that are all zero are never transformed (FFT
+# pruning).
 
 
 def _fft(x: np.ndarray) -> np.ndarray:
@@ -337,21 +344,71 @@ def _box(grid: Grid, J: int) -> tuple:
     frequencies 0..J and -J..-1 (2J + 1 of them, in FFT order) on each full
     axis and 0..J on the last.  It is the smallest such sub-lattice that
     holds every |xi| < pi (J + 1) / L.  An array held on a box has the box's
-    shape, so its last axis gives J.  Built once per (grid, J), as read-only
-    arrays: building it took about half of a 1-D Parseval norm."""
-    N = grid.samples_per_axis
-    full = np.r_[0 : J + 1, N - J : N]
-    index = np.ix_(*[full] * (grid.dim - 1), np.arange(J + 1))
+    shape, so its last axis gives J."""
+    return _box_in(_half_shape(grid), J)
+
+
+@functools.lru_cache(maxsize=128)
+def _box_in(lattice: tuple, J: int) -> tuple:
+    """Open-mesh index of the box of extent ``J`` in an array of the lattice
+    shape ``lattice``: the half lattice, a box of extent at least J, or
+    either broadcast on some axes (an axis of length one).  Built once per
+    (lattice, J), as read-only arrays: building it took about half of a 1-D
+    Parseval norm."""
+    full = [np.r_[0 : J + 1, M - J : M] if M > 1 else np.zeros(1, np.intp)
+            for M in lattice[:-1]]
+    index = np.ix_(*full, np.arange(min(J + 1, lattice[-1])))
     for a in index:
         a.setflags(write=False)
     return index
 
 
+def _half_shape(grid: Grid) -> tuple:
+    return grid.shape[:-1] + (grid.samples_per_axis // 2 + 1,)
+
+
+def _box_shape(grid: Grid, J: int) -> tuple:
+    return (2 * J + 1,) * (grid.dim - 1) + (J + 1,)
+
+
+def _extent(grid: Grid, a: np.ndarray):
+    """The extent J of the box that holds ``a``, a field's spectrum or a
+    block (see :func:`_box`); None for the half lattice."""
+    J = a.shape[-1] - 1
+    return None if J == grid.samples_per_axis // 2 else J
+
+
+def _smaller(J, K):
+    """The smaller of two box extents, where None (the half lattice) is the
+    larger."""
+    return K if J is None else J if K is None else min(J, K)
+
+
+def _cut(grid: Grid, a, J):
+    """``a`` on the box of extent ``J``: the values that ``a``, held on the
+    half lattice (or broadcast to it) or on a box of extent at least J, with
+    any leading axes, takes at the box's frequencies.  ``a`` itself when
+    ``J`` is None, ``a`` is a scalar or ``a`` is held on that box."""
+    if J is None or np.ndim(a) == 0:
+        return a
+    lattice = a.shape[a.ndim - grid.dim :]
+    return a if lattice == _box_shape(grid, J) else a[(...,) + _box_in(lattice, J)]
+
+
+def _product(grid: Grid, m, F: np.ndarray, boxed: bool = False) -> np.ndarray:
+    """The product m * F, for a field's spectrum ``F`` and a multiplier ``m``
+    held on its box with ``boxed`` and on the half lattice (or broadcastable
+    to it) otherwise, as a new array on the smaller of their boxes: it holds
+    every value that the product is not zero at."""
+    J = _smaller(m.shape[-1] - 1 if boxed else None, _extent(grid, F))
+    return _cut(grid, m, J) * _cut(grid, F, J)
+
+
 def _embedded(grid: Grid, box: np.ndarray) -> np.ndarray:
     """The half-lattice array that equals ``box`` on its box (see :func:`_box`)
-    and is zero off it."""
-    half = np.zeros(grid.shape[:-1] + (grid.samples_per_axis // 2 + 1,), dtype=box.dtype)
-    half[_box(grid, box.shape[-1] - 1)] = box
+    and is zero off it; a pair of them for a pair."""
+    half = np.zeros(box.shape[: box.ndim - grid.dim] + _half_shape(grid), dtype=box.dtype)
+    half[(...,) + _box(grid, box.shape[-1] - 1)] = box
     return half
 
 
@@ -361,12 +418,16 @@ def forward_transform(f: SampledField) -> np.ndarray:
 
     The coefficient at lattice frequency xi_j equals
     (2 pi)^(-n/2) h^n sum_x e^(-i x.xi_j) f(x).  It is built from the
-    field's spectrum: each half lattice is completed by the Hermitian mirror
-    (see :func:`_hermitian_full`), and the centering shift of the samples by
-    N/2 is the sign (-1)^(j_1 + ... + j_n), so a field that holds its
-    spectrum is not transformed again.
+    field's spectrum, embedded in the half lattice if it is held on a box:
+    each half lattice is completed by the Hermitian mirror (see
+    :func:`_hermitian_full`), and the centering shift of the samples by N/2
+    is the sign (-1)^(j_1 + ... + j_n), so a field that holds its spectrum
+    is not transformed again.
     """
-    grid, full = f.grid, _hermitian_full(f.grid, f.spectrum)
+    grid, spec = f.grid, f.spectrum
+    if _extent(grid, spec) is not None:
+        spec = _embedded(grid, spec)
+    full = _hermitian_full(grid, spec)
     if full.ndim > grid.dim:  # the pair of u + iv: Fu + i Fv
         full = full[0] + 1j * full[1]
     full *= _centering_sign(grid, grid.shape, _fwd_scale(grid))
@@ -391,17 +452,16 @@ def _multiplied(f: SampledField, multipliers, boxed: bool = False):
     """Yield the space samples of F^-1(m * Ff) for each multiplier m in turn,
     all from ``f``'s one spectrum.  Each m is a Hermitian FFT-order array on
     the half lattice (or broadcastable to it), or with ``boxed`` on its box
-    (see :func:`_box`), where the product is formed and transformed.  So it
-    maps a real field to a float64 one and acts on a complex field's two
-    parts at once.
+    (see :func:`_box`); the product is formed and transformed on the smaller
+    of m's and the spectrum's boxes (see :func:`_product`).  So it maps a real
+    field to a float64 one and acts on a complex field's two parts at once.
 
     A multiplier commutes with the cyclic N/2 shift that centers the samples,
     so no shift is needed, and the transform scales cancel."""
     F = f.spectrum
     for m in multipliers:
         # the product is a fresh array, so the first pass may overwrite it
-        yield _ifft(f.grid, m * (F[(...,) + _box(f.grid, m.shape[-1] - 1)] if boxed else F),
-                    overwrite=True)
+        yield _ifft(f.grid, _product(f.grid, m, F, boxed), overwrite=True)
 
 
 def _l2_norms(f: SampledField, multipliers, boxed: bool = False):
@@ -411,22 +471,26 @@ def _l2_norms(f: SampledField, multipliers, boxed: bool = False):
     of a complex field.  A half-lattice point off the last axis's 0 and N/2
     planes also stands for its mirror -xi, which m(-xi) = conj m(xi) gives
     the same modulus, so it counts twice.  The sum runs over the whole half
-    lattice for a boxed m too, so its order, and every bit of the norm, do
-    not depend on how m is held."""
-    F = f.spectrum
+    lattice when m or the spectrum is held on a box too, through one zero
+    half lattice that holds the product's box, so its order, and every bit
+    of the norm, do not depend on how either is held."""
+    grid, F = f.grid, f.spectrum
     power = F.real**2 + F.imag**2
-    N = f.grid.samples_per_axis
-    power[..., 1 : N // 2] *= 2.0
-    scale = f.grid.cell_volume / N**f.grid.dim
-    terms = np.zeros(power.shape) if boxed else None
+    N = grid.samples_per_axis
+    power[..., 1 : N // 2] *= 2.0  # a box's last axis stops short of N/2
+    scale = grid.cell_volume / N**grid.dim
+    terms = None
     for m in multipliers:
-        if boxed:
-            box = (...,) + _box(f.grid, m.shape[-1] - 1)
-            terms[box] = np.abs(m) ** 2 * power[box]
+        J = _smaller(m.shape[-1] - 1 if boxed else None, _extent(grid, F))
+        if J is None:
+            total = np.sum(np.abs(m) ** 2 * power)
+        else:
+            if terms is None:
+                terms = np.zeros(F.shape[: F.ndim - grid.dim] + _half_shape(grid))
+            box = (...,) + _box(grid, J)
+            terms[box] = np.abs(_cut(grid, m, J)) ** 2 * _cut(grid, power, J)
             total = np.sum(terms)
             terms[box] = 0.0
-        else:
-            total = np.sum(np.abs(m) ** 2 * power)
         yield math.sqrt(scale * total)
 
 
@@ -443,15 +507,16 @@ def _lattice_spectrum(grid: Grid, F: np.ndarray, scale: float = 1.0) -> np.ndarr
 
 def _centering_sign(grid: Grid, shape: tuple, scale: float) -> np.ndarray:
     """``scale`` times (-1)^(j_1 + ... + j_n) at lattice index j, broadcastable
-    to ``shape`` (either lattice): the factor by which the cyclic N/2 shift on
+    to ``shape`` (either lattice, or a box, whose own lattice indices it
+    takes; see :func:`_box`): the factor by which the cyclic N/2 shift on
     every axis multiplies a spectrum.  Applied by :func:`_lattice_spectrum`,
     :func:`convolve` and :func:`forward_transform` only."""
-    alternating = 1.0 - 2.0 * (np.arange(grid.samples_per_axis) % 2)
+    N = grid.samples_per_axis
+    alternating = 1.0 - 2.0 * (np.arange(N) % 2)
+    index = _box(grid, shape[-1] - 1) if shape[-1] <= N // 2 else np.ix_(*map(np.arange, shape))
     sign = np.float64(scale)
-    for axis in range(grid.dim):
-        axis_shape = [1] * grid.dim
-        axis_shape[axis] = shape[axis]
-        sign = sign * alternating[: shape[axis]].reshape(axis_shape)
+    for i in index:
+        sign = sign * alternating[i]
     return sign
 
 
@@ -502,11 +567,15 @@ def convolve(f: SampledField, g: SampledField) -> SampledField:
 
     Computed as F^-1((2 pi)^(n/2) Ff * Fg), which reproduces the discrete
     periodic convolution exactly (up to roundoff); the result is real when
-    both fields are, and is held as its spectrum.
+    both fields are, and is held as its spectrum, on the smaller of the two
+    spectra's boxes (see :func:`_box`).
     """
-    if f.grid != g.grid:
+    grid = f.grid
+    if grid != g.grid:
         raise ValueError("convolve requires matching grids (dim, N, L)")
     a, b = f.spectrum, g.spectrum
+    J = _smaller(_extent(grid, a), _extent(grid, b))
+    a, b = _cut(grid, a, J), _cut(grid, b, J)
     if a.ndim == b.ndim > f.grid.dim:
         # (u + iv) * (w + iz) = u*w - v*z + i (u*z + v*w), part by part
         prod = np.stack((a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]))
@@ -514,8 +583,8 @@ def convolve(f: SampledField, g: SampledField) -> SampledField:
         prod = a * b  # a complex operand's pair broadcasts over the real one
     # the cyclic convolution of the samples, shifted by N/2 once because
     # both boxes start at -L; (2 pi)^(n/2) times both transform scales is h^n
-    prod *= _centering_sign(f.grid, prod.shape[prod.ndim - f.grid.dim :], f.grid.cell_volume)
-    return _field(f.grid, prod)
+    prod *= _centering_sign(grid, prod.shape[prod.ndim - grid.dim :], grid.cell_volume)
+    return _field(grid, prod)
 
 
 def spectral_derivative(f: SampledField, alpha) -> SampledField:
@@ -529,7 +598,8 @@ def spectral_derivative(f: SampledField, alpha) -> SampledField:
     if len(alpha) != f.grid.dim or not all(_integral(a) and a >= 0 for a in alpha):
         raise ValueError(f"alpha must be {f.grid.dim} nonnegative orders, each an integer, "
                          f"got {alpha!r}")
-    return _field(f.grid, _derivative_symbol(f.grid, tuple(int(a) for a in alpha)) * f.spectrum)
+    symbol = _derivative_symbol(f.grid, tuple(int(a) for a in alpha))
+    return _field(f.grid, _product(f.grid, symbol, f.spectrum))
 
 
 def _derivative_symbol(grid: Grid, alpha) -> np.ndarray:

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (Grid, SampledField, _box, _embedded, _field, _hermitian_full, _l2_norms,
-                   _multiplied, _write_csv, _write_json)
+from .grid import (Grid, SampledField, _box, _box_shape, _embedded, _field, _hermitian_full,
+                   _l2_norms, _multiplied, _product, _write_csv, _write_json)
 
 __all__ = [
     "TransitionProfile",
@@ -118,7 +118,7 @@ class DyadicResolution:
         N = self.grid.samples_per_axis
         for k, b in enumerate(self.blocks):
             J = b.shape[-1] - 1
-            if not (0 <= J < N // 2 and b.shape == (2 * J + 1,) * (self.grid.dim - 1) + (J + 1,)):
+            if not (0 <= J < N // 2 and b.shape == _box_shape(self.grid, J)):
                 raise ValueError(f"block {k} of shape {b.shape} is held on no box of {self.grid}")
 
     @property
@@ -230,12 +230,13 @@ def validate_resolution(res: DyadicResolution) -> ResolutionReport:
 
 
 def apply_block(res: DyadicResolution, k: int, f: SampledField) -> SampledField:
-    """phi_k(D) f = F^-1(phi_k * Ff); float64 output for real input."""
+    """phi_k(D) f = F^-1(phi_k * Ff); float64 output for real input.  It is
+    held as its spectrum, on the smaller of the block's and ``f``'s boxes."""
     if not (0 <= k <= res.k_max):
         raise ValueError(f"block index {k} outside 0..{res.k_max}")
     if f.grid != res.grid:
         raise ValueError("field grid does not match resolution grid")
-    return _field(f.grid, _embedded(f.grid, res.blocks[k]) * f.spectrum)
+    return _field(f.grid, _product(f.grid, res.blocks[k], f.spectrum, boxed=True))
 
 
 def block_spectra(res: DyadicResolution, f: SampledField, reverse: bool = False):

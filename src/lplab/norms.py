@@ -22,8 +22,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grid import (Grid, SampledField, _derivative_symbol, _embedded, _field, _integral,
-                   _jsonable, _l2_norms, _lattice_spectrum, _multiplied)
+from .grid import (Grid, SampledField, _derivative_symbol, _field, _integral, _jsonable,
+                   _l2_norms, _lattice_spectrum, _multiplied)
 from .littlewood_paley import DyadicResolution, block_l2_norms, block_spectra
 
 __all__ = [
@@ -312,10 +312,10 @@ def space_norm(f: SampledField, res: DyadicResolution, sp: SpaceParams) -> NormR
 
 def resolution_l1_bound(res: DyadicResolution) -> float:
     """max_k || F^-1 phi_k ||_L1, an explicit computable constant dominating
-    ||f | B^0_{1,inf}|| / ||f||_L1 (block convolutions obey Young's bound)."""
+    ||f | B^0_{1,inf}|| / ||f||_L1 (block convolutions obey Young's bound).
+    Each F^-1 phi_k is held on its block's box."""
     grid = res.grid
-    return max(lp_norm(_field(grid, _lattice_spectrum(grid, _embedded(grid, b))), 1)
-               for b in res.blocks)
+    return max(lp_norm(_field(grid, _lattice_spectrum(grid, b)), 1) for b in res.blocks)
 
 
 def bessel_norm(f: SampledField, s: float) -> float:
@@ -336,9 +336,11 @@ def sobolev_w1m_norm(f: SampledField, m: int) -> float:
         raise ValueError(f"order m must be >= 0, got {m}")
     alphas = itertools.product(range(int(m) + 1), repeat=f.grid.dim)
     symbols = (_derivative_symbol(f.grid, a) for a in alphas if sum(a) <= m)
-    total = np.zeros(f.grid.shape)
+    total = None
     for d in _multiplied(f, symbols):
-        total += np.abs(d)
+        d = _modulus(d)
+        total = d if total is None else np.add(total, d, out=total)
+        del d  # before the next derivative is synthesized
     return float(f.grid.cell_volume * total.sum())
 
 
@@ -361,7 +363,9 @@ def hardy_norm(f: SampledField, t_nodes=None) -> float:
     if not (np.all(nodes > 0) and np.all(nodes < 1) and np.all(np.diff(nodes) >= 0)):
         raise ValueError(f"t_nodes must be sorted within (0, 1), got {nodes}")
     rho2 = f.grid.radial_freq() ** 2
-    peak = np.zeros(f.grid.shape)
+    peak = None
     for out in _multiplied(f, (np.exp(-(t * t) * rho2) for t in nodes)):
-        np.maximum(peak, np.abs(out), out=peak)
+        out = _modulus(out)
+        peak = out if peak is None else np.maximum(peak, out, out=peak)
+        del out  # before the next node's field is synthesized
     return float(f.grid.cell_volume * peak.sum())

@@ -31,7 +31,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .grid import (Grid, SampledField, _field, _jsonable, _lattice_spectrum, _write_csv,
+from .grid import (Grid, SampledField, _box, _field, _jsonable, _lattice_spectrum, _write_csv,
                    convolve)
 from .kernels import KernelFamily, gradient_l1
 from .littlewood_paley import (
@@ -208,7 +208,9 @@ def _rng(seed: int) -> np.random.Generator:
 
 def generate_corpus(spec: CorpusSpec, grid: Grid) -> list:
     """Deterministic corpus of real fields, band-limited below
-    ``spec.band_limit`` (spectrum zeroed outside) and L1-normalized.
+    ``spec.band_limit`` (spectrum zeroed outside) and L1-normalized.  Each
+    field holds its spectrum on the box (see :func:`lplab.grid._box`) that
+    holds the band.
 
     Requires band_limit <= 2^(k_max - 1) so every corpus field is fully
     resolved by the grid's dyadic blocks.
@@ -219,11 +221,18 @@ def generate_corpus(spec: CorpusSpec, grid: Grid) -> list:
             f"band_limit {spec.band_limit:g} exceeds 2^(k_max-1) = {2.0 ** (k_max - 1):g}"
         )
     rng = _rng(spec.seed)
-    inside = grid.radial_freq() <= spec.band_limit
+    # |xi| >= |xi_axis| on every axis, so off this box |xi| > band_limit and
+    # every field's spectrum is zero: it is built on the half lattice, and
+    # cut to the box and to the band there, where |xi| takes the values it
+    # takes on the half lattice
+    freq = grid.freq_axis()
+    box = _box(grid, int(np.count_nonzero(freq[: grid.samples_per_axis // 2]
+                                          <= spec.band_limit)) - 1)
+    inside = np.sqrt(sum(freq[i] ** 2 for i in box)) <= spec.band_limit
     fields = []
     for i in range(spec.count):
         build = _BUILDERS[spec.families[i % len(spec.families)]]
-        half = build(rng, grid, spec.band_limit) * inside
+        half = build(rng, grid, spec.band_limit)[box] * inside
         # the field keeps only its spectrum, so no later step transforms it
         # again; its samples are synthesized if and when they are read
         fields.append(_field(grid, half / lp_norm(_field(grid, half), 1)))

@@ -452,12 +452,13 @@ def test_corpus_field_takes_one_batched_1d_fft_and_its_mass_synthesis(monkeypatc
     counter = _FFTCounter(monkeypatch)
     corpus = generate_corpus(spec, grid)
     # per field: the 1-D spectra of its (terms, dim, N) axis factors in one
-    # call (none for a coefficient block), and the irfftn of its L1 mass;
-    # no transform of an N^n array
+    # call (none for a coefficient block), and the irfftn of its L1 mass,
+    # from the band's box (J = floor(band L / pi) = 5); no transform of an
+    # N^n array
     per_field = [] if family == "band_limited_random" else ["fft"]
     assert [name for name, _ in counter.calls] == (per_field + ["irfftn"]) * spec.count
     assert all(shape[1:] == (3, 64) for name, shape in counter.calls if name == "fft")
-    assert all(shape == (64, 64, 33) for name, shape in counter.calls if name == "irfftn")
+    assert all(shape == (11, 11, 6) for name, shape in counter.calls if name == "irfftn")
     assert all(f.dtype == np.float64 for f in corpus)
 
 
