@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from dataclasses import asdict
@@ -21,39 +22,10 @@ from dataclasses import asdict
 import numpy as np
 
 from . import __version__
-from .grid import (_canonical, _field, _write_csv, _write_json, integrate, load_field, make_grid,
-                   save_field)
-from .kernels import (
-    _TAIL_TOL,
-    KernelFamily,
-    UnderResolvedError,
-    cauchy_poisson,
-    gauss_weierstrass,
-    generalized_gauss_weierstrass,
-    kernel_diagnostics,
-    stable_exponent,
-)
-from .littlewood_paley import build_resolution, bump_profile
-from .norms import INF, SpaceParams, space_norm
-from .subordination import (
-    _EDGE_TOL,
-    _LAPLACE_TOL,
-    _MASS_TOL,
-    laplace_residuals,
-    stable_half_density,
-    subordinate_kernel,
-    subordinator_moment,
-)
-from .verifier import (
-    _RHS_FLOOR,
-    CorpusSpec,
-    InequalityCase,
-    check_inequality,
-    conv_eq23_case,
-    generate_corpus,
-    refined,
-    smoothing_sweep,
-)
+from .grid import (UnderResolvedError, _canonical, _field, _write_csv, _write_json, integrate,
+                   load_field, make_grid, save_field)
+
+# Each command imports the modules it runs, so that it executes no other.
 
 EXIT_PASS = 0
 EXIT_VALIDATION = 2
@@ -112,7 +84,7 @@ def _parse_ext(value: str) -> float:
     """Parse a float that may be 'inf' or '2^k'."""
     v = value.strip().lower()
     if v in ("inf", "infinity", "oo"):
-        return INF
+        return math.inf
     m = re.fullmatch(r"2\^(-?\d+(?:\.\d+)?)", v)
     if m:
         return 2.0 ** float(m.group(1))
@@ -133,6 +105,9 @@ def _parse_t_list(spec: str) -> list:
 
 
 def _family_spec(args):
+    from .kernels import (cauchy_poisson, gauss_weierstrass, generalized_gauss_weierstrass,
+                          stable_exponent)
+
     fam = args.family
     if fam == "gw":
         return gauss_weierstrass(args.dim)
@@ -154,6 +129,8 @@ def _add_grid_args(p, n_default=4096, l_default=40.0, dim_default=1):
 
 
 def _cmd_kernel(args):
+    from .kernels import _TAIL_TOL, KernelFamily, kernel_diagnostics
+
     spec = _family_spec(args)
     grid = make_grid(args.dim, args.N, args.L)
     p = KernelFamily(spec, grid).kernel(args.t)
@@ -163,6 +140,9 @@ def _cmd_kernel(args):
 
 
 def _cmd_norm(args):
+    from .littlewood_paley import build_resolution, bump_profile
+    from .norms import SpaceParams, space_norm
+
     fld = load_field(args.input)
     # the norm reads the spectrum only, so the samples are not kept beside it
     fld = _field(fld.grid, fld.spectrum)
@@ -173,14 +153,16 @@ def _cmd_norm(args):
 
 _VERIFY_DEFAULTS = {
     "young": {"p": 1.0, "p1": 1.0, "p2": 1.0},
-    "conv1": {"scale": "B", "s": 0.5, "p": INF, "p1": 2.0, "p2": 2.0, "q": 2.0},
+    "conv1": {"scale": "B", "s": 0.5, "p": math.inf, "p1": 2.0, "p2": 2.0, "q": 2.0},
     "conv3": {"scale": "B", "s": 0.5, "u": 0.5, "p": 1.0, "p1": 1.0, "p2": 1.0,
               "q": 1.0, "q1": 2.0, "q2": 2.0},
     "conv_eq23": {"scale": "B", "s": 0.5, "u": 0.5, "p": 2.0, "q": 2.0},
 }
 
 
-def _build_case(name: str, params) -> InequalityCase:
+def _build_case(name: str, params):
+    from .verifier import InequalityCase, conv_eq23_case
+
     defaults = _VERIFY_DEFAULTS[name]
     # a case takes the keys it reads: those with a default, plus the claim
     keys = [*defaults, "constant_claim", "tolerance"]
@@ -193,6 +175,9 @@ def _build_case(name: str, params) -> InequalityCase:
 
 
 def _cmd_verify(args):
+    from .littlewood_paley import build_resolution
+    from .verifier import _RHS_FLOOR, CorpusSpec, check_inequality, generate_corpus, refined
+
     cfg = _json_object(args.config, "config", ("grid", "count", "seed_f", "seed_g",
                                                "band_limit", "refine", "case"))
     grid_cfg = _json_object(cfg.get("grid", {}), "config 'grid'", ("dim", "N", "L"))
@@ -221,15 +206,21 @@ def _cmd_verify(args):
 
 
 def _cmd_sweep(args):
+    from .kernels import _TAIL_TOL, KernelFamily
+    from .littlewood_paley import build_resolution
+    from .norms import SpaceParams
+    from .verifier import CorpusSpec, generate_corpus, smoothing_sweep
+
     spec = _family_spec(args)
     grid = make_grid(args.dim, args.N, args.L)
     ts = _parse_t_list(args.t)
+    # the corpus recipe is checked before any kernel or resolution is built
+    corpus_spec = CorpusSpec(seed=args.seed, count=1, families=("mollified_step",),
+                             band_limit=args.band)
     fam = KernelFamily(spec, grid)
     fam.kernel(min(ts))  # resolvability pre-flight at the smallest t
     res = build_resolution(grid)
-    corpus = generate_corpus(
-        CorpusSpec(seed=args.seed, count=1, families=("mollified_step",),
-                   band_limit=args.band), grid)
+    corpus = generate_corpus(corpus_spec, grid)
     base = SpaceParams(args.space, args.s, _parse_ext(args.p), _parse_ext(args.q))
     sweep = smoothing_sweep(fam, corpus[0], base, args.u, ts, res)
     _write_csv(args.out + ".curve.csv", ("t", "applied_norm", "kernel_norm"),
@@ -238,6 +229,9 @@ def _cmd_sweep(args):
 
 
 def _cmd_subordinate(args):
+    from .subordination import (_EDGE_TOL, _LAPLACE_TOL, _MASS_TOL, laplace_residuals,
+                                stable_half_density, subordinate_kernel, subordinator_moment)
+
     if not abs(args.alpha - 0.5) <= 1e-12:  # written so that a NaN fails too
         raise ValueError(
             "only the alpha = 1/2 stable subordinator has a built-in density; "

@@ -44,11 +44,18 @@ __all__ = [
     "spectral_derivative",
     "save_field",
     "load_field",
+    "UnderResolvedError",
 ]
 
 # Imaginary mass larger than this fraction of the field scale flags a
 # convention bug rather than harmless roundoff.
 _IMAG_TOL = 1e-8
+
+
+class UnderResolvedError(RuntimeError):
+    """The requested kernel does not fit the grid's frequency lattice.  It
+    lives here, beside the grid, so that a command can catch it without
+    importing the kernels."""
 
 
 @dataclass(frozen=True)

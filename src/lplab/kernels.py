@@ -22,6 +22,7 @@ import numpy as np
 from .grid import (
     Grid,
     SampledField,
+    UnderResolvedError,
     _IMAG_TOL,
     _derivative_symbol,
     _field,
@@ -56,10 +57,6 @@ __all__ = [
 ]
 
 _TAIL_TOL = 1e-12
-
-
-class UnderResolvedError(RuntimeError):
-    """The requested kernel does not fit the grid's frequency lattice."""
 
 
 @dataclass(frozen=True)

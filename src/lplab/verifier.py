@@ -23,10 +23,10 @@ from __future__ import annotations
 
 import importlib
 import math
+import numbers
 import os
 import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -63,11 +63,15 @@ _STABILITY_TOL = 0.05
 
 
 def _pmap(fn, items):
-    """Order-preserving map honoring the LPLAB_THREADS cap (default serial)."""
+    """Order-preserving map honoring the LPLAB_THREADS cap (default serial).
+    The thread pool is imported only when one is started: it loads
+    ``concurrent.futures``, ``logging`` and ``queue``."""
     workers = int(os.environ.get("LPLAB_THREADS", "1"))
     items = list(items)
     if workers <= 1 or len(items) <= 1:
         return [fn(x) for x in items]
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
 
@@ -168,6 +172,10 @@ class CorpusSpec:
     band_limit: float = 16.0
 
     def __post_init__(self):
+        # numpy's own refusal of a negative seed names neither it nor its value
+        if not (isinstance(self.seed, numbers.Integral) and not isinstance(self.seed, bool)
+                and self.seed >= 0):
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if not self.families:
             raise ValueError("families must name at least one corpus family")
         unknown = set(self.families) - set(_BUILDERS)

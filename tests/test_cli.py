@@ -11,7 +11,7 @@ import pytest
 from lplab import load_field, lp_norm
 from lplab.cli import main
 from lplab.grid import _canonical
-from lplab.kernels import _TAIL_TOL
+from lplab.kernels import _TAIL_TOL, KernelFamily
 from lplab.subordination import _EDGE_TOL, _LAPLACE_TOL, _MASS_TOL
 from lplab.verifier import _RHS_FLOOR, _STABILITY_TOL
 
@@ -496,6 +496,27 @@ def test_verify_refuses_unknown_config_key(tmp_path, capsys, case, config, unkno
     message = _validation_error(capsys)
     assert "unknown keys" in message and repr(unknown) in message
     assert not (tmp_path / "x.report.json").exists()
+
+
+@pytest.mark.parametrize("argv,config,named", [
+    (["verify", "young", "--seed", -5, "--count", 2], None, "got -5"),
+    (["verify", "young", "--count", 2], {"seed_g": -1}, "got -1"),
+    # refused before the sweep's resolvability pre-flight and resolution build
+    (["sweep", "smoothing", "--t", "2^-2..2^1", "--N", 1024, "--band", 8, "--seed", -1],
+     None, "got -1"),
+], ids=["verify-seed", "verify-config-seed_g", "sweep-seed"])
+def test_cli_refuses_negative_corpus_seed(tmp_path, capsys, monkeypatch, argv, config, named):
+    def no_kernel(*args):
+        raise AssertionError("a kernel was built before the seed was checked")
+
+    monkeypatch.setattr(KernelFamily, "kernel", no_kernel)
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = argv + ["--config", cfg]
+    assert run_cli(argv + ["--out", tmp_path / "x"]) == 2
+    assert f"seed must be a non-negative integer, {named}" in _validation_error(capsys)
+    assert not list(tmp_path.glob("x.*"))
 
 
 def test_verify_config_reads_typed_case_entries(tmp_path):

@@ -171,6 +171,10 @@ def test_corpus_band_limit_validated(grid_v):
         CorpusSpec(seed=1, count=2, families=(), band_limit=4.0)
     with pytest.raises(ValueError, match="count must be >= 1, got 0"):
         CorpusSpec(seed=1, count=0)
+    with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+        CorpusSpec(seed=-1, count=2)
+    with pytest.raises(ValueError, match="seed must be a non-negative integer, got True"):
+        CorpusSpec(seed=True, count=2)
 
 
 def test_mollified_step_block_decay(grid_v, res_v):
