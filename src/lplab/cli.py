@@ -22,8 +22,8 @@ from dataclasses import asdict
 import numpy as np
 
 from . import __version__
-from .grid import (UnderResolvedError, _canonical, _field, _write_csv, _write_json, integrate,
-                   load_field, make_grid, save_field)
+from .grid import (UnderResolvedError, _canonical, _field, _jsonable, _write_csv, _write_json,
+                   integrate, load_field, make_grid, save_field)
 
 # Each command imports the modules it runs, so that it executes no other.
 
@@ -375,9 +375,10 @@ def main(argv=None) -> int:
         if "config" in vars(args):
             args.config = _read_config(args.config)
         payload, tolerances, code = args.fn(args)
+        # an infinite config value is recorded as reports record it
         run = {"command": args.command,
-               "config": {k: v for k, v in vars(args).items()
-                          if k not in ("command", "fn", "out")}}
+               "config": _jsonable({k: v for k, v in vars(args).items()
+                                    if k not in ("command", "fn", "out")})}
         manifest = {**run, "config_hash": _sha256_hex(_canonical(run).encode()),
                     "tolerances": tolerances,
                     "versions": {"lplab": __version__, "numpy": np.__version__,

@@ -637,7 +637,10 @@ def _derivative_symbol(grid: Grid, alpha) -> np.ndarray:
 
 def _jsonable(x):
     """``x`` as written to JSON: an infinite float becomes "inf" or "-inf",
-    since JSON has no infinity; NaN is left for the writer to refuse."""
+    since JSON has no infinity, also inside a dict; NaN is left for the
+    writer to refuse."""
+    if isinstance(x, dict):
+        return {k: _jsonable(v) for k, v in x.items()}
     if isinstance(x, float) and math.isinf(x):
         return "inf" if x > 0 else "-inf"
     return x

@@ -214,8 +214,8 @@ def subordinate_kernel(dens: SubordinatorDensity, grid: Grid) -> SampledField:
     r2, inv = np.unique(sum(np.ix_(*[sq] * n)).ravel(), return_inverse=True)
     out = np.zeros(r2.size)
     coeff = dens.weights * dens.density
-    # chunks sized by the whole lattice keep the dense summation order bit for bit
-    step = max(1, 2**22 // math.prod(grid.shape))
+    # chunks of about 2^15 (node, radius) pairs, whatever the lattice's size
+    step = max(1, 2**15 // r2.size)
     with np.errstate(under="ignore"):
         for i in range(0, dens.nodes.size, step):
             r = dens.nodes[i:i + step, None]

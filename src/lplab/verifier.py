@@ -78,24 +78,23 @@ def _pmap(fn, items):
 
 # ---------------------------------------------------------------------------
 # Corpus.  Each builder draws its parameters from ``rng``, in an order and
-# with values that do not depend on N, and returns the half-lattice rfftn
-# spectrum of its real field.
+# with values that do not depend on N, and returns its real field's spectrum
+# on ``box``, the box (see :func:`lplab.grid._box`) that holds the band.
 
 
-def _separable_spectrum(grid: Grid, weights, factors) -> np.ndarray:
-    """The half-lattice spectrum of sum_t weights[t] prod_a factors[t, a](x_a),
+def _separable_spectrum(box, weights, factors) -> np.ndarray:
+    """The spectrum on ``box`` of sum_t weights[t] prod_a factors[t, a](x_a),
     for one-axis factors of shape (terms, dim, N) sampled at
     ``grid.axis_coords()`` whose sum is a real field: the outer products of
-    their 1-D spectra, from one batched FFT, with the last axis's spectra cut
-    to its N//2+1 half-lattice frequencies."""
-    spectra = list(np.moveaxis(np.fft.fft(factors, axis=-1), 1, 0))
-    spectra[-1] = spectra[-1][:, : grid.samples_per_axis // 2 + 1]
-    axes = "ijk"[: grid.dim]
+    the box's rows of their 1-D spectra, from one batched FFT."""
+    spectra = np.fft.fft(factors, axis=-1)
+    axes = "ijk"[: len(box)]
     operands = ",".join("t" + a for a in axes)
-    return np.einsum(f"t,{operands}->{axes}", weights, *spectra)
+    return np.einsum(f"t,{operands}->{axes}", weights,
+                     *(spectra[:, a, i.ravel()] for a, i in enumerate(box)))
 
 
-def _gaussian_mix(rng, grid: Grid, band: float) -> np.ndarray:
+def _gaussian_mix(rng, grid: Grid, band: float, box) -> np.ndarray:
     L = grid.half_width
     k = int(rng.integers(1, 5))
     centers = rng.uniform(-L / 4, L / 4, size=(k, grid.dim))
@@ -103,32 +102,26 @@ def _gaussian_mix(rng, grid: Grid, band: float) -> np.ndarray:
     weights = rng.uniform(0.3, 1.0, size=k)
     x = grid.axis_coords()
     factors = np.exp(-((x - centers[..., None]) ** 2) / (2.0 * sigmas[:, None, None] ** 2))
-    return _separable_spectrum(grid, weights, factors)
+    return _separable_spectrum(box, weights, factors)
 
 
-def _band_limited_random(rng, grid: Grid, band: float) -> np.ndarray:
+def _band_limited_random(rng, grid: Grid, band: float, box) -> np.ndarray:
     # Coefficients are drawn on the resolution-independent lattice pi*j/L,
-    # |j| <= band*L/pi, so refined grids see the same trig polynomial.
-    dxi = np.pi / grid.half_width
-    jb = int(np.floor(band / dxi))
-    shape = (2 * jb + 1,) * grid.dim
+    # |j| <= J, the box's extent, so refined grids see the same trig polynomial.
+    J = box[-1].size - 1
+    shape = (2 * J + 1,) * grid.dim
     coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    offs = np.arange(-jb, jb + 1)
-    r2 = sum(o.astype(float) ** 2 for o in np.meshgrid(*([offs] * grid.dim),
-                                                       indexing="ij", sparse=True))
-    # the coefficients are the unitary transform at the offsets, of a complex
-    # field centered at x = 0; the corpus field is its real part, whose
-    # coefficients are their Hermitian part (offset -j is the block flipped
-    # on every axis), placed at the last axis's offsets 0..jb
+    # the coefficients are the unitary transform at the offsets -J..J, of a
+    # complex field centered at x = 0; the corpus field is its real part,
+    # whose coefficients are their Hermitian part (offset -j is the block
+    # flipped on every axis), rolled from offset order into the box's FFT
+    # order on the full axes and kept at the last axis's offsets 0..J
     hermitian = 0.5 * (coeffs + np.conj(coeffs[(slice(None, None, -1),) * grid.dim]))
-    lattice = grid.shape[:-1] + (grid.samples_per_axis // 2 + 1,)
-    spec = np.zeros(lattice, dtype=np.complex128)
-    block = np.ix_(*([offs % grid.samples_per_axis] * (grid.dim - 1)), offs[jb:])
-    spec[block] = (hermitian * (np.sqrt(r2) * dxi <= band))[..., jb:]
-    return _lattice_spectrum(grid, spec)
+    full_axes = tuple(range(grid.dim - 1))
+    return _lattice_spectrum(grid, np.roll(hermitian, -J, axis=full_axes)[..., J:])
 
 
-def _mollified_step(rng, grid: Grid, band: float) -> np.ndarray:
+def _mollified_step(rng, grid: Grid, band: float, box) -> np.ndarray:
     # analytic tanh edges at scale 1/band: jump-like through the dyadic
     # range yet resolution-independent (spectrum decayed before Nyquist)
     L = grid.half_width
@@ -137,10 +130,10 @@ def _mollified_step(rng, grid: Grid, band: float) -> np.ndarray:
     sigma = 1.0 / band
     x = grid.axis_coords()
     window = 0.5 * (np.tanh((x - lo) / sigma) - np.tanh((x - lo - width) / sigma))
-    return _separable_spectrum(grid, np.ones(1), window[None])
+    return _separable_spectrum(box, np.ones(1), window[None])
 
 
-def _oscillatory_packet(rng, grid: Grid, band: float) -> np.ndarray:
+def _oscillatory_packet(rng, grid: Grid, band: float, box) -> np.ndarray:
     L = grid.half_width
     direction = rng.standard_normal(grid.dim)
     direction /= np.linalg.norm(direction)
@@ -153,7 +146,7 @@ def _oscillatory_packet(rng, grid: Grid, band: float) -> np.ndarray:
     # e^(i phase) prod_a c_a(x_a) and its conjugate, for the one-axis factors
     # c_a(x_a) = e^(i omega_a x_a - (x_a - center_a)^2 / 2 sigma^2)
     c = np.exp(1j * omega[:, None] * x - (x - center[:, None]) ** 2 / (2.0 * sigma * sigma))
-    return _separable_spectrum(grid, 0.5 * np.exp([1j * phase, -1j * phase]),
+    return _separable_spectrum(box, 0.5 * np.exp([1j * phase, -1j * phase]),
                                np.stack((c, c.conj())))
 
 
@@ -230,9 +223,8 @@ def generate_corpus(spec: CorpusSpec, grid: Grid) -> list:
         )
     rng = _rng(spec.seed)
     # |xi| >= |xi_axis| on every axis, so off this box |xi| > band_limit and
-    # every field's spectrum is zero: it is built on the half lattice, and
-    # cut to the box and to the band there, where |xi| takes the values it
-    # takes on the half lattice
+    # every field's spectrum is zero: each is built on the box and cut to
+    # the band there, where |xi| takes the values it takes on the half lattice
     freq = grid.freq_axis()
     box = _box(grid, int(np.count_nonzero(freq[: grid.samples_per_axis // 2]
                                           <= spec.band_limit)) - 1)
@@ -240,10 +232,10 @@ def generate_corpus(spec: CorpusSpec, grid: Grid) -> list:
     fields = []
     for i in range(spec.count):
         build = _BUILDERS[spec.families[i % len(spec.families)]]
-        half = build(rng, grid, spec.band_limit)[box] * inside
+        boxed = build(rng, grid, spec.band_limit, box) * inside
         # the field keeps only its spectrum, so no later step transforms it
         # again; its samples are synthesized if and when they are read
-        fields.append(_field(grid, half / lp_norm(_field(grid, half), 1)))
+        fields.append(_field(grid, boxed / lp_norm(_field(grid, boxed), 1)))
     return fields
 
 
@@ -267,6 +259,8 @@ class InequalityCase:
     must satisfy 1 + 1/p = 1/p1 + 1/p2 exactly and, for conv3,
     1/q <= 1/q1 + 1/q2 (1/inf = 0).  F-scale checks require
     the summability exponents involved to be >= 1 (theorem hypotheses).
+    A claimed constant must be finite and > 0 (no ratio meets one <= 0),
+    and a tolerance finite and >= 0.
     """
 
     name: str
@@ -308,6 +302,10 @@ class InequalityCase:
             used = {"young": (), "conv1": (self.q,)}.get(self.name, (self.q, self.q1, self.q2))
             if any(qq < 1 for qq in used):
                 raise ValueError("F-scale checks require summability exponents >= 1")
+        if self.constant_claim is not None and not 0 < self.constant_claim < math.inf:
+            raise ValueError(f"constant_claim must be finite and > 0, got {self.constant_claim}")
+        if self.tolerance is not None and not 0 <= self.tolerance < math.inf:
+            raise ValueError(f"tolerance must be finite and >= 0, got {self.tolerance}")
 
     def effective_claim(self, dim: int) -> float | None:
         if self.constant_claim is not None:
@@ -373,7 +371,7 @@ class VerificationReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "case": {k: _jsonable(v) for k, v in self.case.items()},
+            "case": _jsonable(self.case),
             "n_pairs": len(self.ratios) + self.skipped,
             "skipped": self.skipped,
             "max_ratio": self.max_ratio,

@@ -713,6 +713,36 @@ def test_verify_refuses_nan_band_limit_and_infinite_half_width(tmp_path, capsys,
     assert not (tmp_path / "x.report.json").exists()
 
 
+@pytest.mark.parametrize("config,named", [
+    ('{"case": {"constant_claim": Infinity}}', "constant_claim"),
+    ('{"case": {"constant_claim": -1}}', "constant_claim"),
+    ('{"case": {"tolerance": -2}}', "tolerance"),
+], ids=["claim-inf", "claim-negative", "tolerance-negative"])
+def test_verify_refuses_a_claim_no_ratio_could_meet(tmp_path, capsys, config, named):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(config)  # Python's json reads the Infinity token
+    assert run_cli(["verify", "young", "--config", cfg, "--N", 1024,
+                    "--out", tmp_path / "x"]) == 2
+    assert named in _validation_error(capsys)
+    assert not list(tmp_path.glob("x.*"))
+
+
+def test_verify_infinite_config_exponent_is_recorded_as_its_string(tmp_path):
+    # the Infinity token and the "inf" string are one run, with one manifest
+    outputs = []
+    for name, q in (("token", "Infinity"), ("string", '"inf"')):
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(f'{{"case": {{"q": {q}}}}}')
+        (tmp_path / name).mkdir()
+        out = tmp_path / name / "x"
+        assert run_cli(["verify", "conv1", "--config", cfg, "--N", 1024, "--count", 4,
+                        "--out", out]) == 0
+        outputs.append([(tmp_path / name / f"x.{ext}").read_bytes()
+                        for ext in ("report.json", "manifest.json", "ratios.csv")])
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0][1])["config"]["config"] == {"case": {"q": "inf"}}
+
+
 def test_artifacts_are_strict_json(tmp_path, capsys):
     # the gw family never reads --m, so its NaN reaches only the manifest
     assert run_cli(["kernel", "--m", "nan", "--t", 1, "--N", 64, "--L", 8,

@@ -242,7 +242,7 @@ def _dense_subordinate_kernel(dens, grid):
     r2 = sum(m**2 for m in grid.coord_mesh()).ravel()
     out = np.zeros(r2.size)
     coeff = dens.weights * dens.density
-    step = max(1, int(2**22 // r2.size))
+    step = max(1, 2**15 // np.unique(r2).size)
     with np.errstate(under="ignore"):
         for i in range(0, dens.nodes.size, step):
             r = dens.nodes[i:i + step, None]
@@ -253,7 +253,8 @@ def _dense_subordinate_kernel(dens, grid):
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_subordinate_kernel_radial_route_is_bitwise_dense(dim):
-    # 512 nodes in 32 chunks of 16 on 64^3 keep the dense reference affordable.
+    # 512 nodes on 64^3 keep the dense reference affordable; its node chunks,
+    # sized by the distinct radii, are the radial route's (17 nodes at L = 10).
     # At L = 5.7 and 8.3 the squares of mirrored points need not be equal, so
     # an axis holds more than N/2 + 1 distinct squares.
     stable = stable_half_density(1.0, num_nodes=512)
@@ -285,6 +286,24 @@ def test_subordinate_kernel_holds_no_lattice_sized_temporary():
     # and their sort peaked at 12.3 MiB
     assert kern.values.shape == g.shape
     assert peak <= 6 * 2**20
+
+
+def test_subordinate_kernel_chunks_do_not_grow_with_the_lattice():
+    # the README's 1-D `lplab subordinate --nodes 4096`: 2049 distinct radii,
+    # 15 nodes at a time (0.64 MiB measured); chunks sized by the lattice,
+    # 1024 nodes of 2049 radii, peaked 32.2 MiB for a 32 KiB field
+    g = make_grid(1, 4096, 40.0)
+    dens = stable_half_density(1.0, num_nodes=4096)
+    subordinate_kernel(dens, g)  # fill any cache
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        subordinate_kernel(dens, g)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2**20
 
 
 def test_subordinate_kernel_field_is_its_gather():

@@ -32,7 +32,7 @@ from lplab import (
     stable_exponent,
     theorem_semi11_bound_check,
 )
-from lplab.grid import _embedded
+from lplab.grid import _box, _embedded
 from lplab.verifier import (_BUILDERS, CorpusSpec, InequalityCase, VerificationReport,
                             generate_corpus)
 
@@ -97,13 +97,14 @@ def test_corpus_fields_hold_only_their_half_spectrum():
 
 
 @pytest.mark.parametrize("family", sorted(_BUILDERS))
-def test_corpus_field_working_set_is_a_few_half_spectra(family):
-    # semigroup-3d's grid and band.  The field keeps a 64*64*33 complex128
-    # half spectrum (2.06 MiB) and its build takes 6.32 MiB, so one more
-    # full-lattice complex spectrum (4 MiB) anywhere in it fails the bound
+def test_corpus_field_is_built_on_its_box_and_peaks_at_its_l1_synthesis(family):
+    # semigroup-3d's grid and band.  The builder returns its field's spectrum
+    # on the 11 x 11 x 6 box, and the build peaks at the L1 normalization's
+    # samples and their modulus (4.02 MiB measured), so one more full-lattice
+    # complex spectrum (4 MiB) anywhere in it fails the bound
     g = make_grid(3, 64, 4.0)
-    half = g.shape[:-1] + (g.samples_per_axis // 2 + 1,)
-    assert _BUILDERS[family](np.random.default_rng(2), g, 4.0).shape == half
+    box = _box(g, 5)
+    assert _BUILDERS[family](np.random.default_rng(2), g, 4.0, box).shape == (11, 11, 6)
     generate_corpus(CorpusSpec(seed=1, count=1, families=(family,), band_limit=4.0), g)
     gc.collect()
     tracemalloc.start()
@@ -284,7 +285,10 @@ def _assert_matches_old_construction(grid, band, families):
     corpus = generate_corpus(CorpusSpec(seed=seed, count=count, families=families,
                                         band_limit=band), grid)
     rng = np.random.default_rng(seed)
+    J = int(np.floor(band * grid.half_width / np.pi))
     for i, f in enumerate(corpus):
+        # each field is held on the box that holds its band
+        assert f.spectrum.shape == (2 * J + 1,) * (grid.dim - 1) + (J + 1,)
         old = _OLD_BUILDERS[families[i % len(families)]](rng, grid, band)
         assert np.abs(f.values - old).max() <= 1e-13 * np.abs(old).max()
         # the spectrum the field keeps, on its box, is the one of its samples
