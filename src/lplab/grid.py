@@ -229,15 +229,13 @@ def _frozen(a: np.ndarray, what: str) -> np.ndarray:
 def _field(grid: Grid, spectrum: np.ndarray, values=None) -> SampledField:
     """The field whose spectrum (see :class:`SampledField`) is ``spectrum``,
     a half-lattice array for a real field or a pair of them for a complex
-    field, either of them possibly held on a box of extent J < N/2 (see
-    :func:`_box`).  ``values``, when given, must be the samples of that
+    field, either of them possibly held on a box of extent J < N/2; any
+    other shape is refused (see :func:`_extent`).  ``values``, when given, must be the samples of that
     spectrum.  Both arrays are taken over and frozen, not copied."""
     spec = np.asarray(spectrum, dtype=np.complex128)
-    lattices = [_half_shape(grid)]
-    if spec.ndim and 0 < spec.shape[-1] <= grid.samples_per_axis // 2:
-        lattices.append(_box_shape(grid, spec.shape[-1] - 1))
-    if spec.shape not in lattices + [(2,) + s for s in lattices]:
-        raise ValueError(f"spectrum of shape {spec.shape} fits neither lattice of {grid}")
+    if not spec.ndim:  # which _extent takes for a scalar multiplier
+        raise ValueError(f"spectrum of shape () fits neither lattice of {grid}")
+    _extent(grid, spec)
     f = _held(grid, None, _frozen(spec, "field spectrum"))
     if values is not None:
         if values.shape != grid.shape or values.dtype != f.dtype:
@@ -351,20 +349,18 @@ def _box(grid: Grid, J: int) -> tuple:
     frequencies 0..J and -J..-1 (2J + 1 of them, in FFT order) on each full
     axis and 0..J on the last.  It is the smallest such sub-lattice that
     holds every |xi| < pi (J + 1) / L.  An array held on a box has the box's
-    shape, so its last axis gives J."""
+    shape, (2J + 1,) * (n - 1) + (J + 1,), from which :func:`_extent` reads
+    J."""
     return _box_in(_half_shape(grid), J)
 
 
 @functools.lru_cache(maxsize=128)
 def _box_in(lattice: tuple, J: int) -> tuple:
     """Open-mesh index of the box of extent ``J`` in an array of the lattice
-    shape ``lattice``: the half lattice, a box of extent at least J, or
-    either broadcast on some axes (an axis of length one).  Built once per
-    (lattice, J), as read-only arrays: building it took about half of a 1-D
-    Parseval norm."""
-    full = [np.r_[0 : J + 1, M - J : M] if M > 1 else np.zeros(1, np.intp)
-            for M in lattice[:-1]]
-    index = np.ix_(*full, np.arange(min(J + 1, lattice[-1])))
+    shape ``lattice``: the half lattice or a box of extent at least J.  Built
+    once per (lattice, J), as read-only arrays: building it took about half
+    of a 1-D Parseval norm."""
+    index = np.ix_(*[np.r_[0 : J + 1, M - J : M] for M in lattice[:-1]], np.arange(J + 1))
     for a in index:
         a.setflags(write=False)
     return index
@@ -374,48 +370,49 @@ def _half_shape(grid: Grid) -> tuple:
     return grid.shape[:-1] + (grid.samples_per_axis // 2 + 1,)
 
 
-def _box_shape(grid: Grid, J: int) -> tuple:
-    return (2 * J + 1,) * (grid.dim - 1) + (J + 1,)
+def _extent(grid: Grid, a) -> int | None:
+    """Where ``a`` is held: the extent J of its box (see :func:`_box`), or
+    None for the half lattice or a scalar.  ``a`` is a field's spectrum, a
+    pair of them, a block or a multiplier, and its shape is the only record
+    of where it is held; a shape that fits neither lattice is refused."""
+    shape = np.shape(a)
+    if not shape:
+        return None
+    J, lattice = shape[-1] - 1, shape[-grid.dim :]
+    if shape[: -grid.dim] in ((), (2,)):
+        if lattice == _half_shape(grid):
+            return None
+        box = (2 * J + 1,) * (grid.dim - 1) + (J + 1,)
+        if 0 <= J < grid.samples_per_axis // 2 and lattice == box:
+            return J
+    raise ValueError(f"array of shape {shape} fits neither lattice of {grid}")
 
 
-def _extent(grid: Grid, a: np.ndarray):
-    """The extent J of the box that holds ``a``, a field's spectrum or a
-    block (see :func:`_box`); None for the half lattice."""
-    J = a.shape[-1] - 1
-    return None if J == grid.samples_per_axis // 2 else J
+def _on_smaller_box(grid: Grid, a, b) -> tuple:
+    """``a`` and ``b`` (see :func:`_extent`) on the smaller of their boxes,
+    where the half lattice is the larger: each itself if it is held there
+    or is a scalar, and otherwise a new array of the values it takes at the
+    box's frequencies, with any leading axes."""
+    held = (_extent(grid, a), _extent(grid, b))
+    J = min((K for K in held if K is not None), default=None)
+    return tuple(x if K == J or np.ndim(x) == 0
+                 else x[(...,) + _box_in(x.shape[x.ndim - grid.dim :], J)]
+                 for x, K in zip((a, b), held))
 
 
-def _smaller(J, K):
-    """The smaller of two box extents, where None (the half lattice) is the
-    larger."""
-    return K if J is None else J if K is None else min(J, K)
-
-
-def _cut(grid: Grid, a, J):
-    """``a`` on the box of extent ``J``: the values that ``a``, held on the
-    half lattice (or broadcast to it) or on a box of extent at least J, with
-    any leading axes, takes at the box's frequencies.  ``a`` itself when
-    ``J`` is None, ``a`` is a scalar or ``a`` is held on that box."""
-    if J is None or np.ndim(a) == 0:
-        return a
-    lattice = a.shape[a.ndim - grid.dim :]
-    return a if lattice == _box_shape(grid, J) else a[(...,) + _box_in(lattice, J)]
-
-
-def _product(grid: Grid, m, F: np.ndarray, boxed: bool = False) -> np.ndarray:
-    """The product m * F, for a field's spectrum ``F`` and a multiplier ``m``
-    held on its box with ``boxed`` and on the half lattice (or broadcastable
-    to it) otherwise, as a new array on the smaller of their boxes: it holds
-    every value that the product is not zero at."""
-    J = _smaller(m.shape[-1] - 1 if boxed else None, _extent(grid, F))
-    return _cut(grid, m, J) * _cut(grid, F, J)
+def _product(grid: Grid, m, F: np.ndarray) -> np.ndarray:
+    """The product m * F, for a field's spectrum ``F`` and a multiplier ``m``,
+    as a new array on the smaller of their boxes: it holds every value that
+    the product is not zero at."""
+    m, F = _on_smaller_box(grid, m, F)
+    return m * F
 
 
 def _embedded(grid: Grid, box: np.ndarray) -> np.ndarray:
     """The half-lattice array that equals ``box`` on its box (see :func:`_box`)
     and is zero off it; a pair of them for a pair."""
     half = np.zeros(box.shape[: box.ndim - grid.dim] + _half_shape(grid), dtype=box.dtype)
-    half[(...,) + _box(grid, box.shape[-1] - 1)] = box
+    half[(...,) + _box(grid, _extent(grid, box))] = box
     return half
 
 
@@ -425,25 +422,26 @@ def forward_transform(f: SampledField) -> np.ndarray:
 
     The coefficient at lattice frequency xi_j equals
     (2 pi)^(-n/2) h^n sum_x e^(-i x.xi_j) f(x).  It is built from the
-    field's spectrum, embedded in the half lattice if it is held on a box:
-    each half lattice is completed by the Hermitian mirror (see
-    :func:`_hermitian_full`), and the centering shift of the samples by N/2
-    is the sign (-1)^(j_1 + ... + j_n), so a field that holds its spectrum
-    is not transformed again.
+    field's spectrum: each half lattice is completed by the Hermitian mirror
+    (see :func:`_hermitian_full`), and the centering shift of the samples by
+    N/2 is the sign (-1)^(j_1 + ... + j_n), so a field that holds its
+    spectrum is not transformed again.
     """
-    grid, spec = f.grid, f.spectrum
-    if _extent(grid, spec) is not None:
-        spec = _embedded(grid, spec)
-    full = _hermitian_full(grid, spec)
+    grid = f.grid
+    full = _hermitian_full(grid, f.spectrum)
     if full.ndim > grid.dim:  # the pair of u + iv: Fu + i Fv
         full = full[0] + 1j * full[1]
-    full *= _centering_sign(grid, grid.shape, _fwd_scale(grid))
+    # (-1)^j takes one value at j and at its mirror (-j) mod N, as N is even
+    full *= _hermitian_full(grid, _centering_sign(grid, None, _fwd_scale(grid)))
     return full
 
 
 def _hermitian_full(grid: Grid, half: np.ndarray) -> np.ndarray:
     """The full FFT-order lattice, in ``half``'s dtype, of the Hermitian array
-    a(-xi) = conj a(xi) whose half lattice is ``half`` (or of each of a pair)."""
+    a(-xi) = conj a(xi) whose half lattice is ``half`` (or of each of a pair),
+    or is zero off ``half``'s box when ``half`` is held on one."""
+    if _extent(grid, half) is not None:
+        half = _embedded(grid, half)
     N = grid.samples_per_axis
     full = np.empty(half.shape[:-1] + (N,), dtype=half.dtype)
     full[..., : N // 2 + 1] = half
@@ -455,23 +453,23 @@ def _hermitian_full(grid: Grid, half: np.ndarray) -> np.ndarray:
     return full
 
 
-def _multiplied(f: SampledField, multipliers, boxed: bool = False):
+def _multiplied(f: SampledField, multipliers):
     """Yield the space samples of F^-1(m * Ff) for each multiplier m in turn,
-    all from ``f``'s one spectrum.  Each m is a Hermitian FFT-order array on
-    the half lattice (or broadcastable to it), or with ``boxed`` on its box
-    (see :func:`_box`); the product is formed and transformed on the smaller
-    of m's and the spectrum's boxes (see :func:`_product`).  So it maps a real
-    field to a float64 one and acts on a complex field's two parts at once.
+    all from ``f``'s one spectrum.  Each m is a Hermitian FFT-order array held
+    on the half lattice or on a box (see :func:`_extent`); the product is
+    formed and transformed on the smaller of m's and the spectrum's boxes
+    (see :func:`_product`).  So it maps a real field to a float64 one and acts
+    on a complex field's two parts at once.
 
     A multiplier commutes with the cyclic N/2 shift that centers the samples,
     so no shift is needed, and the transform scales cancel."""
     F = f.spectrum
     for m in multipliers:
         # the product is a fresh array, so the first pass may overwrite it
-        yield _ifft(f.grid, _product(f.grid, m, F, boxed), overwrite=True)
+        yield _ifft(f.grid, _product(f.grid, m, F), overwrite=True)
 
 
-def _l2_norms(f: SampledField, multipliers, boxed: bool = False):
+def _l2_norms(f: SampledField, multipliers):
     """Yield ||F^-1(m * Ff)||_L2 for each multiplier m (as in
     :func:`_multiplied`) by Parseval, with no inverse transform:
     h^n sum_x |g(x)|^2 = h^n N^-n sum_xi |Fg(xi)|^2, summed over both parts
@@ -488,14 +486,15 @@ def _l2_norms(f: SampledField, multipliers, boxed: bool = False):
     scale = grid.cell_volume / N**grid.dim
     terms = None
     for m in multipliers:
-        J = _smaller(m.shape[-1] - 1 if boxed else None, _extent(grid, F))
+        m, p = _on_smaller_box(grid, m, power)
+        J = _extent(grid, p)
         if J is None:
-            total = np.sum(np.abs(m) ** 2 * power)
+            total = np.sum(np.abs(m) ** 2 * p)
         else:
             if terms is None:
                 terms = np.zeros(F.shape[: F.ndim - grid.dim] + _half_shape(grid))
             box = (...,) + _box(grid, J)
-            terms[box] = np.abs(_cut(grid, m, J)) ** 2 * _cut(grid, power, J)
+            terms[box] = np.abs(m) ** 2 * p
             total = np.sum(terms)
             terms[box] = 0.0
         yield math.sqrt(scale * total)
@@ -507,20 +506,21 @@ def _lattice_spectrum(grid: Grid, F: np.ndarray, scale: float = 1.0) -> np.ndarr
     the centering sign, as the samples start at x = -L, and over the lattice
     transform's scale (2 pi)^(-n/2) h^n.  Nothing is transformed."""
     out = np.empty(F.shape, dtype=np.complex128)
-    sign = _centering_sign(grid, F.shape[F.ndim - grid.dim :], scale / _fwd_scale(grid))
+    sign = _centering_sign(grid, _extent(grid, F), scale / _fwd_scale(grid))
     np.multiply(F, sign, out=out)
     return out
 
 
-def _centering_sign(grid: Grid, shape: tuple, scale: float) -> np.ndarray:
-    """``scale`` times (-1)^(j_1 + ... + j_n) at lattice index j, broadcastable
-    to ``shape`` (either lattice, or a box, whose own lattice indices it
-    takes; see :func:`_box`): the factor by which the cyclic N/2 shift on
-    every axis multiplies a spectrum.  Applied by :func:`_lattice_spectrum`,
-    :func:`convolve` and :func:`forward_transform` only."""
+def _centering_sign(grid: Grid, J, scale: float) -> np.ndarray:
+    """``scale`` times (-1)^(j_1 + ... + j_n) at lattice index j, on the box
+    of extent ``J``, whose own lattice indices it takes, or on the half
+    lattice for None (see :func:`_extent`): the factor by which the cyclic
+    N/2 shift on every axis multiplies a spectrum.  Applied by
+    :func:`_lattice_spectrum`, :func:`convolve` and :func:`forward_transform`
+    only."""
     N = grid.samples_per_axis
     alternating = 1.0 - 2.0 * (np.arange(N) % 2)
-    index = _box(grid, shape[-1] - 1) if shape[-1] <= N // 2 else np.ix_(*map(np.arange, shape))
+    index = np.ix_(*map(np.arange, _half_shape(grid))) if J is None else _box(grid, J)
     sign = np.float64(scale)
     for i in index:
         sign = sign * alternating[i]
@@ -580,9 +580,7 @@ def convolve(f: SampledField, g: SampledField) -> SampledField:
     grid = f.grid
     if grid != g.grid:
         raise ValueError("convolve requires matching grids (dim, N, L)")
-    a, b = f.spectrum, g.spectrum
-    J = _smaller(_extent(grid, a), _extent(grid, b))
-    a, b = _cut(grid, a, J), _cut(grid, b, J)
+    a, b = _on_smaller_box(grid, f.spectrum, g.spectrum)
     if a.ndim == b.ndim > f.grid.dim:
         # (u + iv) * (w + iz) = u*w - v*z + i (u*z + v*w), part by part
         prod = np.stack((a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]))
@@ -590,7 +588,7 @@ def convolve(f: SampledField, g: SampledField) -> SampledField:
         prod = a * b  # a complex operand's pair broadcasts over the real one
     # the cyclic convolution of the samples, shifted by N/2 once because
     # both boxes start at -L; (2 pi)^(n/2) times both transform scales is h^n
-    prod *= _centering_sign(grid, prod.shape[prod.ndim - grid.dim :], grid.cell_volume)
+    prod *= _centering_sign(grid, _extent(grid, prod), grid.cell_volume)
     return _field(grid, prod)
 
 
@@ -611,8 +609,8 @@ def spectral_derivative(f: SampledField, alpha) -> SampledField:
 
 def _derivative_symbol(grid: Grid, alpha) -> np.ndarray:
     """The multiplier (i xi)^alpha of the partial derivative d^alpha on the
-    half lattice, as a product of one broadcastable factor per differentiated
-    axis.
+    half lattice: the product of one factor per differentiated axis, as a
+    read-only view broadcast to the half lattice's shape.
 
     An odd order is zero at the Nyquist index N/2, where xi and -xi are one
     lattice point: the multiplier then stays Hermitian, so the derivative of
@@ -627,7 +625,7 @@ def _derivative_symbol(grid: Grid, alpha) -> np.ndarray:
             shape = [1] * grid.dim
             shape[axis] = grid.samples_per_axis
             mult = mult * factor.reshape(shape)
-    return mult[..., : grid.samples_per_axis // 2 + 1]
+    return np.broadcast_to(mult[..., : grid.samples_per_axis // 2 + 1], _half_shape(grid))
 
 
 # ---------------------------------------------------------------------------
@@ -871,26 +869,18 @@ def _write_csv(path: str, header, columns) -> None:
     The bytes are computed with numpy, ``_CSV_CHUNK`` rows at a time, into
     one byte matrix per chunk: each value's 17 correctly rounded digits come
     from a double-double product x * 10^k, and a mask keeps the sign, digits,
-    point and exponent ``%g`` shows.  A column that holds one value in every
-    row (a real field's imaginary parts) is formatted once.  Values the digit
-    arithmetic does not cover (non-finite, subnormal, beyond 1e+-270,
-    within 1e-9 of a rounding tie, with a log10 that misses the decimal
-    exponent, or with seventeen 9s that would round up) are formatted one at
-    a time by ``%``."""
+    point and exponent ``%g`` shows.  Values the digit arithmetic does not
+    cover (non-finite, subnormal, beyond 1e+-270, within 1e-9 of a rounding
+    tie, with a log10 that misses the decimal exponent, or with seventeen 9s
+    that would round up) are formatted one at a time by ``%``."""
     sized = [c for c in columns if not isinstance(c, bytes)]
     n = len(sized[0])
     if any(len(c) != n for c in sized):
         raise ValueError("CSV columns differ in length")
     if len(header) != len(columns):
         raise ValueError(f"CSV header names {len(header)} columns, not {len(columns)}")
-    cols = []
-    for c in columns:
-        if not isinstance(c, (range, bytes)):
-            c = np.asarray(c, dtype=np.float64)
-            bits = c.view(np.uint64)
-            if n and (bits == bits[0]).all():
-                c = b"%.17g" % c[0]
-        cols.append(c)
+    cols = [c if isinstance(c, (range, bytes)) else np.asarray(c, dtype=np.float64)
+            for c in columns]
 
     def chunks():
         yield (",".join(header) + "\n").encode()

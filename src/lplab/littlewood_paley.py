@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (Grid, SampledField, _box, _box_shape, _embedded, _field, _hermitian_full,
+from .grid import (Grid, SampledField, _box, _embedded, _extent, _field, _hermitian_full,
                    _l2_norms, _multiplied, _product, _write_csv, _write_json)
 
 __all__ = [
@@ -115,10 +115,12 @@ class DyadicResolution:
     profile: TransitionProfile
 
     def __post_init__(self):
-        N = self.grid.samples_per_axis
         for k, b in enumerate(self.blocks):
-            J = b.shape[-1] - 1
-            if not (0 <= J < N // 2 and b.shape == _box_shape(self.grid, J)):
+            try:
+                boxed = b.ndim == self.grid.dim and _extent(self.grid, b) is not None
+            except ValueError:
+                boxed = False
+            if not boxed:
                 raise ValueError(f"block {k} of shape {b.shape} is held on no box of {self.grid}")
 
     @property
@@ -211,7 +213,7 @@ def validate_resolution(res: DyadicResolution) -> ResolutionReport:
     d1 = 0.0
     d2 = 0.0
     for k, b in enumerate(res.blocks):
-        b = _hermitian_full(grid, _embedded(grid, b))
+        b = _hermitian_full(grid, b)
         if k == 0:
             outside = rho >= 2.0
         else:
@@ -236,7 +238,7 @@ def apply_block(res: DyadicResolution, k: int, f: SampledField) -> SampledField:
         raise ValueError(f"block index {k} outside 0..{res.k_max}")
     if f.grid != res.grid:
         raise ValueError("field grid does not match resolution grid")
-    return _field(f.grid, _product(f.grid, res.blocks[k], f.spectrum, boxed=True))
+    return _field(f.grid, _product(f.grid, res.blocks[k], f.spectrum))
 
 
 def block_spectra(res: DyadicResolution, f: SampledField, reverse: bool = False):
@@ -249,7 +251,7 @@ def block_spectra(res: DyadicResolution, f: SampledField, reverse: bool = False)
     """
     if f.grid != res.grid:
         raise ValueError("field grid does not match resolution grid")
-    yield from _multiplied(f, res.blocks[::-1] if reverse else res.blocks, boxed=True)
+    yield from _multiplied(f, res.blocks[::-1] if reverse else res.blocks)
 
 
 def block_l2_norms(res: DyadicResolution, f: SampledField):
@@ -257,14 +259,14 @@ def block_l2_norms(res: DyadicResolution, f: SampledField):
     of ``f``: no block is synthesized."""
     if f.grid != res.grid:
         raise ValueError("field grid does not match resolution grid")
-    yield from _l2_norms(f, res.blocks, boxed=True)
+    yield from _l2_norms(f, res.blocks)
 
 
 def export_resolution(res: DyadicResolution, directory: str) -> None:
     """Write per-block CSVs (full-lattice xi index, value) plus JSON metadata."""
     os.makedirs(directory, exist_ok=True)
     for k, b in enumerate(res.blocks):
-        b = _hermitian_full(res.grid, _embedded(res.grid, b))
+        b = _hermitian_full(res.grid, b)
         _write_csv(os.path.join(directory, f"block_{k}.csv"), ("index", "value"),
                    (range(b.size), b.ravel()))
     c, C = _partition_bounds(res)

@@ -31,6 +31,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from . import grid as grid_module
 from .grid import (Grid, SampledField, _box, _field, _jsonable, _lattice_spectrum, _write_csv,
                    convolve)
 from .kernels import KernelFamily, gradient_l1
@@ -40,7 +41,7 @@ from .littlewood_paley import (
     _top_block_index,
     build_resolution,
 )
-from .norms import INF, SpaceParams, lp_norm, space_norm, besov_norm
+from .norms import INF, SpaceParams, _lp_values, _modulus, lp_norm, space_norm, besov_norm
 
 __all__ = [
     "CorpusSpec",
@@ -233,9 +234,12 @@ def generate_corpus(spec: CorpusSpec, grid: Grid) -> list:
     for i in range(spec.count):
         build = _BUILDERS[spec.families[i % len(spec.families)]]
         boxed = build(rng, grid, spec.band_limit, box) * inside
+        # the L1 mass from one synthesis whose modulus is taken in place;
+        # _ifft is read from its module, so a wrapper put there sees it too
+        mass = _lp_values(_modulus(grid_module._ifft(grid, boxed)), 1, grid)
         # the field keeps only its spectrum, so no later step transforms it
         # again; its samples are synthesized if and when they are read
-        fields.append(_field(grid, boxed / lp_norm(_field(grid, boxed), 1)))
+        fields.append(_field(grid, boxed / mass))
     return fields
 
 

@@ -4,6 +4,7 @@ half lattice, with the memory of the box."""
 import copy
 import gc
 import pickle
+import re
 import tracemalloc
 
 import numpy as np
@@ -31,7 +32,8 @@ from lplab import (
     spectral_derivative,
     triebel_norm,
 )
-from lplab.grid import _box, _embedded, _field, _lattice_spectrum
+from lplab.grid import _box, _embedded, _field, _l2_norms, _lattice_spectrum, _multiplied, _product
+from lplab.littlewood_paley import block_spectra
 from lplab.verifier import _BUILDERS, CorpusSpec, generate_corpus
 
 _GRIDS = pytest.mark.parametrize("grid,band", [
@@ -100,6 +102,39 @@ def test_boxed_field_transforms_as_its_twin(grid, band):
             b = apply_block(res, k, a)
             assert b.spectrum.shape[-1] <= a.spectrum.shape[-1]
             assert np.array_equal(b.values, apply_block(res, k, ta).values)
+
+
+def test_an_operand_that_fits_neither_lattice_is_refused_by_its_shape():
+    # 2-D N = 64, where a band-4 field is held on the 11 x 6 box: an (N, 1)
+    # multiplier, which would broadcast over the half lattice, and a
+    # box-shaped one whose full axis is 9 long, not 2J + 1 = 11
+    grid = make_grid(2, 64, 4.0)
+    f = generate_corpus(CorpusSpec(seed=3, count=1, band_limit=4.0), grid)[0]
+    assert f.spectrum.shape == (11, 6)
+    for a in (f, _twin(f)):
+        for m in (np.ones((64, 1)), np.ones((9, 6))):
+            refused = pytest.raises(ValueError, match=re.escape(f"{m.shape} fits neither"))
+            with refused:
+                _product(grid, m, a.spectrum)
+            with refused:
+                next(_multiplied(a, (m,)))
+            with refused:
+                next(_l2_norms(a, (m,)))
+
+
+@pytest.mark.parametrize("boxed", [True, False], ids=["box", "half"])
+def test_order_zero_symbol_is_no_one_point_box(boxed):
+    # 2-D N = 64 with L = 2: pi / L >= 1.5, so the k = 0 block is held on the
+    # 1 x 1 box, the shape an order-0 derivative symbol once had
+    grid = make_grid(2, 64, 2.0)
+    res = build_resolution(grid)
+    assert res.blocks[0].shape == (1, 1)
+    f = generate_corpus(CorpusSpec(seed=3, count=1, band_limit=4.0), grid)[0]
+    f = f if boxed else _twin(f)
+    assert np.array_equal(spectral_derivative(f, (0, 0)).values, f.values)
+    assert sobolev_w1m_norm(f, 0) == lp_norm(f, 1)
+    for k, b in enumerate(block_spectra(res, f)):
+        assert np.array_equal(b, apply_block(res, k, f).values)
 
 
 @_GRIDS

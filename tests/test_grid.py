@@ -816,8 +816,8 @@ def test_boxed_l2_norms_hold_one_zero_half_lattice():
     # largest box first, so a box left in the shared lattice would count
     # again in the next norm; each norm has the bits of one taken alone
     blocks = res.blocks[::-1]
-    alone = [next(grid_module._l2_norms(f, (b,), boxed=True)) for b in blocks]
-    assert list(grid_module._l2_norms(f, blocks, boxed=True)) == alone
+    alone = [next(grid_module._l2_norms(f, (b,))) for b in blocks]
+    assert list(grid_module._l2_norms(f, blocks)) == alone
     # the 1 MiB power, one zero half lattice (1 MiB) and the largest box's
     # products (2.49 MiB measured); a zero half lattice per block, two of
     # them live while the next replaced the last, peaked 3.10 MiB

@@ -100,8 +100,8 @@ def test_corpus_fields_hold_only_their_half_spectrum():
 def test_corpus_field_is_built_on_its_box_and_peaks_at_its_l1_synthesis(family):
     # semigroup-3d's grid and band.  The builder returns its field's spectrum
     # on the 11 x 11 x 6 box, and the build peaks at the L1 normalization's
-    # samples and their modulus (4.02 MiB measured), so one more full-lattice
-    # complex spectrum (4 MiB) anywhere in it fails the bound
+    # samples, whose modulus is taken in place (2.39 MiB measured), so one
+    # more full-lattice complex spectrum (4 MiB) anywhere in it fails the bound
     g = make_grid(3, 64, 4.0)
     box = _box(g, 5)
     assert _BUILDERS[family](np.random.default_rng(2), g, 4.0, box).shape == (11, 11, 6)
@@ -115,6 +115,25 @@ def test_corpus_field_is_built_on_its_box_and_peaks_at_its_l1_synthesis(family):
     finally:
         tracemalloc.stop()
     assert peak <= 7 * 2**20
+
+
+def test_corpus_mass_synthesis_holds_one_lattice_of_samples():
+    # 3-D N=128: a field's 16 MiB of samples, synthesized once for its L1
+    # mass with the modulus taken in place, and the inverse transform's
+    # passes (17.55 MiB measured for four fields of all four families); a
+    # throwaway field whose modulus was a second array peaked 32.05 MiB
+    g = make_grid(3, 128, 4.0)
+    generate_corpus(CorpusSpec(seed=1, count=4, band_limit=4.0), g)  # fill any cache
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fields = generate_corpus(CorpusSpec(seed=3, count=4, band_limit=4.0), g)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20 * 2**20
+    assert all(abs(lp_norm(f, 1) - 1.0) < 1e-12 for f in fields)
 
 
 def _python_lines(code):
