@@ -4,7 +4,7 @@ Every run writes machine-readable artifacts (JSON reports, CSV curves) plus
 a manifest with the config hash, package versions and the tolerances in
 force, so runs are reproducible and self-describing.  The manifest's config
 is read off the parser: every parsed option except ``--out``, with verify's
-``--config`` path replaced by the file's content.  Identical configs produce
+case flags resolved to the case the run built.  Identical configs produce
 byte-identical outputs.
 
 Exit codes: 0 pass, 2 validation error, 3 under-resolution, 4 verdict fail.
@@ -33,51 +33,11 @@ EXIT_UNDER_RESOLVED = 3
 EXIT_FAIL = 4
 
 
-def _json_object(obj, what: str, keys=None) -> dict:
-    """``obj`` if it is a JSON object whose keys all lie in ``keys``."""
+def _json_object(obj, what: str) -> dict:
+    """``obj`` if it is a JSON object."""
     if not isinstance(obj, dict):
         raise ValueError(f"{what} is not a JSON object")
-    unknown = sorted(set(obj) - set(keys)) if keys is not None else []
-    if unknown:
-        raise ValueError(f"{what} has unknown keys {unknown}; allowed: {list(keys)}")
     return obj
-
-
-def _read_config(path) -> dict:
-    if path is None:
-        return {}
-    with open(path) as fh:
-        return _json_object(json.load(fh), f"config {path}")
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-_EXPONENTS = ("p", "p1", "p2", "q", "q1", "q2")
-_INTEGER = ("an integer", lambda v: _is_number(v) and isinstance(v, int))
-_NUMBER = ("a number", _is_number)
-# what each verify config value must be; a bool is neither a number nor a string
-_CONFIG_TYPES = {
-    **dict.fromkeys(("count", "seed_f", "seed_g", "dim", "N"), _INTEGER),
-    **dict.fromkeys(("band_limit", "L", "s", "u", "constant_claim", "tolerance"), _NUMBER),
-    **dict.fromkeys(_EXPONENTS, ("a number or an exponent string",
-                                 lambda v: _is_number(v) or isinstance(v, str))),
-    "refine": ("true or false", lambda v: isinstance(v, bool)),
-    "scale": ("a string", lambda v: isinstance(v, str)),
-}
-# null keeps the default only for the values whose default may itself be unset
-_NULL_KEEPS_DEFAULT = ("s", "u", "constant_claim", "tolerance")
-
-
-def _config_value(cfg: dict, key: str, default):
-    if key not in cfg or (cfg[key] is None and key in _NULL_KEEPS_DEFAULT):
-        return default
-    value = cfg[key]
-    want, ok = _CONFIG_TYPES[key]
-    if not ok(value):
-        raise ValueError(f"config {key!r} must be {want}, got {value!r}")
-    return _parse_ext(value) if key in _EXPONENTS and isinstance(value, str) else value
 
 
 def _parse_ext(value: str) -> float:
@@ -88,7 +48,10 @@ def _parse_ext(value: str) -> float:
     m = re.fullmatch(r"2\^(-?\d+(?:\.\d+)?)", v)
     if m:
         return 2.0 ** float(m.group(1))
-    return float(v)
+    try:
+        return float(v)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{value!r} is not a number, 'inf' or '2^k'") from None
 
 
 def _parse_t_list(spec: str) -> list:
@@ -100,7 +63,7 @@ def _parse_t_list(spec: str) -> list:
         return [2.0**j for j in range(lo, hi + 1)]
     ts = [_parse_ext(tok) for tok in spec.split(",") if tok.strip()]
     if not ts:
-        raise ValueError(f"empty time list {spec!r}")
+        raise argparse.ArgumentTypeError(f"empty time list {spec!r}")
     return ts
 
 
@@ -147,10 +110,13 @@ def _cmd_norm(args):
     # the norm reads the spectrum only, so the samples are not kept beside it
     fld = _field(fld.grid, fld.spectrum)
     res = build_resolution(fld.grid, bump_profile(args.profile_sharpness))
-    sp = SpaceParams(args.space, args.s, _parse_ext(args.p), _parse_ext(args.q))
+    sp = SpaceParams(args.space, args.s, args.p, args.q)
     return space_norm(fld, res, sp).to_json_dict(), {}, EXIT_PASS
 
 
+# the flags a verify case may take, each named for its InequalityCase field
+_CASE_KEYS = ("scale", "s", "u", "p", "p1", "p2", "q", "q1", "q2", "constant_claim", "tolerance")
+# each case's defaults; a case reads these keys, the claim and its tolerance
 _VERIFY_DEFAULTS = {
     "young": {"p": 1.0, "p1": 1.0, "p2": 1.0},
     "conv1": {"scale": "B", "s": 0.5, "p": math.inf, "p1": 2.0, "p2": 2.0, "q": 2.0},
@@ -160,47 +126,42 @@ _VERIFY_DEFAULTS = {
 }
 
 
-def _build_case(name: str, params):
+def _build_case(args):
     from .verifier import InequalityCase, conv_eq23_case
 
-    defaults = _VERIFY_DEFAULTS[name]
-    # a case takes the keys it reads: those with a default, plus the claim
-    keys = [*defaults, "constant_claim", "tolerance"]
-    params = _json_object(params, "config 'case'", keys)
-    given = {k: _config_value(params, k, defaults.get(k)) for k in keys}
-    given = {k: v for k, v in given.items() if v is not None}
-    if name == "conv_eq23":
+    defaults = _VERIFY_DEFAULTS[args.case]
+    given = {k: getattr(args, k) for k in _CASE_KEYS if getattr(args, k) is not None}
+    unread = [k for k in given if k not in (*defaults, "constant_claim", "tolerance")]
+    if unread:
+        flags = ", ".join("--space" if k == "scale" else "--" + k.replace("_", "-")
+                          for k in unread)
+        raise ValueError(f"verify {args.case} does not read {flags}")
+    given = {**defaults, **given}
+    if args.case == "conv_eq23":
         return conv_eq23_case(**given)
-    return InequalityCase(name, **given)
+    return InequalityCase(args.case, **given)
 
 
 def _cmd_verify(args):
     from .littlewood_paley import build_resolution
     from .verifier import _RHS_FLOOR, CorpusSpec, check_inequality, generate_corpus, refined
 
-    cfg = _json_object(args.config, "config", ("grid", "count", "seed_f", "seed_g",
-                                               "band_limit", "refine", "case"))
-    grid_cfg = _json_object(cfg.get("grid", {}), "config 'grid'", ("dim", "N", "L"))
-    grid = make_grid(_config_value(grid_cfg, "dim", args.dim),
-                     _config_value(grid_cfg, "N", args.N),
-                     _config_value(grid_cfg, "L", args.L))
-    seed_f = _config_value(cfg, "seed_f", args.seed)
-    seed_g = _config_value(cfg, "seed_g", args.seed + 4)
-    count = _config_value(cfg, "count", args.count)
-    band = _config_value(cfg, "band_limit", args.band)
-    case = _build_case(args.case, cfg.get("case", {}))
-    spec_f = CorpusSpec(seed=seed_f, count=count, band_limit=band)
-    spec_g = CorpusSpec(seed=seed_g, count=count, band_limit=band)
+    case = _build_case(args)
+    # the manifest records the case the report records, defaults and all
+    for key in _CASE_KEYS:
+        setattr(args, key, getattr(case, key))
+    grid = make_grid(args.dim, args.N, args.L)
+    spec_f = CorpusSpec(seed=args.seed, count=args.count, band_limit=args.band)
+    spec_g = CorpusSpec(seed=args.seed + 4, count=args.count, band_limit=args.band)
 
     def check(g):
         res = build_resolution(g)
         return check_inequality(case, generate_corpus(spec_f, g), generate_corpus(spec_g, g), res)
 
-    refine = _config_value(cfg, "refine", args.refine)
-    report = refined(check, grid) if refine else check(grid)
+    report = refined(check, grid) if args.refine else check(grid)
     report.write_ratios_csv(args.out + ".ratios.csv")
     tolerances = {"ratio_tolerance": report.tolerance, "rhs_floor": _RHS_FLOOR}
-    if refine:
+    if args.refine:
         tolerances["stability_tol"] = report.details["stability_tol"]
     return report.to_json_dict(), tolerances, EXIT_PASS if report.verdict else EXIT_FAIL
 
@@ -213,16 +174,15 @@ def _cmd_sweep(args):
 
     spec = _family_spec(args)
     grid = make_grid(args.dim, args.N, args.L)
-    ts = _parse_t_list(args.t)
     # the corpus recipe is checked before any kernel or resolution is built
     corpus_spec = CorpusSpec(seed=args.seed, count=1, families=("mollified_step",),
                              band_limit=args.band)
     fam = KernelFamily(spec, grid)
-    fam.kernel(min(ts))  # resolvability pre-flight at the smallest t
+    fam.kernel(min(args.t))  # resolvability pre-flight at the smallest t
     res = build_resolution(grid)
     corpus = generate_corpus(corpus_spec, grid)
-    base = SpaceParams(args.space, args.s, _parse_ext(args.p), _parse_ext(args.q))
-    sweep = smoothing_sweep(fam, corpus[0], base, args.u, ts, res)
+    base = SpaceParams(args.space, args.s, args.p, args.q)
+    sweep = smoothing_sweep(fam, corpus[0], base, args.u, args.t, res)
     _write_csv(args.out + ".curve.csv", ("t", "applied_norm", "kernel_norm"),
                (sweep.ts, sweep.applied_norms, sweep.kernel_norms))
     return asdict(sweep), {"spectral_tail": _TAIL_TOL}, EXIT_PASS
@@ -293,8 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
     n.add_argument("--input", required=True, help="field basepath written by save_field")
     n.add_argument("--space", choices=("B", "F"), default="B")
     n.add_argument("--s", type=float, default=0.0)
-    n.add_argument("--p", default="1")
-    n.add_argument("--q", default="inf")
+    n.add_argument("--p", type=_parse_ext, default=1.0)
+    n.add_argument("--q", type=_parse_ext, default=math.inf)
     n.add_argument("--profile-sharpness", type=float, default=1.0)
     n.add_argument("--out", default="norm_out")
     n.set_defaults(fn=_cmd_norm)
@@ -303,12 +263,20 @@ def build_parser() -> argparse.ArgumentParser:
     # one spelling per case, so that both spellings of a run share a config hash
     v.add_argument("case", type=lambda name: name.replace("-", "_"),
                    choices=("young", "conv1", "conv3", "conv_eq23"))
-    v.add_argument("--config", help="JSON config overriding the defaults")
     v.add_argument("--seed", type=int, default=7)
     v.add_argument("--count", type=int, default=20)
     v.add_argument("--band", type=float, default=8.0)  # = 2^(k_max-1) at N=1024
     v.add_argument("--refine", action="store_true")
     _add_grid_args(v, n_default=1024)
+    # each case flag starts unset: a case takes its defaults from
+    # _VERIFY_DEFAULTS and refuses the flags it does not read
+    v.add_argument("--space", dest="scale", choices=("B", "F"))
+    v.add_argument("--s", type=float)
+    v.add_argument("--u", type=float)
+    for name in ("--p", "--p1", "--p2", "--q", "--q1", "--q2"):
+        v.add_argument(name, type=_parse_ext)
+    v.add_argument("--constant-claim", type=float)
+    v.add_argument("--tolerance", type=float)
     v.add_argument("--out", default="verify_out")
     v.set_defaults(fn=_cmd_verify)
 
@@ -318,13 +286,13 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--m", type=float, default=1.0)
     s.add_argument("--alpha", type=float, default=1.0)
     s.add_argument("--u", type=float, default=1.0)
-    s.add_argument("--t", default="2^-6..2^0")
+    s.add_argument("--t", type=_parse_t_list, default="2^-6..2^0")
     s.add_argument("--seed", type=int, default=7)
     s.add_argument("--band", type=float, default=16.0)
     s.add_argument("--space", choices=("B", "F"), default="B")
     s.add_argument("--s", type=float, default=0.0)
-    s.add_argument("--p", default="1")
-    s.add_argument("--q", default="inf")
+    s.add_argument("--p", type=_parse_ext, default=1.0)
+    s.add_argument("--q", type=_parse_ext, default=math.inf)
     _add_grid_args(s)
     s.add_argument("--out", default="sweep_out")
     s.set_defaults(fn=_cmd_sweep)
@@ -368,14 +336,11 @@ def _sha256_hex(data: bytes) -> str:
 def main(argv=None) -> int:
     """Run one command, then write its payload JSON, its manifest and the
     payload on stdout.  The manifest's config is every parsed option except
-    ``--out``; verify's ``--config`` is recorded as the file's content ({}
-    without one), since the content, not the path, moves the numbers."""
+    ``--out``, as the command left it."""
     args = build_parser().parse_args(argv)
     try:
-        if "config" in vars(args):
-            args.config = _read_config(args.config)
         payload, tolerances, code = args.fn(args)
-        # an infinite config value is recorded as reports record it
+        # an infinite value is recorded as reports record it
         run = {"command": args.command,
                "config": _jsonable({k: v for k, v in vars(args).items()
                                     if k not in ("command", "fn", "out")})}

@@ -155,6 +155,10 @@ _BUILDERS = {"gaussian_mix": _gaussian_mix, "band_limited_random": _band_limited
              "mollified_step": _mollified_step, "oscillatory_packet": _oscillatory_packet}
 
 
+def _integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class CorpusSpec:
     """Seeded recipe for a family-stratified corpus of real band-limited
@@ -167,16 +171,16 @@ class CorpusSpec:
 
     def __post_init__(self):
         # numpy's own refusal of a negative seed names neither it nor its value
-        if not (isinstance(self.seed, numbers.Integral) and not isinstance(self.seed, bool)
-                and self.seed >= 0):
+        if not (_integer(self.seed) and self.seed >= 0):
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        # a fractional or string count would fail deep in the build, and True is 1
+        if not (_integer(self.count) and self.count >= 1):
+            raise ValueError(f"count must be an integer >= 1, got {self.count!r}")
         if not self.families:
             raise ValueError("families must name at least one corpus family")
         unknown = set(self.families) - set(_BUILDERS)
         if unknown:
             raise ValueError(f"unknown corpus families {sorted(unknown)}")
-        if self.count < 1:
-            raise ValueError(f"count must be >= 1, got {self.count}")
         if not self.band_limit > 0:  # written so that a NaN fails too
             raise ValueError(f"band_limit must be positive, got {self.band_limit}")
 
@@ -257,7 +261,8 @@ class InequalityCase:
 
     ``name`` selects the shape: ``young`` (plain Lp), ``conv1``
     (||f*g|A^s_{p,q}|| vs ||f|A^s_{p1,q}|| * ||g|L_{p2}||), ``conv3`` and its
-    specialization ``conv_eq23`` (two function-space norms on the right).
+    specialization ``conv_eq23`` (two function-space norms on the right),
+    which needs p1 = p, p2 = 1, q1 = q and q2 = inf.
     The scale is B or F and the smoothness orders s, u are finite.
     Exponents need p, p1, p2 >= 1 and q, q1, q2 > 0; the integrability ones
     must satisfy 1 + 1/p = 1/p1 + 1/p2 exactly and, for conv3,
@@ -296,6 +301,9 @@ class InequalityCase:
                 f"integrability relation 1 + 1/p = 1/p1 + 1/p2 violated: "
                 f"p={self.p}, p1={self.p1}, p2={self.p2}"
             )
+        if self.name == "conv_eq23" and not (self.p1 == self.p and self.p2 == 1
+                                             and self.q1 == self.q and self.q2 == INF):
+            raise ValueError(f"conv_eq23 needs p1 = p, p2 = 1, q1 = q and q2 = inf: {self}")
         if self.name in ("conv3", "conv_eq23"):
             if _inv(self.q) > _inv(self.q1) + _inv(self.q2) + 1e-12:
                 raise ValueError(

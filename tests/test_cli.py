@@ -1,3 +1,4 @@
+import argparse
 import gc
 import hashlib
 import json
@@ -148,23 +149,18 @@ def test_verify_conv1_passes(tmp_path):
     assert report["max_ratio"] <= 1.0 + 1e-6
 
 
-def test_verify_config_file_and_failure_exit(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({
-        "grid": {"dim": 1, "N": 1024, "L": 40.0},
-        "count": 6,
-        "case": {"constant_claim": 0.5},  # unattainable: Young ratio is 1
-    }))
-    code = run_cli(["verify", "young", "--config", cfg, "--out", tmp_path / "f"])
+def test_verify_claim_flag_and_failure_exit(tmp_path):
+    # unattainable: the Young ratio is 1
+    code = run_cli(["verify", "young", "--count", 6, "--N", 1024, "--constant-claim", 0.5,
+                    "--out", tmp_path / "f"])
     assert code == 4
     report = json.loads((tmp_path / "f.report.json").read_text())
     assert report["verdict"] == "fail"
+    assert report["constant_claim"] == report["case"]["constant_claim"] == 0.5
 
 
 def test_verify_bad_exponents_exit_code(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"case": {"p1": 2.0, "p2": 2.0, "p": 2.0}}))
-    code = run_cli(["verify", "young", "--config", cfg, "--N", 1024,
+    code = run_cli(["verify", "young", "--p1", 2, "--p2", 2, "--p", 2, "--N", 1024,
                     "--out", tmp_path / "x"])
     assert code == 2
 
@@ -256,9 +252,7 @@ def test_sweep_refuses_repeated_times(tmp_path, capsys):
 def test_report_aggregation(tmp_path):
     assert run_cli(["verify", "young", "--count", 4, "--N", 1024,
                     "--out", tmp_path / "ok"]) == 0
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"count": 4, "case": {"constant_claim": 0.5}}))
-    assert run_cli(["verify", "young", "--config", cfg, "--N", 1024,
+    assert run_cli(["verify", "young", "--count", 4, "--N", 1024, "--constant-claim", 0.5,
                     "--out", tmp_path / "bad"]) == 4
 
     code = run_cli(["report", tmp_path / "ok.report.json", "--out", tmp_path / "sum"])
@@ -356,7 +350,8 @@ def test_time_list_parsing():
 
     assert _parse_t_list("2^-2..2^0") == [0.25, 0.5, 1.0]
     assert _parse_t_list("0.5, 1, 2") == [0.5, 1.0, 2.0]
-    with pytest.raises(ValueError):
+    # argparse passes an ArgumentTypeError's message on, so it names the list
+    with pytest.raises(argparse.ArgumentTypeError, match="empty time list"):
         _parse_t_list(" , ")
 
 
@@ -439,94 +434,86 @@ def test_norm_refuses_broken_sidecar(tmp_path, capsys, key, value, named):
     assert not (tmp_path / "n.json").exists()
 
 
-@pytest.mark.parametrize("config", [
-    [1, 2],
-    {"grid": [1, 1024, 40.0]},
-    {"case": "young"},
-], ids=["top-level", "grid", "case"])
-def test_verify_refuses_config_that_is_not_an_object(tmp_path, capsys, config):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(config))
-    assert run_cli(["verify", "young", "--config", cfg, "--N", 1024,
-                    "--out", tmp_path / "x"]) == 2
-    assert "not a JSON object" in _validation_error(capsys)
-    assert not (tmp_path / "x.report.json").exists()
+def _refusal(argv, capsys) -> str:
+    """The error a run that exits 2 prints: argparse's own when a flag is
+    unknown or its value has the wrong type, else the validation error."""
+    capsys.readouterr()
+    try:
+        assert run_cli(argv) == 2
+    except SystemExit as exc:  # argparse exits 2 on a flag it cannot parse
+        assert exc.code == 2
+        return capsys.readouterr().err
+    return _validation_error(capsys)
 
 
-@pytest.mark.parametrize("case,config,key", [
-    ("young", {"count": "6"}, "count"),
-    ("young", {"seed_f": 1.5}, "seed_f"),
-    ("young", {"seed_g": True}, "seed_g"),
-    ("young", {"band_limit": None}, "band_limit"),
-    ("young", {"refine": "no"}, "refine"),
-    ("young", {"grid": {"dim": 1.0}}, "dim"),
-    ("young", {"grid": {"N": "1024"}}, "N"),
-    ("young", {"grid": {"L": False}}, "L"),
-    ("young", {"case": {"p": [1]}}, "p"),
-    ("young", {"case": {"constant_claim": "a"}}, "constant_claim"),
-    ("young", {"case": {"tolerance": "x", "constant_claim": 1}}, "tolerance"),
-    ("conv1", {"case": {"s": "x"}}, "s"),
-    ("conv1", {"case": {"q": True}}, "q"),
-    ("conv1", {"case": {"scale": None}}, "scale"),
-], ids=["count", "seed_f", "seed_g", "band_limit", "refine", "dim", "N", "L",
+@pytest.mark.parametrize("case,argv,flag", [
+    ("young", ["--count", "6.5"], "--count"),
+    ("young", ["--seed", 1.5], "--seed"),
+    ("young", ["--band", "null"], "--band"),
+    ("young", ["--refine=no"], "--refine"),
+    ("young", ["--dim", 1.5], "--dim"),
+    ("young", ["--N", "1024.0"], "--N"),
+    ("young", ["--L", "false"], "--L"),
+    ("young", ["--p", "[1]"], "--p"),
+    ("young", ["--constant-claim", "a"], "--constant-claim"),
+    ("young", ["--constant-claim", 1, "--tolerance", "x"], "--tolerance"),
+    ("conv1", ["--s", "x"], "--s"),
+    ("conv1", ["--q", "true"], "--q"),
+    ("conv1", ["--space", "null"], "--space"),
+], ids=["count", "seed_f", "band_limit", "refine", "dim", "N", "L",
         "case-p-list", "case-claim-string", "case-tolerance-string", "case-s-string",
         "case-q-bool", "case-scale-null"])
-def test_verify_refuses_config_value_of_wrong_type(tmp_path, capsys, case, config, key):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(config))
-    assert run_cli(["verify", case, "--config", cfg, "--N", 1024,
-                    "--out", tmp_path / "x"]) == 2
-    assert f"config '{key}' must be" in _validation_error(capsys)
-    assert not (tmp_path / "x.report.json").exists()
+def test_verify_refuses_config_value_of_wrong_type(tmp_path, capsys, case, argv, flag):
+    # each value of a verify run's config is a typed flag
+    error = _refusal(["verify", case, *argv, "--N", 1024, "--out", tmp_path / "x"], capsys)
+    assert f"argument {flag}" in error
+    assert not list(tmp_path.glob("x.*"))
 
 
-@pytest.mark.parametrize("case,config,unknown", [
-    ("young", {"seed": 3}, "seed"),
-    ("young", {"grid": {"M": 3}}, "M"),
-    ("young", {"case": {"bogus": 1}}, "bogus"),
-    ("conv-eq23", {"case": {"p1": 5, "q2": 1}}, "p1"),
-    ("young", {"case": {"s": 1}}, "s"),
-    ("conv1", {"case": {"q2": 1}}, "q2"),
-], ids=["seed", "grid-M", "case-bogus", "conv-eq23-p1-q2", "young-s", "conv1-q2"])
-def test_verify_refuses_unknown_config_key(tmp_path, capsys, case, config, unknown):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(config))
-    assert run_cli(["verify", case, "--config", cfg, "--N", 1024,
-                    "--out", tmp_path / "x"]) == 2
-    message = _validation_error(capsys)
-    assert "unknown keys" in message and repr(unknown) in message
-    assert not (tmp_path / "x.report.json").exists()
+@pytest.mark.parametrize("case,argv,named", [
+    ("young", ["--seed-g", 3], "--seed-g"),
+    ("young", ["--M", 3], "--M"),
+    ("young", ["--bogus", 1], "--bogus"),
+    ("conv-eq23", ["--p1", 5, "--q2", 1], "--p1, --q2"),
+    ("young", ["--s", 0.5], "--s"),
+    ("conv1", ["--q2", 1], "--q2"),
+    ("conv1", ["--u", 1], "--u"),
+    ("young", ["--space", "F"], "--space"),
+], ids=["seed", "grid-M", "case-bogus", "conv-eq23-p1-q2", "young-s", "conv1-q2",
+        "conv1-u", "young-space"])
+def test_verify_refuses_unknown_config_key(tmp_path, capsys, monkeypatch, case, argv, named):
+    # a flag no verify run reads, or one this case does not, is refused by
+    # name before any corpus is built
+    def no_corpus(*args):
+        raise AssertionError("a corpus was built before the flags were checked")
+
+    monkeypatch.setattr("lplab.verifier.generate_corpus", no_corpus)
+    error = _refusal(["verify", case, *argv, "--N", 1024, "--out", tmp_path / "x"], capsys)
+    assert named in error
+    assert not list(tmp_path.glob("x.*"))
 
 
-@pytest.mark.parametrize("argv,config,named", [
-    (["verify", "young", "--seed", -5, "--count", 2], None, "got -5"),
-    (["verify", "young", "--count", 2], {"seed_g": -1}, "got -1"),
+@pytest.mark.parametrize("argv,named", [
+    (["verify", "young", "--seed", -5, "--count", 2], "got -5"),
     # refused before the sweep's resolvability pre-flight and resolution build
     (["sweep", "smoothing", "--t", "2^-2..2^1", "--N", 1024, "--band", 8, "--seed", -1],
-     None, "got -1"),
-], ids=["verify-seed", "verify-config-seed_g", "sweep-seed"])
-def test_cli_refuses_negative_corpus_seed(tmp_path, capsys, monkeypatch, argv, config, named):
+     "got -1"),
+], ids=["verify-seed", "sweep-seed"])
+def test_cli_refuses_negative_corpus_seed(tmp_path, capsys, monkeypatch, argv, named):
     def no_kernel(*args):
         raise AssertionError("a kernel was built before the seed was checked")
 
     monkeypatch.setattr(KernelFamily, "kernel", no_kernel)
-    if config is not None:
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(config))
-        argv = argv + ["--config", cfg]
     assert run_cli(argv + ["--out", tmp_path / "x"]) == 2
     assert f"seed must be a non-negative integer, {named}" in _validation_error(capsys)
     assert not list(tmp_path.glob("x.*"))
 
 
 def test_verify_config_reads_typed_case_entries(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"count": 2, "case": {"p1": 1, "p2": "inf", "q": "2^1",
-                                                    "s": None}}))
-    assert run_cli(["verify", "conv1", "--config", cfg, "--N", 1024,
-                    "--out", tmp_path / "x"]) == 0
+    assert run_cli(["verify", "conv1", "--count", 2, "--p1", 1, "--p2", "inf", "--q", "2^1",
+                    "--N", 1024, "--out", tmp_path / "x"]) == 0
     case = json.loads((tmp_path / "x.report.json").read_text())["case"]
-    # exponent strings are parsed, and null keeps the default s = 0.5
+    # exponent strings are parsed, and an unset --s keeps the default s = 0.5
     assert (case["p2"], case["q"], case["s"]) == ("inf", 2.0, 0.5)
 
 
@@ -538,12 +525,9 @@ def test_report_refuses_artifact_that_is_not_an_object(tmp_path, capsys):
     assert not (tmp_path / "sum.json").exists()
 
 
-@pytest.mark.parametrize("case,params", [("young", {"p": 0}), ("conv3", {"q": 0})])
+@pytest.mark.parametrize("case,params", [("young", ["--p", 0]), ("conv3", ["--q", 0])])
 def test_verify_refuses_out_of_range_exponents(tmp_path, capsys, case, params):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"case": params}))
-    assert run_cli(["verify", case, "--config", cfg, "--N", 1024,
-                    "--out", tmp_path / "x"]) == 2
+    assert run_cli(["verify", case, *params, "--N", 1024, "--out", tmp_path / "x"]) == 2
     assert "exponents need" in _validation_error(capsys)
 
 
@@ -622,19 +606,32 @@ def test_manifest_records_every_option_but_out(tmp_path, small_field, argv, chan
     assert other["config_hash"] != json.loads(first)["config_hash"]
 
 
-def test_verify_manifest_records_config_content_not_path(tmp_path):
-    content = {"count": 2, "case": {"s": 0.25}}
-    argv = ["verify", "conv1", "--N", 1024]
-    manifests = []
-    for name in ("x", "y"):
-        (tmp_path / name).mkdir()
-        cfg = tmp_path / name / "cfg.json"
-        cfg.write_text(json.dumps(content))
-        manifests.append(_manifest_bytes(tmp_path, argv + ["--config", cfg], name))
-    assert manifests[0] == manifests[1]
-    assert json.loads(manifests[0])["config"]["config"] == content
-    without = json.loads(_manifest_bytes(tmp_path, argv + ["--count", 2], "z"))
-    assert without["config"]["config"] == {}
+@pytest.mark.parametrize("argv,spellings", [
+    (["norm", "--input", _FIELD], (["--p", "1", "--q", "2"], ["--p", "1.0", "--q", "2^1"])),
+    (["sweep", "smoothing", "--N", 1024, "--band", 4],
+     (["--t", "2^-3..2^0", "--q", "inf"], ["--t", "0.125,0.25,0.5,1", "--q", "oo"])),
+], ids=["norm", "sweep"])
+def test_manifest_records_values_not_spellings(tmp_path, small_field, argv, spellings):
+    argv = [small_field if a is _FIELD else a for a in argv]
+    first, second = (_manifest_bytes(tmp_path, argv + spelling, name)
+                     for spelling, name in zip(spellings, "ab"))
+    assert first == second
+
+
+def test_verify_manifest_records_the_case_it_built(tmp_path):
+    argv = ["verify", "conv1", "--N", 64, "--L", 8, "--band", 2, "--count", 2]
+    # a flag set to its case's default is the same run as the flag unset
+    first = _manifest_bytes(tmp_path, argv, "a")
+    assert _manifest_bytes(tmp_path, [*argv, "--s", 0.5, "--p", "inf"], "b") == first
+    config = json.loads(first)["config"]
+    case = json.loads((tmp_path / "a.report.json").read_text())["case"]
+    assert all(config[k] == v for k, v in case.items() if k != "name")
+    # a run with another resolved input has another hash, a claim included
+    hashes = {json.loads(first)["config_hash"]}
+    for name, extra in (("c", ["--s", 0.25]), ("d", ["--p1", 1, "--p2", 2, "--p", 2]),
+                        ("e", ["--constant-claim", 1])):
+        hashes.add(json.loads(_manifest_bytes(tmp_path, [*argv, *extra], name))["config_hash"])
+    assert len(hashes) == 4
 
 
 def test_verify_case_spellings_share_a_manifest(tmp_path):
@@ -689,58 +686,44 @@ def test_cli_refuses_overflowing_block_weight(tmp_path, capsys, argv):
 
 
 def test_verify_refuses_non_finite_config_smoothness(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text('{"case": {"s": NaN}}')  # Python's json reads the NaN token
-    assert run_cli(["verify", "conv1", "--config", cfg, "--N", 1024,
-                    "--out", tmp_path / "x"]) == 2
+    assert run_cli(["verify", "conv1", "--s", "nan", "--N", 1024, "--out", tmp_path / "x"]) == 2
     assert "must be finite" in _validation_error(capsys)
     assert not (tmp_path / "x.report.json").exists()
 
 
-@pytest.mark.parametrize("argv,config,named", [
-    (["--band", "nan"], None, "band_limit"),
-    ([], '{"band_limit": NaN}', "band_limit"),
-    ([], '{"grid": {"L": Infinity}}', "half_width"),
-], ids=["band-nan", "config-band-limit-nan", "config-L-inf"])
-def test_verify_refuses_nan_band_limit_and_infinite_half_width(tmp_path, capsys, argv,
-                                                               config, named):
-    if config is not None:
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(config)  # Python's json reads the NaN and Infinity tokens
-        argv = argv + ["--config", cfg]
+@pytest.mark.parametrize("argv,named", [
+    (["--band", "nan"], "band_limit"),
+    (["--L", "inf"], "half_width"),
+], ids=["band-nan", "config-L-inf"])
+def test_verify_refuses_nan_band_limit_and_infinite_half_width(tmp_path, capsys, argv, named):
     assert run_cli(["verify", "young", "--N", 1024, *argv, "--out", tmp_path / "x"]) == 2
     assert named in _validation_error(capsys)
     assert not (tmp_path / "x.report.json").exists()
 
 
-@pytest.mark.parametrize("config,named", [
-    ('{"case": {"constant_claim": Infinity}}', "constant_claim"),
-    ('{"case": {"constant_claim": -1}}', "constant_claim"),
-    ('{"case": {"tolerance": -2}}', "tolerance"),
+@pytest.mark.parametrize("argv,named", [
+    (["--constant-claim", "inf"], "constant_claim"),
+    (["--constant-claim", -1], "constant_claim"),
+    (["--tolerance", -2], "tolerance"),
 ], ids=["claim-inf", "claim-negative", "tolerance-negative"])
-def test_verify_refuses_a_claim_no_ratio_could_meet(tmp_path, capsys, config, named):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(config)  # Python's json reads the Infinity token
-    assert run_cli(["verify", "young", "--config", cfg, "--N", 1024,
-                    "--out", tmp_path / "x"]) == 2
+def test_verify_refuses_a_claim_no_ratio_could_meet(tmp_path, capsys, argv, named):
+    assert run_cli(["verify", "young", *argv, "--N", 1024, "--out", tmp_path / "x"]) == 2
     assert named in _validation_error(capsys)
     assert not list(tmp_path.glob("x.*"))
 
 
 def test_verify_infinite_config_exponent_is_recorded_as_its_string(tmp_path):
-    # the Infinity token and the "inf" string are one run, with one manifest
+    # every spelling of an infinite exponent is one run, with one manifest
     outputs = []
-    for name, q in (("token", "Infinity"), ("string", '"inf"')):
-        cfg = tmp_path / f"{name}.json"
-        cfg.write_text(f'{{"case": {{"q": {q}}}}}')
+    for name in ("inf", "oo", "Infinity"):
         (tmp_path / name).mkdir()
         out = tmp_path / name / "x"
-        assert run_cli(["verify", "conv1", "--config", cfg, "--N", 1024, "--count", 4,
+        assert run_cli(["verify", "conv1", "--q", name, "--N", 1024, "--count", 4,
                         "--out", out]) == 0
         outputs.append([(tmp_path / name / f"x.{ext}").read_bytes()
                         for ext in ("report.json", "manifest.json", "ratios.csv")])
-    assert outputs[0] == outputs[1]
-    assert json.loads(outputs[0][1])["config"]["config"] == {"case": {"q": "inf"}}
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert json.loads(outputs[0][1])["config"]["q"] == "inf"
 
 
 def test_artifacts_are_strict_json(tmp_path, capsys):

@@ -40,11 +40,8 @@ def test_readme_cli_block_writes_what_it_names(tmp_path, monkeypatch):
         block = re.search(r"## CLI\n\n```sh\n(.*?)```", fh.read(), re.S).group(1)
     commands = []  # (argv, artifact names from the comments below the line)
     for line in block.splitlines():
-        config = re.fullmatch(r"# (\S+\.json): (.*)", line)
         if line.startswith("lplab "):
             commands.append((shlex.split(line, comments=True)[1:], []))
-        elif config:
-            (tmp_path / config[1]).write_text(config[2])
         elif line.startswith("#"):
             commands[-1][1].extend(re.findall(r"\w+(?:\.\w+)+", line))
     assert len(commands) == 8

@@ -189,8 +189,11 @@ def test_corpus_band_limit_validated(grid_v):
         CorpusSpec(seed=1, count=2, families=("nope",))
     with pytest.raises(ValueError, match="families"):
         CorpusSpec(seed=1, count=2, families=(), band_limit=4.0)
-    with pytest.raises(ValueError, match="count must be >= 1, got 0"):
-        CorpusSpec(seed=1, count=0)
+    # a count is refused by name: 2.5 and "3" would fail deep in the build,
+    # and True would build one field
+    for count in (0, 2.5, True, "3"):
+        with pytest.raises(ValueError, match=f"count must be an integer >= 1, got {count!r}"):
+            CorpusSpec(seed=1, count=count)
     with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
         CorpusSpec(seed=-1, count=2)
     with pytest.raises(ValueError, match="seed must be a non-negative integer, got True"):
@@ -403,6 +406,20 @@ def test_conv_eq23_case_construction(res_v, corpora):
     assert case.p2 == 1.0 and case.q2 == INF
     report = check_inequality(case, corpora[0][:10], corpora[1][:10], res_v)
     assert np.isfinite(report.empirical_C) and report.verdict
+
+
+@pytest.mark.parametrize("exponents", [
+    dict(p1=1.0, p2=2.0, q1=1.0, q2=2.0),  # a plain conv3 case under the conv_eq23 name
+    dict(p1=2.0, p2=1.0, q1=1.0, q2=INF),
+    dict(p1=2.0, p2=1.0, q1=2.0, q2=2.0),
+    dict(p1=1.0, p2=2.0, q1=2.0, q2=INF),  # p1 = p forces p2 = 1, and back
+], ids=["conv3-exponents", "q1", "q2", "p1-p2"])
+def test_conv_eq23_refuses_other_exponents(exponents):
+    base = dict(p=2.0, q=2.0, s=0.5, u=0.5)
+    with pytest.raises(ValueError, match="conv_eq23 needs p1 = p, p2 = 1, q1 = q and q2 = inf"):
+        InequalityCase("conv_eq23", **{**base, **exponents})
+    # the same exponents are a valid conv3 case
+    InequalityCase("conv3", **{**base, **exponents})
 
 
 def test_conv1_p1_infinity_engages_2n_claim(res_v, corpora):
