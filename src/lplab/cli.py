@@ -7,12 +7,14 @@ is read off the parser: every parsed option except ``--out``, with verify's
 case flags resolved to the case the run built.  Identical configs produce
 byte-identical outputs.
 
-Exit codes: 0 pass, 2 validation error, 3 under-resolution, 4 verdict fail.
+Exit codes: 0 pass, 2 validation error (a parser refusal included), 3
+under-resolution, 4 verdict fail.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import re
@@ -229,8 +231,16 @@ def _cmd_report(args):
     return summary, {}, EXIT_PASS if all_pass else EXIT_FAIL
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose refusals are validation errors, so that ``main``
+    reports them as it reports its own; its subparsers are of its class."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="lplab",
         description="Littlewood-Paley norms, convolution-semigroup kernels, "
                     "and inequality verification on periodic grids.",
@@ -337,8 +347,8 @@ def main(argv=None) -> int:
     """Run one command, then write its payload JSON, its manifest and the
     payload on stdout.  The manifest's config is every parsed option except
     ``--out``, as the command left it."""
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         payload, tolerances, code = args.fn(args)
         # an infinite value is recorded as reports record it
         run = {"command": args.command,
@@ -361,5 +371,16 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
 
 
+def run() -> None:
+    """The process entry of ``python -m lplab.cli`` and the installed
+    ``lplab``: ``main``, then exit with its code.  Interpreter shutdown
+    collects garbage several times over every object the imports left; they
+    are frozen first, so those collections skip them.  Atexit handlers,
+    flushing and file closing still run."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

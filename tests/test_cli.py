@@ -2,9 +2,11 @@ import argparse
 import gc
 import hashlib
 import json
+import os
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -264,14 +266,39 @@ def test_report_aggregation(tmp_path):
     assert summary["all_pass"] is False and summary["count"] == 2
 
 
-def test_console_script_installed(tmp_path):
-    proc = subprocess.run(
-        [sys.executable, "-m", "lplab.cli", "kernel", "--family", "gw", "--t", "1",
-         "--N", "1024", "--L", "40", "--out", str(tmp_path / "k")],
-        capture_output=True, text=True,
-    )
-    assert proc.returncode == 0
-    assert "gradient_l1" in proc.stdout
+# one command for each exit code, two for exit 2
+_EXITS = {
+    "pass": (["kernel", "--t", 1, "--N", 64, "--L", 8], 0),
+    "parser-refusal": (["verify", "young", "--count", "6.5"], 2),
+    "validation-refusal": (["kernel", "--t", -1, "--N", 64, "--L", 8], 2),
+    "under-resolution": (["sweep", "smoothing", "--N", 64, "--L", 10, "--band", 2], 3),
+    "verdict-fail": (["verify", "young", "--count", 4, "--N", 1024, "--band", 8,
+                      "--constant-claim", 0.5], 4),
+}
+
+
+@pytest.mark.parametrize("argv,code", _EXITS.values(), ids=_EXITS)
+def test_process_exits_with_mains_result_and_a_frozen_heap(tmp_path, capsys, argv, code):
+    # a sitecustomize registers the first atexit hook, which so runs last
+    # and sees whether the heap was frozen before the interpreter shut down
+    hook = tmp_path / "hook"
+    hook.mkdir()
+    (hook / "sitecustomize.py").write_text(
+        "import atexit, gc, sys\n"
+        "atexit.register(lambda: print('frozen', gc.get_freeze_count(), file=sys.stderr))\n")
+    path = [str(hook), str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run([sys.executable, "-m", "lplab.cli", *map(str, argv),
+                           "--out", str(tmp_path / "process")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    capsys.readouterr()
+    assert run_cli([*argv, "--out", tmp_path / "in_process"]) == code
+    assert (proc.returncode, proc.stdout) == (code, capsys.readouterr().out)
+    *lines, frozen = proc.stderr.splitlines()
+    assert frozen.startswith("frozen ") and int(frozen.split()[1]) > 0, proc.stderr
+    kind = {2: "validation", 3: "under_resolution"}.get(code)
+    if kind:
+        assert json.loads(lines[-1])["kind"] == kind, proc.stderr
 
 
 def test_cli_loads_no_openssl(tmp_path):
@@ -397,7 +424,10 @@ def test_threads_env_does_not_change_a_3d_sweep(tmp_path, monkeypatch):
 
 
 def _validation_error(capsys) -> str:
-    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    """The error a refusal prints as its one line on stderr."""
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1, err
+    err = json.loads(err)
     assert err["kind"] == "validation"
     return err["error"]
 
@@ -435,15 +465,30 @@ def test_norm_refuses_broken_sidecar(tmp_path, capsys, key, value, named):
 
 
 def _refusal(argv, capsys) -> str:
-    """The error a run that exits 2 prints: argparse's own when a flag is
-    unknown or its value has the wrong type, else the validation error."""
+    """The validation error a run that exits 2 prints, the parser's included."""
     capsys.readouterr()
-    try:
-        assert run_cli(argv) == 2
-    except SystemExit as exc:  # argparse exits 2 on a flag it cannot parse
-        assert exc.code == 2
-        return capsys.readouterr().err
+    assert run_cli(argv) == 2
     return _validation_error(capsys)
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["kernel", "--t", 1, "--bogus", 2], "unrecognized arguments: --bogus 2"),
+    (["kernel", "--N", 64], "the following arguments are required: --t"),
+    (["kernel", "--family", "heat", "--t", 1], "argument --family: invalid choice: 'heat'"),
+    (["kernel", "--t", "x"], "argument --t: "),
+    ([], "the following arguments are required: command"),
+], ids=["unknown-flag", "missing-t", "invalid-family", "wrong-type", "no-command"])
+def test_parser_refusals_are_validation_errors(tmp_path, capsys, argv, named):
+    out = ["--out", tmp_path / "x"] if argv else []
+    assert named in _refusal([*argv, *out], capsys)
+    assert not list(tmp_path.iterdir())
+
+
+def test_help_prints_usage_and_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["kernel", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: lplab kernel")
 
 
 @pytest.mark.parametrize("case,argv,flag", [
